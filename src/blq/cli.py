@@ -11,11 +11,12 @@ internal parallelism (per-direction tomography work).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,7 +25,14 @@ import numpy as np
 from . import catalog
 from .data import BLDatum, derive_adjoint_exponents, validate_datum, adjoint_gaussian_prefactor
 from .errors import BLQError, SchemaError
-from .gaussian import abl_gaussian_constant, bl_gaussian_constant, identity_ai_residual, perturbation_gap
+from .gaussian import (
+    _abl_from_solves,
+    abl_gaussian_constant,
+    bl_gaussian_constant,
+    identity_ai_residual,
+    perturbation_gap,
+    quotient_supremum,
+)
 from .grid import GridFunction, GridSpec, adjoint_margin, gaussian_grid, random_grid_function, rank_one_distance
 from .discrete import (
     abls_constant,
@@ -103,13 +111,16 @@ class RunReport:
     assertions: list
     library_version: str = LIBRARY_VERSION
     wall_time_s: float = 0.0
+    # measured seconds of each runtime gate, by assertion name; volatile, so
+    # kept out of the canonical bytes like wall_time_s
+    measured_s: dict = field(default_factory=dict)
 
     @property
     def passed(self):
         return all(a["passed"] for a in self.assertions)
 
     def to_canonical_dict(self):
-        """Byte-stable payload: excludes the volatile wall time."""
+        """Byte-stable payload: excludes the volatile wall and gate times."""
         return {
             "task": self.task,
             "inputs": self.inputs,
@@ -166,6 +177,11 @@ def _parse_number(x):
     return float(x)
 
 
+def _tolerance(tol_override, default):
+    """The scenario's tolerance unless ``--tol`` gave one; 0 is a valid override."""
+    return _parse_number(default) if tol_override is None else float(tol_override)
+
+
 def _grid_spec(obj, d):
     from .grid import default_box, default_resolution
 
@@ -212,15 +228,18 @@ def _task_gaussian_bl(scn, tol_override):
             "residual": res.residual,
             "feasibility": report.verdict,
         }
-        tol = tol_override or _parse_number(case.get("tol", 1e-6))
+        tol = _tolerance(tol_override, case.get("tol", 1e-6))
         if case.get("expected") is not None:
             err = abs(res.value - _parse_number(case["expected"]))
             assertions.append(_assert_entry(f"{name}: value within tol", err, tol, err <= tol))
         assertions.append(_assert_entry(f"{name}: converged", float(res.converged), 1.0, res.converged))
         if "max_seconds" in case:
-            assertions.append(
-                _assert_entry(f"{name}: runtime", dt, case["max_seconds"], dt < case["max_seconds"])
-            )
+            # the canonical value is the pass flag; run_scenario moves the
+            # measured seconds to RunReport.measured_s
+            ok = dt < case["max_seconds"]
+            entry = _assert_entry(f"{name}: runtime", float(ok), case["max_seconds"], ok)
+            entry["measured_s"] = dt
+            assertions.append(entry)
     return {"cases": [c.get("name", f"case{i}") for i, c in enumerate(cases)]}, results, assertions
 
 
@@ -229,7 +248,7 @@ def _task_adjoint_gaussian(scn, tol_override):
     params = derive_adjoint_exponents(datum, scn["theta"], _parse_number(scn["p"]))
     res = abl_gaussian_constant(datum, params)
     rel = abs(res.value - res.cross_check) / max(abs(res.cross_check), 1e-300)
-    tol = tol_override or _parse_number(scn.get("rel_tol", 1e-4))
+    tol = _tolerance(tol_override, scn.get("rel_tol", 1e-4))
     results = {
         "value": res.value,
         "cross_check": res.cross_check,
@@ -244,7 +263,7 @@ def _task_adjoint_gaussian(scn, tol_override):
 
 
 def _task_identity_ai(scn, tol_override):
-    tol = tol_override or _parse_number(scn.get("tol", 1e-4))
+    tol = _tolerance(tol_override, scn.get("tol", 1e-4))
     results, assertions = {}, []
     if "datum" in scn:
         data = [("datum", _datum_from_spec(scn["datum"]))]
@@ -281,15 +300,19 @@ def _task_adjoint_verify(scn, tol_override):
     n_draws = int(scn.get("n_draws", 5))
     n_functions = int(scn.get("n_functions", 200))
     res_table = {2: 64, 3: 24, 4: 10}
-    rel_tol = tol_override or _parse_number(scn.get("rel_tol", 1e-4))
+    rel_tol = _tolerance(tol_override, scn.get("rel_tol", 1e-4))
     worst_rel = 0.0
     min_margin_gap = math.inf
     for t, (label, datum) in enumerate(data):
         bl = bl_gaussian_constant(datum)
         draws = catalog.random_adjoint_draws(datum, seed + 17 * t, n=n_draws)
+        # both solves depend on the datum only; the draws are forward mode
+        # with p < 1, so abl_gaussian_constant's guards hold for each of them
+        quot = quotient_supremum(datum)
         worst = 0.0
         for params in draws:
-            res = abl_gaussian_constant(datum, params)
+            pref = adjoint_gaussian_prefactor(params, datum.dims, datum.ambient_dim)
+            res = _abl_from_solves(pref, params, quot, bl)
             worst = max(worst, abs(res.value - res.cross_check) / abs(res.cross_check))
         worst_rel = max(worst_rel, worst)
         d = datum.ambient_dim
@@ -360,7 +383,7 @@ def _equality_cases(scn, seed):
 def _task_discrete(scn, tol_override):
     _require(scn, "seed")
     seed = int(scn["seed"])
-    tol = tol_override or _parse_number(scn.get("tol", 1e-12))
+    tol = _tolerance(tol_override, scn.get("tol", 1e-12))
     n_functions = int(scn.get("n_functions", 1000))
     results, assertions = {}, []
     if "group" in scn:
@@ -447,7 +470,7 @@ def _tomography_gamma(scn, tol_override, seed):
     results["sin_moment_max_err"] = worst
     assertions.append(_assert_entry("d=2 sin-moment identity", worst, 1e-10, worst <= 1e-10))
     n_mc = int(scn.get("n_mc", 10**6))
-    rel_tol = tol_override or _parse_number(scn.get("rel_tol", 0.02))
+    rel_tol = _tolerance(tol_override, scn.get("rel_tol", 0.02))
     p, q = _parse_number(scn.get("p", 2.0)), _parse_number(scn.get("q", 0.5))
     for d in (2, 3):
         c_exact = xx_gamma_constant(d, p, q)
@@ -484,7 +507,7 @@ def _tomography_suite(scn, tol_override, seed):
     n_functions = int(scn.get("n_functions", 100))
     n_dirs = int(scn.get("n_dirs", 120))
     res = int(scn.get("resolution", 96))
-    l1_tol = tol_override or _parse_number(scn.get("l1_tol", 1e-3))
+    l1_tol = _tolerance(tol_override, scn.get("l1_tol", 1e-3))
     box = ((-4.0, 4.0), (-4.0, 4.0))
     dirs = DirectionSet.uniform_circle(n_dirs)
     half = DirectionSet.from_vectors(dirs.vectors[::2])
@@ -539,7 +562,7 @@ def _task_gowers(scn, tol_override):
     n = int(scn.get("N", 64))
     d = int(scn.get("d", 2))
     n_functions = int(scn.get("n_functions", 200))
-    tol = tol_override or _parse_number(scn.get("tol", 1e-12))
+    tol = _tolerance(tol_override, scn.get("tol", 1e-12))
     rng = np.random.default_rng(seed)
     worst = math.inf
     for _ in range(n_functions):
@@ -577,7 +600,7 @@ def _task_gowers(scn, tol_override):
 
 def _task_entropy(scn, tol_override):
     seed = int(scn.get("seed", 0))
-    tol = tol_override or _parse_number(scn.get("tol", 1e-3))
+    tol = _tolerance(tol_override, scn.get("tol", 1e-3))
     datum = _datum_from_spec(scn.get("datum", "loomis_whitney_2"))
     bl = bl_gaussian_constant(datum).value
     d = datum.ambient_dim
@@ -636,7 +659,7 @@ def _task_perturbation(scn, tol_override):
     params = derive_adjoint_exponents(datum, theta, p)
     d = datum.ambient_dim
     resolutions = scn.get("resolutions", [512, 1024])
-    stability_tol = tol_override or _parse_number(scn.get("stability_tol", 0.05))
+    stability_tol = _tolerance(tol_override, scn.get("stability_tol", 0.05))
     coeffs = []
     for n in resolutions:
         spec = GridSpec(box=((-8.0, 8.0),) * d, resolution=(int(n),) * d)
@@ -674,17 +697,34 @@ def validate_scenario(scn):
     try:
         import jsonschema
 
-        jsonschema.validate(scn, _load_schema("scenario"))
+        error = jsonschema.exceptions.best_match(_scenario_validator().iter_errors(scn))
     except ImportError:  # pragma: no cover
-        pass
+        error = None
     except Exception as exc:
         raise SchemaError(f"scenario violates the schema: {exc}") from exc
+    if error is not None:
+        raise SchemaError(f"scenario violates the schema: {error}") from error
     task = scn.get("task")
     if task not in TASKS:
         raise SchemaError(f"unknown task {task!r}; options: {TASKS}")
     if task in _STOCHASTIC_TASKS and "seed" not in scn:
         raise SchemaError(f"task {task!r} is stochastic: a seed is mandatory")
     return scn
+
+
+@functools.cache
+def _scenario_validator():
+    """The scenario schema's validator, checked and built on first use.
+
+    Same checks and error as ``jsonschema.validate``, which re-checks the
+    schema itself on every call.
+    """
+    import jsonschema
+
+    schema = _load_schema("scenario")
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def _load_schema(name):
@@ -711,6 +751,7 @@ def run_scenario(scenario, seed_override=None, tol_override=None) -> RunReport:
     try:
         extra_inputs, results, assertions = _HANDLERS[scn["task"]](scn, tol_override)
         inputs_echo.update(extra_inputs)
+        measured = {a["name"]: a.pop("measured_s") for a in assertions if "measured_s" in a}
     except SchemaError:
         raise
     except Exception as exc:
@@ -718,12 +759,14 @@ def run_scenario(scenario, seed_override=None, tol_override=None) -> RunReport:
         # report is still written and the run exits non-zero
         results = {"error": f"{type(exc).__name__}: {exc}"}
         assertions = [_assert_entry("task completed", 0.0, 1.0, False)]
+        measured = {}
     report = RunReport(
         task=scn["task"],
         inputs=inputs_echo,
         results=results,
         assertions=assertions,
         wall_time_s=time.perf_counter() - t0,
+        measured_s=measured,
     )
     return report
 
@@ -749,7 +792,10 @@ def _cmd_run(args):
     print(f"{status} {path} ({report.wall_time_s:.2f} s) -> {dest}")
     for a in report.assertions:
         mark = "ok " if a["passed"] else "FAIL"
-        print(f"  [{mark}] {a['name']}: value={a['value']:.6g} tol={a['tolerance']:.6g}")
+        line = f"  [{mark}] {a['name']}: value={a['value']:.6g} tol={a['tolerance']:.6g}"
+        if a["name"] in report.measured_s:
+            line += f" measured={report.measured_s[a['name']]:.3g} s"
+        print(line)
     return 0 if report.passed else 1
 
 

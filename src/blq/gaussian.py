@@ -401,10 +401,17 @@ def abl_gaussian_constant(
         return GaussianOptResult(
             value=1.0, argmax=None, iterations=0, converged=True, residual=0.0, cross_check=1.0
         )
-    u = 0.5 * (1.0 / params.p - 1.0)
     quot = quotient_supremum(datum, max_iter=max_iter, gtol=gtol)
-    value = pref * math.exp(u * math.log(quot.value))
-    bl = bl_gaussian_constant(datum)
+    return _abl_from_solves(pref, params, quot, bl_gaussian_constant(datum))
+
+
+def _abl_from_solves(pref, params, quot, bl) -> GaussianOptResult:
+    """ABLg and its cross-check from the quotient and tuple-side solves.
+
+    Neither solve depends on (theta, p), so callers with several exponent
+    draws for one datum solve once and call this per draw.
+    """
+    value = pref * math.exp(0.5 * (1.0 / params.p - 1.0) * math.log(quot.value))
     cross = pref * bl.value ** (1.0 / params.p - 1.0)
     argmax = None
     if quot.argmax is not None:

@@ -9,6 +9,13 @@ defines marginals.  Quadrature error for the inequality margins is estimated
 with one exact dyadic refinement step: splitting cells leaves the function
 unchanged, so any drift isolates the binning sensitivity.
 
+The binning geometry of a pushforward depends only on the source grid, the
+map and the target grid, so ``grid_pushforward`` caches it: the int32 target
+bin of every source cell (or, for a geometry whose image escapes the target
+box, the mask of the escaping cells).  The cache is a process-wide LRU
+capped at a fixed 4 MiB; nothing about it can be set.  Cached and freshly
+built indices give bit-identical pushforwards.
+
 File format (``save_grid_function``): a single file whose first line is a
 compact JSON header, followed by the payload.  Binary payload is raw
 little-endian float64 ('<f8') in C row-major order; CSV payload is one
@@ -20,6 +27,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -215,6 +224,90 @@ def _auto_target(f: GridFunction, B) -> GridSpec:
     )
 
 
+class _BinIndexCache:
+    """Byte-capped LRU of pushforward bin indices, keyed on the geometry.
+
+    An entry is ``(flat, outside)``: the int32 flat target-bin index of every
+    source cell, or, when some cell centre escapes the target box, only the
+    boolean mask of the escaping cells (such a geometry always raises).
+    Entries are evicted oldest first once their bytes exceed ``cap_bytes``;
+    the newest entry is kept even when it alone is larger than the cap.
+    """
+
+    def __init__(self, cap_bytes):
+        self.cap_bytes = cap_bytes
+        self.nbytes = 0
+        self._entries = OrderedDict()
+        self._lock = threading.Lock()
+
+    @staticmethod
+    def _size(entry):
+        return sum(a.nbytes for a in entry if a is not None)
+
+    def get(self, key):
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+            return entry
+
+    def put(self, key, entry):
+        with self._lock:
+            old = self._entries.pop(key, None)  # another thread may have built it too
+            if old is not None:
+                self.nbytes -= self._size(old)
+            self._entries[key] = entry
+            self.nbytes += self._size(entry)
+            while self.nbytes > self.cap_bytes and len(self._entries) > 1:
+                _, evicted = self._entries.popitem(last=False)
+                self.nbytes -= self._size(evicted)
+
+    def clear(self):
+        with self._lock:
+            self._entries.clear()
+            self.nbytes = 0
+
+    def __len__(self):
+        return len(self._entries)
+
+
+# 4 MiB holds every geometry of one adjoint-verify datum (at most 2.6 MB:
+# 8 maps at the base and the refined resolution in d = 4)
+_BIN_INDEX_CACHE = _BinIndexCache(cap_bytes=4 << 20)
+
+
+def _bin_index(f: GridFunction, B, target: GridSpec):
+    """(flat, outside) for the cell centres of f's grid mapped by B.
+
+    Each target coordinate is an outer sum of per-axis terms, so no (N, d)
+    array of points is formed.
+    """
+    axes = f.centers()
+    d = len(axes)
+    n_cells = int(np.prod(f.resolution))
+    flat = np.zeros(n_cells, dtype=np.int64)
+    inside = np.ones(n_cells, dtype=bool)
+    for a, ((lo, hi), n) in enumerate(zip(target.box, target.resolution)):
+        y = 0.0
+        for j, c in enumerate(axes):
+            shape = [1] * d
+            shape[j] = c.size
+            y = y + (c * B[a, j]).reshape(shape)
+        y = np.broadcast_to(y, f.resolution).ravel()
+        span = hi - lo
+        tol = BOUNDARY_TOL * max(span, 1.0)
+        inside &= (y >= lo - tol) & (y <= hi + tol)
+        k = np.floor((y - lo) / (span / n)).astype(np.int64)
+        np.clip(k, 0, n - 1, out=k)
+        flat *= n
+        flat += k
+    if not inside.all():
+        return None, ~inside
+    if np.prod(target.resolution) <= np.iinfo(np.int32).max:
+        flat = flat.astype(np.int32)
+    return flat, None
+
+
 def grid_pushforward(f: GridFunction, B, target: Optional[GridSpec] = None) -> GridFunction:
     """Mass-deposit pushforward of f along the linear map B.
 
@@ -222,32 +315,24 @@ def grid_pushforward(f: GridFunction, B, target: Optional[GridSpec] = None) -> G
     containing the image of its center, then values are divided by the target
     cell volume; total mass is preserved exactly.  Centers escaping the
     target box raise :class:`CoverageError` with the escaping mass fraction.
+    The bin index of a geometry (grid, B, target) is cached; see the module
+    docstring.
     """
     B = np.asarray(B, dtype=float)
     if target is None:
         target = _auto_target(f, B)
     t_box, t_res = target.box, target.resolution
-    d_t = len(t_res)
-    if B.shape != (d_t, f.dim):
+    if B.shape != (len(t_res), f.dim):
         raise ValueError("map shape does not match source/target dimensions")
-    axes = f.centers()
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    images = pts @ B.T
+    key = (f.box, f.resolution, B.shape, B.tobytes(), target)
+    entry = _BIN_INDEX_CACHE.get(key)
+    if entry is None:
+        entry = _bin_index(f, B, target)
+        _BIN_INDEX_CACHE.put(key, entry)
+    flat, outside = entry
     masses = f.values.ravel() * f.cell_volume
-    idx = np.empty((images.shape[0], d_t), dtype=np.int64)
-    inside = np.ones(images.shape[0], dtype=bool)
-    for a, ((lo, hi), n) in enumerate(zip(t_box, t_res)):
-        span = hi - lo
-        y = images[:, a]
-        tol = BOUNDARY_TOL * max(span, 1.0)
-        inside &= (y >= lo - tol) & (y <= hi + tol)
-        cell = span / n
-        k = np.floor((y - lo) / cell).astype(np.int64)
-        np.clip(k, 0, n - 1, out=k)
-        idx[:, a] = k
-    if not np.all(inside):
-        escaping = float(masses[~inside].sum())
+    if outside is not None:
+        escaping = float(masses[outside].sum())
         total = float(masses.sum())
         frac = escaping / total if total > 0 else 1.0
         raise CoverageError(
@@ -255,7 +340,6 @@ def grid_pushforward(f: GridFunction, B, target: Optional[GridSpec] = None) -> G
             f"(escaping mass fraction {frac:.3e})",
             escaping_fraction=frac,
         )
-    flat = np.ravel_multi_index([idx[:, a] for a in range(d_t)], t_res)
     acc = np.bincount(flat, weights=masses, minlength=int(np.prod(t_res)))
     t_cell_vol = 1.0
     for (lo, hi), n in zip(t_box, t_res):

@@ -9,6 +9,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from blq.cli import emit_report, run_scenario
 
@@ -133,3 +134,22 @@ def test_criterion_11_determinism(tmp_path):
     (tmp_path / "b.json").write_text(second)
     identical = (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
     _verdict(11, "byte-identical reports", ok and identical, f"{len(first)} bytes")
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "01_gaussian_constants",
+        "02_identity_ai",
+        "04_discrete_consistency",
+        "05_equality_cases",
+        "06_perturbation_gap",
+        "08_gamma_constant",
+        "09_gowers_logconvexity",
+        "10_entropy_margins",
+    ],
+)
+def test_fast_scenario_reruns_are_byte_identical(name):
+    # criterion 11 covers scenario 11; 03 and 07 take minutes
+    path = SCENARIOS / f"{name}.json"
+    assert emit_report(run_scenario(path)) == emit_report(run_scenario(path))

@@ -23,6 +23,61 @@ def test_canonical_json_is_sorted_and_trimmed():
     assert text == '{"a":[1,true,null],"b":0.333333333333}\n'
 
 
+def test_schema_error_message_is_jsonschema_validates(tmp_path):
+    import importlib.resources as res
+
+    with res.files("blq.schemas").joinpath("scenario.schema.json").open() as fh:
+        schema = json.load(fh)
+    for bad in ({"task": "gowers", "seed": -1}, {"task": "tomography", "seed": "7"}, {"seed": 1}):
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(bad, schema)
+        for _ in range(2):
+            with pytest.raises(SchemaError) as err:
+                validate_scenario(bad)
+            assert str(err.value) == f"scenario violates the schema: {expected.value}"
+
+
+def test_zero_tolerance_override_is_honoured():
+    young = {"task": "gaussian-bl", "seed": 0, "cases": [{"name": "young", "datum": "young", "expected": 0.8660254037844386, "tol": 1e-4}]}
+    assert run_scenario(dict(young)).passed
+    report = run_scenario(dict(young), tol_override=0.0)
+    assert report.assertions[0]["tolerance"] == 0.0
+    assert not report.passed  # |BLg - sqrt(3)/2| is one ulp, above a zero tolerance
+    gowers = run_scenario(dict(FAST_GOWERS), tol_override=0.0)
+    assert gowers.assertions[0]["tolerance"] == 0.0
+
+
+def test_adjoint_verify_solves_once_per_datum(monkeypatch):
+    import blq.cli
+    import blq.gaussian
+
+    calls = {"bl": 0, "quotient": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (blq.cli, blq.gaussian):
+        monkeypatch.setattr(module, "bl_gaussian_constant", counting("bl", blq.gaussian.bl_gaussian_constant))
+        monkeypatch.setattr(module, "quotient_supremum", counting("quotient", blq.gaussian.quotient_supremum))
+    scenario = {"task": "adjoint-verify", "seed": 3, "n_data": 2, "n_draws": 5, "n_functions": 1}
+    report = run_scenario(scenario)
+    assert report.passed, report.results
+    assert calls == {"bl": 2, "quotient": 2}
+
+
+def test_runtime_gate_seconds_stay_out_of_the_canonical_bytes():
+    scenario = {"task": "gaussian-bl", "seed": 0, "cases": [{"name": "young", "datum": "young", "max_seconds": 5}]}
+    report = run_scenario(scenario)
+    gate = report.assertions[-1]
+    assert gate == {"name": "young: runtime", "value": 1.0, "tolerance": 5.0, "passed": True}
+    assert 0.0 < report.measured_s["young: runtime"] < 5.0
+    assert "measured_s" not in emit_report(report)
+
+
 def test_unknown_task_rejected():
     with pytest.raises(SchemaError):
         validate_scenario({"task": "nope"})

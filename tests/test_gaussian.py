@@ -187,6 +187,22 @@ def test_abl_cross_check_on_conjugated_young():
     assert res.value == pytest.approx(res.cross_check, rel=1e-8)
 
 
+def test_abl_from_one_solve_pair_is_bitwise_abl_gaussian_constant():
+    from blq.catalog import random_adjoint_draws
+    from blq.data import adjoint_gaussian_prefactor
+    from blq.gaussian import _abl_from_solves
+
+    datum = conjugate_datum(young(), seed=31)
+    quot, bl = quotient_supremum(datum), bl_gaussian_constant(datum)
+    for params in random_adjoint_draws(datum, seed=4, n=5):
+        pref = adjoint_gaussian_prefactor(params, datum.dims, datum.ambient_dim)
+        once = _abl_from_solves(pref, params, quot, bl)
+        res = abl_gaussian_constant(datum, params)
+        assert (once.value, once.cross_check) == (res.value, res.cross_check)
+        assert (once.converged, once.iterations, once.residual) == (res.converged, res.iterations, res.residual)
+        assert np.array_equal(once.argmax.matrix, res.argmax.matrix)
+
+
 def test_divergence_signal_for_infeasible_datum():
     datum = BLDatum(
         maps=(np.eye(2), np.array([[1.0, 0.0]])), exponents=(0.5, 1.0), ambient_dim=2

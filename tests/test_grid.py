@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blq.catalog import conjugate_datum, finner_mixed, loomis_whitney, young
 from blq.data import derive_adjoint_exponents
+from blq import grid
 from blq.errors import CoverageError, MassError
 from blq.gaussian import SpdMatrix, bl_gaussian_constant, gaussian_pushforward
 from blq.grid import (
@@ -87,8 +90,9 @@ def test_pushforward_mass_conservation_exact():
     for _ in range(10):
         f = random_grid_function(BOX2, (64, 64), seed=int(rng.integers(1 << 30)))
         B = rng.standard_normal((1, 2))
-        g = grid_pushforward(f, B)
-        assert abs(g.mass - f.mass) < 1e-12 * f.mass
+        for _ in range(2):  # a cache miss, then a hit
+            g = grid_pushforward(f, B)
+            assert abs(g.mass - f.mass) < 1e-12 * f.mass
 
 
 def test_pushforward_coverage_error():
@@ -229,3 +233,90 @@ def test_conjugated_datum_margins_still_certified():
         f = random_grid_function(((-1, 1), (-1, 1)), (48, 48), seed=int(rng.integers(1 << 30)))
         m = adjoint_margin(f, datum, params, bl)
         assert m.margin >= -m.quadrature_estimate
+
+
+def _reference_pushforward(f, B, target):
+    """Uncached pushforward values by the meshgrid -> points -> matmul route,
+    or the escaping mass fraction when the image leaves the target box."""
+    B = np.asarray(B, dtype=float)
+    mesh = np.meshgrid(*f.centers(), indexing="ij")
+    images = np.stack([m.ravel() for m in mesh], axis=1) @ B.T
+    masses = f.values.ravel() * f.cell_volume
+    idx, inside = [], np.ones(images.shape[0], dtype=bool)
+    for a, ((lo, hi), n) in enumerate(zip(target.box, target.resolution)):
+        y = images[:, a]
+        tol = 1e-12 * max(hi - lo, 1.0)
+        inside &= (y >= lo - tol) & (y <= hi + tol)
+        idx.append(np.clip(np.floor((y - lo) / ((hi - lo) / n)).astype(np.int64), 0, n - 1))
+    if not inside.all():
+        return float(masses[~inside].sum()) / float(masses.sum())
+    acc = np.bincount(
+        np.ravel_multi_index(idx, target.resolution), weights=masses, minlength=int(np.prod(target.resolution))
+    )
+    t_cell_vol = float(np.prod([(hi - lo) / n for (lo, hi), n in zip(target.box, target.resolution)]))
+    return (acc / t_cell_vol).reshape(target.resolution)
+
+
+def _pushforward_or_fraction(f, B, target):
+    try:
+        return grid_pushforward(f, B, target).values
+    except CoverageError as exc:
+        return exc.escaping_fraction
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 4),
+    seed=st.integers(0, 2**31 - 1),
+    strided=st.booleans(),
+    explicit_target=st.booleans(),
+)
+def test_cached_pushforward_matches_cold_and_reference(d, seed, strided, explicit_target):
+    rng = np.random.default_rng(seed)
+    d_t = int(rng.integers(1, d + 1))
+    res = tuple(int(n) for n in rng.integers(2, {1: 200, 2: 40, 3: 14, 4: 7}[d], size=d))
+    f = random_grid_function(((-1.0, 1.5),) * d, res, seed=seed, zero_fraction=0.3)
+    B = rng.standard_normal((d_t, 2 * d))[:, ::2] if strided else rng.standard_normal((d_t, d))
+    target = None
+    if explicit_target:
+        target = GridSpec(box=((-1.5, 2.0),) * d_t, resolution=tuple(int(n) for n in rng.integers(3, 30, size=d_t)))
+    grid._BIN_INDEX_CACHE.clear()
+    cold = _pushforward_or_fraction(f, B, target)
+    warm = _pushforward_or_fraction(f, B, target)
+    expected = _reference_pushforward(f, B, target or grid._auto_target(f, B))
+    if isinstance(expected, float):
+        assert cold == warm == expected
+    else:
+        assert np.array_equal(cold, expected) and np.array_equal(warm, expected)
+
+
+def test_cache_hit_raises_coverage_error_with_that_calls_fraction():
+    B = np.array([[1.0, 0.0]])
+    small = GridSpec(box=((-0.25, 0.25),), resolution=(16,))
+    f = GridFunction.indicator_box(((0, 1), (0, 1)), ((-2, 2), (-2, 2)), (64, 64))
+    g = GridFunction.indicator_box(((-2, 0), (0, 1)), ((-2, 2), (-2, 2)), (64, 64))
+    grid._BIN_INDEX_CACHE.clear()
+    fractions = []
+    for h in (f, f, g):
+        with pytest.raises(CoverageError) as err:
+            grid_pushforward(h, B, small)
+        fractions.append(err.value.escaping_fraction)
+    assert len(grid._BIN_INDEX_CACHE) == 1
+    assert fractions[0] == fractions[1] == _reference_pushforward(f, B, small)
+    assert fractions[2] == _reference_pushforward(g, B, small) != fractions[0]
+
+
+def test_bin_index_cache_stays_within_its_cap():
+    cache = grid._BIN_INDEX_CACHE
+    rng = np.random.default_rng(9)
+    cache.clear()
+    for i in range(60):
+        f = random_grid_function(((-1.0, 1.0),) * 3, (48, 48, 48), seed=i)
+        grid_pushforward(f, rng.standard_normal((2, 3)))
+        assert cache.nbytes <= cache.cap_bytes
+    assert 1 < len(cache) < 60
+    # an entry larger than the cap is kept alone
+    big = GridFunction.constant(1.0, ((-1.0, 1.0),) * 2, (1100, 1100))
+    grid_pushforward(big, np.array([[1.0, 0.5]]))
+    assert len(cache) == 1 and cache.nbytes == 4 * 1100 * 1100 > cache.cap_bytes
+    cache.clear()
