@@ -21,7 +21,7 @@ from blq.grid import random_grid_function, rank_one_distance
 
 lw = loomis_whitney(2)
 bl = bl_gaussian_constant(lw).value
-params = derive_adjoint_exponents(lw, (0.5, 0.5), 0.5)
+params = derive_adjoint_exponents(lw.exponents, (0.5, 0.5), 0.5)
 box = ((-8.0, 8.0), (-8.0, 8.0))
 
 print("== forward margins (rhs - lhs >= 0) ==")
@@ -43,7 +43,7 @@ for seed in (1, 2, 3):
 
 print("\n== reverse mode: one marginal controlled by the others ==")
 lw3 = loomis_whitney(3)
-rev = derive_adjoint_exponents(lw3, (-1.0, -1.0, 3.0), math.inf)
+rev = derive_adjoint_exponents(lw3.exponents, (-1.0, -1.0, 3.0), math.inf)
 print(f"reverse exponents p_i = {tuple(round(q, 4) for q in rev.p_i)}")
 for seed in (4, 5):
     f = random_grid_function(((0.0, 1.0),) * 3, (24, 24, 24), seed=seed)

@@ -12,7 +12,6 @@ import numpy as np
 
 from blq import FiniteAbelianGroup, GroupHom, abls_constant, bls_constant, enumerate_subgroups
 from blq.catalog import discrete_instances
-from blq.cli import _discrete_pseudo_datum
 from blq.data import derive_adjoint_exponents
 from blq.discrete import discrete_adjoint_margin
 
@@ -37,11 +36,11 @@ g = FiniteAbelianGroup((8, 8))
 z8 = FiniteAbelianGroup((8,))
 maps = (GroupHom(((1, 0),), g, z8), GroupHom(((0, 1),), g, z8))
 blv, _ = bls_constant(maps, (1.0, 1.0))
-params = derive_adjoint_exponents(_discrete_pseudo_datum(maps, (1, 1)), (0.5, 0.5), 0.5)
+params = derive_adjoint_exponents((1.0, 1.0), (0.5, 0.5), 0.5)
 rng = np.random.default_rng(0)
 worst = math.inf
 for _ in range(1000):
     f = rng.uniform(size=g.order)
     f /= f.sum()
-    worst = min(worst, discrete_adjoint_margin(f, maps, (1.0, 1.0), params, blv).margin)
+    worst = min(worst, discrete_adjoint_margin(f, maps, params, blv).margin)
 print(f"worst margin over 1000 random f on Z8 x Z8: {worst:.2e}")

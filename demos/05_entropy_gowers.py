@@ -33,7 +33,7 @@ print(
 print("\n== Renyi margins converge to the Shannon margin as p -> 1 ==")
 m_shannon = entropic_bl_margin(correlated, lw, 1.0)
 for eps in (1e-1, 1e-2, 1e-3):
-    params = derive_adjoint_exponents(lw, (0.5, 0.5), 1.0 - eps)
+    params = derive_adjoint_exponents(lw.exponents, (0.5, 0.5), 1.0 - eps)
     m = renyi_bl_margin(correlated, lw, params, 1.0)
     print(f"p = 1 - {eps:g}: margin = {m:.6f} (gap {m - m_shannon:+.2e})")
 

@@ -8,7 +8,7 @@ from blq.catalog import loomis_whitney
 from blq.grid import GridSpec
 
 lw = loomis_whitney(2)
-params = derive_adjoint_exponents(lw, (0.9, 0.1), 0.5)
+params = derive_adjoint_exponents(lw.exponents, (0.9, 0.1), 0.5)
 print(f"weights theta = {params.theta}, p = {params.p}, coupled p_i = {params.p_i}")
 
 for n in (256, 512, 1024):

@@ -151,7 +151,7 @@ def random_adjoint_draws(datum: BLDatum, seed, n=5, p_range=(0.35, 0.9), theta_f
         raw = rng.uniform(theta_floor, 1.0, size=datum.k)
         theta = raw / raw.sum()
         p = float(rng.uniform(*p_range))
-        draws.append(derive_adjoint_exponents(datum, theta, p))
+        draws.append(derive_adjoint_exponents(datum.exponents, theta, p))
     return draws
 
 

@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -61,18 +62,6 @@ try:
     LIBRARY_VERSION = _pkg_version("blq")
 except Exception:  # pragma: no cover
     LIBRARY_VERSION = "0.1.0"
-
-TASKS = (
-    "gaussian-bl",
-    "adjoint-gaussian",
-    "identity-ai",
-    "adjoint-verify",
-    "discrete",
-    "tomography",
-    "gowers",
-    "entropy",
-    "perturbation",
-)
 
 _STOCHASTIC_TASKS = {"adjoint-verify", "discrete", "tomography", "gowers", "entropy"}
 
@@ -245,7 +234,7 @@ def _task_gaussian_bl(scn, tol_override):
 
 def _task_adjoint_gaussian(scn, tol_override):
     datum = _datum_from_spec(scn["datum"])
-    params = derive_adjoint_exponents(datum, scn["theta"], _parse_number(scn["p"]))
+    params = derive_adjoint_exponents(datum.exponents, scn["theta"], _parse_number(scn["p"]))
     res = abl_gaussian_constant(datum, params)
     rel = abs(res.value - res.cross_check) / max(abs(res.cross_check), 1e-300)
     tol = _tolerance(tol_override, scn.get("rel_tol", 1e-4))
@@ -342,7 +331,7 @@ def _task_adjoint_verify(scn, tol_override):
 def _equality_cases(scn, seed):
     datum = _datum_from_spec(scn.get("datum", "loomis_whitney_2"))
     params = derive_adjoint_exponents(
-        datum, scn.get("theta", [0.5, 0.5]), _parse_number(scn.get("p", "1/2"))
+        datum.exponents, scn.get("theta", [0.5, 0.5]), _parse_number(scn.get("p", "1/2"))
     )
     bl = bl_gaussian_constant(datum).value
     n = int(scn.get("n_functions", 20))
@@ -397,25 +386,22 @@ def _task_discrete(scn, tol_override):
     worst_margin = math.inf
     for name, maps, c in instances:
         group = maps[0].source
-        blv, arg_tuple = bls_constant(maps, [float(x) for x in c])
+        c = [float(x) for x in c]
+        theta = [1.0 / len(maps)] * len(maps)
+        blv, arg_tuple = bls_constant(maps, c)
         inst = {"bls": blv, "argmax_orders": [s.order for s in arg_tuple]}
         for p in ps:
-            ablv, arg = abls_constant(maps, [float(x) for x in c], p)
+            ablv, arg = abls_constant(maps, c, p)
             target = blv ** float(1 / p - 1)
             err = abs(ablv - target) / max(1.0, abs(target))
             worst_cons = max(worst_cons, err)
             inst[f"abls(p={p})"] = ablv
-            params = derive_adjoint_exponents(
-                _discrete_pseudo_datum(maps, c), [1.0 / len(maps)] * len(maps), float(p)
-            )
+            params = derive_adjoint_exponents(c, theta, float(p))
             f = subgroup_indicator(arg, group)
-            m = discrete_adjoint_margin(f / f.sum(), maps, [float(x) for x in c], params, blv)
+            m = discrete_adjoint_margin(f / f.sum(), maps, params, blv)
             worst_margin = min(worst_margin, m.margin)
         rng = np.random.default_rng(seed + group.order)
-        p = ps[0]
-        params = derive_adjoint_exponents(
-            _discrete_pseudo_datum(maps, c), [1.0 / len(maps)] * len(maps), float(p)
-        )
+        params = derive_adjoint_exponents(c, theta, float(ps[0]))
         for _ in range(n_functions):
             f = rng.uniform(0.0, 1.0, size=group.order)
             f *= rng.uniform(size=group.order) < 0.8
@@ -424,7 +410,7 @@ def _task_discrete(scn, tol_override):
             # the inequality is 1-homogeneous in f: normalize so float rounding
             # stays at unit scale
             f /= f.sum()
-            m = discrete_adjoint_margin(f, maps, [float(x) for x in c], params, blv)
+            m = discrete_adjoint_margin(f, maps, params, blv)
             worst_margin = min(worst_margin, m.margin)
         results[name] = inst
     assertions.append(
@@ -434,18 +420,6 @@ def _task_discrete(scn, tol_override):
         _assert_entry("discrete margins >= -1e-12", worst_margin, 1e-12, worst_margin >= -1e-12)
     )
     return {"n_instances": len(instances), "n_functions": n_functions}, results, assertions
-
-
-class _PseudoDatum:
-    """Adapter: exponent algebra for discrete data (only c_i and k used)."""
-
-    def __init__(self, k, exponents):
-        self.k = k
-        self.exponents = exponents
-
-
-def _discrete_pseudo_datum(maps, c):
-    return _PseudoDatum(len(maps), tuple(float(x) for x in c))
 
 
 def _task_tomography(scn, tol_override):
@@ -632,7 +606,7 @@ def _task_entropy(scn, tol_override):
     m_sh = entropic_bl_margin(f, datum, bl)
     slopes = []
     for eps in (1e-2, 1e-3):
-        params = derive_adjoint_exponents(datum, theta, 1.0 - eps)
+        params = derive_adjoint_exponents(datum.exponents, theta, 1.0 - eps)
         m_p = renyi_bl_margin(f, datum, params, bl)
         slopes.append((m_p - m_sh) / eps)
     results["renyi_slopes"] = slopes
@@ -656,7 +630,7 @@ def _task_perturbation(scn, tol_override):
     datum = _datum_from_spec(scn.get("datum", "loomis_whitney_2"))
     theta = scn.get("theta", [0.9, 0.1])
     p = _parse_number(scn.get("p", "1/2"))
-    params = derive_adjoint_exponents(datum, theta, p)
+    params = derive_adjoint_exponents(datum.exponents, theta, p)
     d = datum.ambient_dim
     resolutions = scn.get("resolutions", [512, 1024])
     stability_tol = _tolerance(tol_override, scn.get("stability_tol", 0.05))
@@ -694,19 +668,17 @@ _HANDLERS = {
 def validate_scenario(scn):
     if not isinstance(scn, dict):
         raise SchemaError("scenario must be a JSON object")
-    try:
-        import jsonschema
+    import jsonschema  # imported on first use: it is slow to import
 
+    try:
         error = jsonschema.exceptions.best_match(_scenario_validator().iter_errors(scn))
-    except ImportError:  # pragma: no cover
-        error = None
     except Exception as exc:
         raise SchemaError(f"scenario violates the schema: {exc}") from exc
     if error is not None:
         raise SchemaError(f"scenario violates the schema: {error}") from error
     task = scn.get("task")
-    if task not in TASKS:
-        raise SchemaError(f"unknown task {task!r}; options: {TASKS}")
+    if task not in _HANDLERS:
+        raise SchemaError(f"unknown task {task!r}; options: {tuple(_HANDLERS)}")
     if task in _STOCHASTIC_TASKS and "seed" not in scn:
         raise SchemaError(f"task {task!r} is stochastic: a seed is mandatory")
     return scn
@@ -843,10 +815,16 @@ def main(argv=None) -> int:
     p_suite.set_defaults(func=_cmd_suite)
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
     except BLQError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # stdout's reader left (``blq run ... | head``) after the reports were written
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -8,7 +8,9 @@ to one and a Lebesgue exponent p; the coupled exponents p_i solve
 
 Everything here is pure datum/exponent bookkeeping: feasibility screening,
 exponent derivation and the gaussian prefactor.  The optimizers live in
-:mod:`blq.gaussian`.
+:mod:`blq.gaussian`.  ``AdjointParams.log_rhs`` is the one place the
+right-hand side log of bl^{1/p-1} prod ||f_i||_{p_i}^{theta_i} is formed;
+the grid, discrete, entropic and gaussian-perturbation layers all call it.
 """
 
 from __future__ import annotations
@@ -138,6 +140,15 @@ class AdjointParams:
             for c, t, q in zip(exponents, self.theta, self.p_i)
         )
 
+    def log_rhs(self, marginal_norms, bl_value):
+        """(1/p - 1) log bl + sum theta_i log n_i; the marginal norms n_i (a
+        generator is fine) are consumed in order, after the bl term."""
+        s = 0.0 if math.isinf(self.p) else 1.0 / self.p
+        total = (s - 1.0) * math.log(bl_value)
+        for t, n in zip(self.theta, marginal_norms):
+            total += t * math.log(n)
+        return total
+
 
 @dataclass(frozen=True)
 class SubspaceCheck:
@@ -230,13 +241,14 @@ def validate_datum(datum: BLDatum, n_random: int = 20, seed: int = 0) -> Feasibi
     return FeasibilityReport(bool(scaling_ok), tuple(checks), verdict)
 
 
-def derive_adjoint_exponents(datum: BLDatum, theta: Sequence, p) -> AdjointParams:
+def derive_adjoint_exponents(exponents: Sequence, theta: Sequence, p) -> AdjointParams:
     """Solve c_i(1 - 1/p) = theta_i(1 - 1/p_i) for the p_i.
 
+    ``exponents`` are the c_i (``datum.exponents`` for a :class:`BLDatum`).
     Closed form: p_i = 1 / (1 + (c_i/theta_i) * (1/p - 1)).
     """
     theta = tuple(float(t) for t in theta)
-    if len(theta) != datum.k:
+    if len(theta) != len(exponents):
         raise ParameterDomainError("theta length must match the number of maps")
     if abs(sum(theta) - 1.0) > 1e3 * THETA_SUM_TOL * max(1.0, max(abs(t) for t in theta)):
         raise ParameterDomainError(f"theta must sum to 1, got {sum(theta)!r}")
@@ -255,7 +267,7 @@ def derive_adjoint_exponents(datum: BLDatum, theta: Sequence, p) -> AdjointParam
         )
     s = 0.0 if math.isinf(p) else 1.0 / p
     p_i = []
-    for i, (c, t) in enumerate(zip(datum.exponents, theta)):
+    for i, (c, t) in enumerate(zip(exponents, theta)):
         denom = 1.0 + (c / t) * (s - 1.0)
         if denom <= 0 or not math.isfinite(denom):
             raise ParameterDomainError(f"derived exponent p_{i} undefined (1/p_i = {denom})")

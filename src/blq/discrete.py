@@ -303,7 +303,7 @@ def _lp_counting(f, p):
 
 
 def discrete_adjoint_margin(
-    f, maps: Sequence[GroupHom], c: Sequence, params: AdjointParams, bl_value: float
+    f, maps: Sequence[GroupHom], params: AdjointParams, bl_value: float
 ) -> InequalityMargin:
     """Exact counting-measure margin of the discrete adjoint inequality."""
     src = _check_maps(maps)
@@ -313,18 +313,5 @@ def discrete_adjoint_margin(
     if np.any(f < 0):
         raise ValueError("f must be non-negative")
     lhs = _lp_counting(f, params.p)
-    s = 0.0 if math.isinf(params.p) else 1.0 / params.p
-    log_rhs = (s - 1.0) * math.log(bl_value)
-    for m, t, q in zip(maps, params.theta, params.p_i):
-        log_rhs += t * math.log(_lp_counting(discrete_pushforward(f, m), q))
-    rhs = math.exp(log_rhs)
-    margin = rhs - lhs if params.mode == "forward" else lhs - rhs
-    scale = max(1.0, abs(lhs), abs(rhs))
-    return InequalityMargin(
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        relative_margin=margin / scale,
-        quadrature_estimate=0.0,
-        mode=params.mode,
-    )
+    norms = (_lp_counting(discrete_pushforward(f, m), q) for m, q in zip(maps, params.p_i))
+    return InequalityMargin.from_sides(lhs, math.exp(params.log_rhs(norms, bl_value)), params.mode)

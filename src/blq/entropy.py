@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import AdjointParams, BLDatum, derive_adjoint_exponents
 from .errors import MassError
-from .grid import GridFunction, grid_pushforward
+from .grid import GridFunction, grid_pushforward, lp_norm
 
 __all__ = [
     "DiscreteDensity",
@@ -152,7 +152,7 @@ def p_entropy_probe(
         bl_value = bl_gaussian_constant(datum).value
     if theta is None:
         theta = default_theta(datum)
-    params = derive_adjoint_exponents(datum, theta, p)
+    params = derive_adjoint_exponents(datum.exponents, theta, p)
     probe = entropy_power(f, p) - math.log(bl_value)
     for c, b, q in zip(datum.exponents, datum.maps, params.p_i):
         probe -= c * entropy_power(grid_pushforward(f, b), q)
@@ -165,12 +165,8 @@ def log_lambda(f: GridFunction, datum: BLDatum, params: AdjointParams, bl_value:
     Its p-derivative scaled by p^2 matches
     log(bl) - H(f^p/||f||_p^p) + sum c_i H(f_i^{p_i}/||f_i||_{p_i}^{p_i}).
     """
-    from .grid import lp_norm
-
-    val = math.log(lp_norm(f, params.p)) - (1.0 / params.p - 1.0) * math.log(bl_value)
-    for b, t, q in zip(datum.maps, params.theta, params.p_i):
-        val -= t * math.log(lp_norm(grid_pushforward(f, b), q))
-    return val
+    norms = (lp_norm(grid_pushforward(f, b), q) for b, q in zip(datum.maps, params.p_i))
+    return math.log(lp_norm(f, params.p)) - params.log_rhs(norms, bl_value)
 
 
 def _phi(q: Fraction) -> Fraction:

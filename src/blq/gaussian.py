@@ -525,16 +525,8 @@ def perturbation_gap(
     )
 
 
-def _adjoint_functional(f, datum, params):
-    from .grid import grid_pushforward, lp_norm
-
-    val = math.log(lp_norm(f, params.p))
-    for b, t, q in zip(datum.maps, params.theta, params.p_i):
-        val -= t * math.log(lp_norm(grid_pushforward(f, b), q))
-    return val
-
-
 def _direct_ratio_delta(datum, params, j, kappa, radius, box, resolution, eps):
+    from .entropy import log_lambda
     from .grid import GridFunction, grid_centers
 
     axes = grid_centers(box, resolution)
@@ -552,4 +544,5 @@ def _direct_ratio_delta(datum, params, j, kappa, radius, box, resolution, eps):
     g = GridFunction(
         box=box, resolution=resolution, values=(f_vals + eps * h_vals).reshape(shape)
     )
-    return math.exp(_adjoint_functional(g, datum, params) - _adjoint_functional(f, datum, params)) - 1.0
+    # with bl = 1 the bl factor drops out of the ratio
+    return math.exp(log_lambda(g, datum, params, 1.0) - log_lambda(f, datum, params, 1.0)) - 1.0

@@ -8,6 +8,9 @@ center), which preserves total mass exactly and respects the duality that
 defines marginals.  Quadrature error for the inequality margins is estimated
 with one exact dyadic refinement step: splitting cells leaves the function
 unchanged, so any drift isolates the binning sensitivity.
+``InequalityMargin.from_sides`` is the one place the margin convention (sign
+by mode, scale, relative margin, drift + 1e-12 * scale estimate) is applied;
+every margin in blq is built through it.
 
 The binning geometry of a pushforward depends only on the source grid, the
 map and the target grid, so ``grid_pushforward`` caches it: the int32 target
@@ -367,16 +370,23 @@ class InequalityMargin:
     def certified(self):
         return self.margin >= -self.quadrature_estimate
 
-
-def _margin_value(f, datum, params, bl_value, mode):
-    lhs = lp_norm(f, params.p)
-    s = 0.0 if math.isinf(params.p) else 1.0 / params.p
-    log_rhs = (s - 1.0) * math.log(bl_value)
-    for b, t, q in zip(datum.maps, params.theta, params.p_i):
-        log_rhs += t * math.log(lp_norm(grid_pushforward(f, b), q))
-    rhs = math.exp(log_rhs)
-    margin = rhs - lhs if mode == "forward" else lhs - rhs
-    return lhs, rhs, margin
+    @classmethod
+    def from_sides(cls, lhs, rhs, mode, drift=None):
+        """Margin rhs - lhs (forward) or lhs - rhs (reverse), scaled by
+        max(1, |lhs|, |rhs|), with estimate drift + 1e-12 * scale; an exact
+        margin (``drift=None``) has estimate 0.0."""
+        if mode not in ("forward", "reverse"):
+            raise ValueError(f"margin mode must be 'forward' or 'reverse', got {mode!r}")
+        margin = rhs - lhs if mode == "forward" else lhs - rhs
+        scale = max(1.0, abs(lhs), abs(rhs))
+        return cls(
+            lhs=lhs,
+            rhs=rhs,
+            margin=margin,
+            relative_margin=margin / scale,
+            quadrature_estimate=0.0 if drift is None else drift + 1e-12 * scale,
+            mode=mode,
+        )
 
 
 def adjoint_margin(
@@ -393,18 +403,16 @@ def adjoint_margin(
         raise ValueError(f"parameters are {params.mode}-mode but margin mode is {mode}")
     if f.mass <= 0:
         raise MassError("margin undefined for the zero function")
-    lhs, rhs, margin = _margin_value(f, datum, params, bl_value, mode)
-    _, _, margin_fine = _margin_value(f.refine(2), datum, params, bl_value, mode)
-    scale = max(1.0, abs(lhs), abs(rhs))
-    estimate = abs(margin - margin_fine) + 1e-12 * scale
-    return InequalityMargin(
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        relative_margin=margin / scale,
-        quadrature_estimate=estimate,
-        mode=mode,
-    )
+
+    def sides(g):
+        lhs = lp_norm(g, params.p)
+        norms = (lp_norm(grid_pushforward(g, b), q) for b, q in zip(datum.maps, params.p_i))
+        return lhs, math.exp(params.log_rhs(norms, bl_value))
+
+    lhs, rhs = sides(f)
+    lhs_fine, rhs_fine = sides(f.refine(2))
+    drift = abs((rhs - lhs) - (rhs_fine - lhs_fine))
+    return InequalityMargin.from_sides(lhs, rhs, mode, drift)
 
 
 def rank_one_distance(f: GridFunction) -> float:

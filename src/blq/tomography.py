@@ -26,6 +26,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import gammaln
 
+from .entropy import shannon_entropy
 from .errors import MassError, ParameterDomainError
 from .grid import GridFunction, InequalityMargin, lp_norm
 
@@ -421,18 +422,7 @@ def lower_bound_margin_from_tomograms(
     _check_scaling_line(p, q, f.dim, k)
     lhs = tom.lq(q)
     lhs_half = tom_half.lq(q)
-    rhs = lp_norm(f, p)
-    margin = lhs - rhs
-    scale = max(1.0, abs(lhs), abs(rhs))
-    estimate = abs(lhs - lhs_half) + 1e-12 * scale
-    return InequalityMargin(
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        relative_margin=margin / scale,
-        quadrature_estimate=estimate,
-        mode="reverse",
-    )
+    return InequalityMargin.from_sides(lhs, lp_norm(f, p), "reverse", abs(lhs - lhs_half))
 
 
 def tomography_lower_bound_margin(
@@ -588,24 +578,7 @@ def xx_inequality_margin(f: GridFunction, p, q, dirs: Optional[DirectionSet] = N
     n_v = 2 * max(f.resolution)
     lhs, rhs = both(dirs, n_v)
     lhs2, rhs2 = both(DirectionSet.from_vectors(dirs.vectors[::2]), max(2, n_v // 2))
-    margin = rhs - lhs
-    scale = max(1.0, abs(lhs), abs(rhs))
-    estimate = abs(margin - (rhs2 - lhs2)) + 1e-12 * scale
-    return InequalityMargin(
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        relative_margin=margin / scale,
-        quadrature_estimate=estimate,
-        mode="forward",
-    )
-
-
-def grid_entropy(f: GridFunction) -> float:
-    v = f.values
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(v > 0, -v * np.log(v), 0.0)
-    return float(t.sum() * f.cell_volume)
+    return InequalityMargin.from_sides(lhs, rhs, "forward", abs((rhs - lhs) - (rhs2 - lhs2)))
 
 
 def kplane_entropy_sequence(
@@ -622,7 +595,7 @@ def kplane_entropy_sequence(
     if f.mass <= 0:
         raise MassError("entropy sequence needs positive mass")
     f = f.normalized()
-    out = [grid_entropy(f) / d]
+    out = [shannon_entropy(f) / d]
     if d >= 2:
         if dirs is None:
             dirs = DirectionSet.uniform_circle(180) if d == 2 else DirectionSet.fibonacci_sphere(96)
@@ -672,13 +645,4 @@ def averaged_projection_margin(f: GridFunction, dirs: Optional[DirectionSet] = N
     rhs = float(np.sum(dirs.weights * rhs_all))
     rhs_half = float(np.mean(rhs_all[::2]))
     lhs = volume ** ((f.dim - 1) / f.dim)
-    margin = rhs - lhs
-    scale = max(1.0, abs(lhs), abs(rhs))
-    return InequalityMargin(
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        relative_margin=margin / scale,
-        quadrature_estimate=abs(rhs - rhs_half) + 1e-12 * scale,
-        mode="forward",
-    )
+    return InequalityMargin.from_sides(lhs, rhs, "forward", abs(rhs - rhs_half))

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 from blq.cli import (
+    _HANDLERS,
+    _load_schema,
     canonical_json,
     emit_report,
     main,
@@ -13,7 +18,8 @@ from blq.cli import (
 )
 from blq.errors import SchemaError
 
-SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIOS = ROOT / "scenarios"
 
 FAST_GOWERS = {"task": "gowers", "seed": 7, "N": 16, "d": 2, "n_functions": 5, "n_sets": 2, "N_sets": 8}
 
@@ -81,6 +87,10 @@ def test_runtime_gate_seconds_stay_out_of_the_canonical_bytes():
 def test_unknown_task_rejected():
     with pytest.raises(SchemaError):
         validate_scenario({"task": "nope"})
+
+
+def test_schema_task_enum_is_the_handler_registry():
+    assert _load_schema("scenario")["properties"]["task"]["enum"] == list(_HANDLERS)
 
 
 def test_seed_mandatory_for_stochastic_tasks():
@@ -190,3 +200,23 @@ def test_partial_results_on_engine_error():
     )
     assert not report.passed
     assert "error" in report.results
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_cli_closed_stdout_exits_one_without_traceback(tmp_path, unbuffered):
+    scenario = tmp_path / "fast.json"
+    scenario.write_text(json.dumps(FAST_GOWERS))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    env["PYTHONUNBUFFERED"] = unbuffered
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "blq.cli", "run", str(scenario), "--out", str(tmp_path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()  # the reader goes away before anything is printed
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+    assert json.loads((tmp_path / "fast.report.json").read_text())["passed"] is True

@@ -68,20 +68,20 @@ def test_validate_deterministic_given_seed():
 def test_lw_adjoint_exponents_by_hand():
     # c_i (1 - 1/p) = theta_i (1 - 1/p_i) with c=1, theta=1/2, p=1/2
     # gives 1 - 1/p_i = 2 * (1 - 2) = -2, so p_i = 1/3
-    params = derive_adjoint_exponents(loomis_whitney(2), (0.5, 0.5), 0.5)
+    params = derive_adjoint_exponents(loomis_whitney(2).exponents, (0.5, 0.5), 0.5)
     assert params.p_i == pytest.approx((1 / 3, 1 / 3), abs=1e-15)
     assert params.mode == "forward"
 
 
 def test_p_equal_one_gives_unit_exponents():
-    params = derive_adjoint_exponents(young(), (0.2, 0.3, 0.5), 1.0)
+    params = derive_adjoint_exponents(young().exponents, (0.2, 0.3, 0.5), 1.0)
     assert params.p_i == (1.0, 1.0, 1.0)
 
 
 def test_holder_theta_equals_c_gives_p():
     datum = holder_identity(2, k=2)
     for p in (0.3, 0.63, 0.9):
-        params = derive_adjoint_exponents(datum, datum.exponents, p)
+        params = derive_adjoint_exponents(datum.exponents, datum.exponents, p)
         assert params.p_i == pytest.approx((p, p), rel=1e-14)
 
 
@@ -93,7 +93,7 @@ def test_exponent_relation_residuals_seeded():
         raw = rng.uniform(0.05, 1.0, size=3)
         theta = raw / raw.sum()
         p = rng.uniform(0.05, 1.0)
-        params = derive_adjoint_exponents(datum, theta, p)
+        params = derive_adjoint_exponents(datum.exponents, theta, p)
         worst = max(worst, max(abs(r) for r in params.residuals(datum.exponents)))
     assert worst < 1e-12
 
@@ -105,14 +105,14 @@ def test_exponent_relation_residuals_seeded():
 )
 def test_exponent_relation_residual_property(t, p):
     datum = loomis_whitney(2)
-    params = derive_adjoint_exponents(datum, (t, 1.0 - t), p)
+    params = derive_adjoint_exponents(datum.exponents, (t, 1.0 - t), p)
     assert max(abs(r) for r in params.residuals(datum.exponents)) < 1e-12
 
 
 def test_reverse_mode_exponents_transfer_case():
     # one positive weight, p = inf: marginal-transfer exponents in dimension 3
     datum = loomis_whitney(3)
-    params = derive_adjoint_exponents(datum, (-1.0, -1.0, 3.0), math.inf)
+    params = derive_adjoint_exponents(datum.exponents, (-1.0, -1.0, 3.0), math.inf)
     assert params.mode == "reverse"
     assert params.p_i == pytest.approx((2 / 3, 2 / 3, 6 / 5), rel=1e-14)
 
@@ -120,26 +120,26 @@ def test_reverse_mode_exponents_transfer_case():
 def test_reverse_sign_pattern_validation():
     datum = loomis_whitney(2)
     with pytest.raises(ParameterDomainError):
-        derive_adjoint_exponents(datum, (0.5, 0.5), 2.0)  # all positive but p > 1
+        derive_adjoint_exponents(datum.exponents, (0.5, 0.5), 2.0)  # all positive but p > 1
     with pytest.raises(ParameterDomainError):
-        derive_adjoint_exponents(datum, (-1.0, 2.0), 0.5)  # mixed signs with p < 1
+        derive_adjoint_exponents(datum.exponents, (-1.0, 2.0), 0.5)  # mixed signs with p < 1
     with pytest.raises(ParameterDomainError):
-        derive_adjoint_exponents(datum, (0.4, 0.4), 0.5)  # does not sum to one
+        derive_adjoint_exponents(datum.exponents, (0.4, 0.4), 0.5)  # does not sum to one
 
 
 def test_prefactor_unit_cases():
     datum = young()
-    params = derive_adjoint_exponents(datum, (0.2, 0.3, 0.5), 1.0)
+    params = derive_adjoint_exponents(datum.exponents, (0.2, 0.3, 0.5), 1.0)
     assert adjoint_gaussian_prefactor(params, datum.dims, 2) == pytest.approx(1.0, abs=1e-15)
     hold = holder_identity(2, k=2)
     for p in (0.3, 0.8):
-        params = derive_adjoint_exponents(hold, hold.exponents, p)
+        params = derive_adjoint_exponents(hold.exponents, hold.exponents, p)
         assert adjoint_gaussian_prefactor(params, hold.dims, 2) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_prefactor_lw_value():
     datum = loomis_whitney(2)
-    params = derive_adjoint_exponents(datum, (0.5, 0.5), 0.5)
+    params = derive_adjoint_exponents(datum.exponents, (0.5, 0.5), 0.5)
     # p^{-d/2p} prod p_i^{theta_i d_i/2p_i} = 4 * (1/3)^{3/2}
     assert adjoint_gaussian_prefactor(params, datum.dims, 2) == pytest.approx(
         4.0 * (1.0 / 3.0) ** 1.5, rel=1e-14
@@ -152,7 +152,7 @@ def test_prefactor_not_one_off_degenerate_cases():
     for _ in range(50):
         t = rng.uniform(0.1, 0.9)
         p = rng.uniform(0.2, 0.9)
-        params = derive_adjoint_exponents(datum, (t, 1.0 - t), p)
+        params = derive_adjoint_exponents(datum.exponents, (t, 1.0 - t), p)
         assert abs(adjoint_gaussian_prefactor(params, datum.dims, 2) - 1.0) > 1e-6
 
 
@@ -180,3 +180,50 @@ def test_verdict_monotone_in_test_family_size():
     )
     for n_random in (0, 5, 40):
         assert validate_datum(datum, n_random=n_random).verdict == "infeasible"
+
+
+def _log_rhs_by_hand(params, norms, bl_value):
+    s = 0.0 if math.isinf(params.p) else 1.0 / params.p
+    log_rhs = (s - 1.0) * math.log(bl_value)
+    for t, n in zip(params.theta, norms):
+        log_rhs += t * math.log(n)
+    return log_rhs
+
+
+def test_log_rhs_bitwise_equals_the_hand_loop():
+    rng = np.random.default_rng(21)
+    reverse = derive_adjoint_exponents(loomis_whitney(3).exponents, (-1.0, -1.0, 3.0), math.inf)
+    cases = [reverse]
+    for _ in range(200):
+        k = int(rng.integers(1, 5))
+        raw = rng.uniform(0.1, 1.0, size=k)
+        theta = raw / raw.sum()
+        cases.append(derive_adjoint_exponents(theta, theta, rng.uniform(0.05, 1.0)))
+    for params in cases:
+        for _ in range(5):
+            norms = list(np.exp(rng.uniform(-20.0, 20.0, size=len(params.theta))))
+            bl_value = float(np.exp(rng.uniform(-5.0, 5.0)))
+            got = params.log_rhs((n for n in norms), bl_value)
+            assert got == _log_rhs_by_hand(params, norms, bl_value)
+
+
+def test_log_rhs_consumes_the_norms_in_order_after_the_bl_term():
+    params = derive_adjoint_exponents(young().exponents, (0.2, 0.3, 0.5), 0.5)
+    seen = []
+
+    def norms():
+        for i in range(3):
+            seen.append(i)
+            yield 2.0 + i
+
+    assert params.log_rhs(norms(), 3.0) == _log_rhs_by_hand(params, [2.0, 3.0, 4.0], 3.0)
+    assert seen == [0, 1, 2]
+
+
+def test_derive_adjoint_exponents_takes_plain_exponents():
+    datum = loomis_whitney(2)
+    assert derive_adjoint_exponents([Fraction(1), Fraction(1)], (0.3, 0.7), 0.6) == derive_adjoint_exponents(
+        datum.exponents, (0.3, 0.7), 0.6
+    )
+    with pytest.raises(ParameterDomainError, match="theta length must match the number of maps"):
+        derive_adjoint_exponents((1.0, 1.0, 1.0), (0.5, 0.5), 0.5)

@@ -1,0 +1,24 @@
+"""Smoke test: the fast demos run to completion against the library."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("name", ["02_grid_inequalities", "03_discrete_groups", "06_perturbation_gap"])
+def test_demo_runs(name):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / f"{name}.py")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout

@@ -162,11 +162,7 @@ def test_image_tuple_never_decreases_ratio():
 
 
 def params_for(maps, c, p):
-    class _D:
-        k = len(maps)
-        exponents = tuple(float(x) for x in c)
-
-    return derive_adjoint_exponents(_D(), [1.0 / len(maps)] * len(maps), p)
+    return derive_adjoint_exponents([float(x) for x in c], [1.0 / len(maps)] * len(maps), p)
 
 
 def test_margin_equality_at_argmax_subgroup():
@@ -175,7 +171,7 @@ def test_margin_equality_at_argmax_subgroup():
         blv, _ = bls_constant(maps, c)
         ablv, h = abls_constant(maps, c, Fraction(1, 2))
         f = subgroup_indicator(h, maps[0].source)
-        m = discrete_adjoint_margin(f / f.sum(), maps, c, params_for(maps, c, 0.5), blv)
+        m = discrete_adjoint_margin(f / f.sum(), maps, params_for(maps, c, 0.5), blv)
         if h.order == 1 or abs(math.log(blv) - 0.0) < 1e-12:
             assert m.margin >= -1e-12
         # the argmax subgroup achieves equality whenever it attains the sup
@@ -190,9 +186,10 @@ def test_margin_delta_function():
     _, maps = coordinate_pair()
     f = np.zeros(4)
     f[0] = 1.0
-    m = discrete_adjoint_margin(f, maps, (1.0, 1.0), params_for(maps, (1, 1), 0.5), 1.0)
+    m = discrete_adjoint_margin(f, maps, params_for(maps, (1, 1), 0.5), 1.0)
     assert m.lhs == pytest.approx(1.0) and m.rhs == pytest.approx(1.0)
     assert abs(m.margin) < 1e-14
+    assert m.quadrature_estimate == 0.0  # counting-measure margins are exact
 
 
 def test_random_margins_z8z8():
@@ -207,7 +204,7 @@ def test_random_margins_z8z8():
         f = rng.uniform(0.0, 1.0, size=g.order) * (rng.uniform(size=g.order) < 0.7)
         if f.sum() == 0:
             continue
-        m = discrete_adjoint_margin(f / f.sum(), maps, c, params, blv)
+        m = discrete_adjoint_margin(f / f.sum(), maps, params, blv)
         assert m.margin >= -1e-12
 
 

@@ -111,9 +111,9 @@ def test_derivative_identity_of_the_quotient():
     h = 1e-4
     lam = []
     for p in (p0 - h, p0 + h):
-        lam.append(log_lambda(f, lw, derive_adjoint_exponents(lw, theta, p), bl))
+        lam.append(log_lambda(f, lw, derive_adjoint_exponents(lw.exponents, theta, p), bl))
     lhs = p0**2 * (lam[1] - lam[0]) / (2 * h)
-    params0 = derive_adjoint_exponents(lw, theta, p0)
+    params0 = derive_adjoint_exponents(lw.exponents, theta, p0)
     rhs = math.log(bl) - entropy_power(f, p0)
     for c, b, q in zip(lw.exponents, lw.maps, params0.p_i):
         rhs += c * entropy_power(grid_pushforward(f, b), q)
@@ -124,5 +124,5 @@ def test_default_theta_sums_to_one():
     lw = loomis_whitney(3)
     theta = default_theta(lw)
     assert sum(theta) == pytest.approx(1.0, abs=1e-14)
-    params = derive_adjoint_exponents(lw, theta, 0.5)
+    params = derive_adjoint_exponents(lw.exponents, theta, 0.5)
     assert params.mode == "forward"

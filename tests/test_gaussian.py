@@ -159,14 +159,14 @@ def test_identity_rejects_scaling_violation():
 
 def test_abl_p_one_is_unity():
     datum = loomis_whitney(2)
-    params = derive_adjoint_exponents(datum, (0.5, 0.5), 1.0)
+    params = derive_adjoint_exponents(datum.exponents, (0.5, 0.5), 1.0)
     res = abl_gaussian_constant(datum, params)
     assert res.value == 1.0 and res.cross_check == 1.0
 
 
 def test_abl_lw_equals_prefactor():
     datum = loomis_whitney(2)
-    params = derive_adjoint_exponents(datum, (0.5, 0.5), 0.5)
+    params = derive_adjoint_exponents(datum.exponents, (0.5, 0.5), 0.5)
     res = abl_gaussian_constant(datum, params)
     assert res.value == pytest.approx(4.0 * (1.0 / 3.0) ** 1.5, rel=1e-8)
     assert res.value == pytest.approx(res.cross_check, rel=1e-10)
@@ -174,14 +174,14 @@ def test_abl_lw_equals_prefactor():
 
 def test_abl_holder_identity_map():
     datum = holder_identity(2)
-    params = derive_adjoint_exponents(datum, (1.0,), 0.5)
+    params = derive_adjoint_exponents(datum.exponents, (1.0,), 0.5)
     res = abl_gaussian_constant(datum, params)
     assert res.value == pytest.approx(1.0, rel=1e-10)
 
 
 def test_abl_cross_check_on_conjugated_young():
     datum = conjugate_datum(young(), seed=31)
-    params = derive_adjoint_exponents(datum, (0.25, 0.35, 0.4), 0.6)
+    params = derive_adjoint_exponents(datum.exponents, (0.25, 0.35, 0.4), 0.6)
     res = abl_gaussian_constant(datum, params)
     assert res.converged
     assert res.value == pytest.approx(res.cross_check, rel=1e-8)
@@ -228,7 +228,7 @@ def test_quotient_supremum_matches_squared_constant():
 
 def test_perturbation_rejects_theta_equals_c():
     hold = holder_identity(2, k=2)
-    params = derive_adjoint_exponents(hold, hold.exponents, 0.5)
+    params = derive_adjoint_exponents(hold.exponents, hold.exponents, 0.5)
     with pytest.raises(ParameterDomainError):
         perturbation_gap(hold, params)
 
@@ -237,7 +237,7 @@ def test_perturbation_vanishes_near_p_one():
     from blq.grid import GridSpec
 
     datum = loomis_whitney(2)
-    params = derive_adjoint_exponents(datum, (0.9, 0.1), 0.999)
+    params = derive_adjoint_exponents(datum.exponents, (0.9, 0.1), 0.999)
     res = perturbation_gap(
         datum, params, eps=None, grid=GridSpec(box=((-8, 8), (-8, 8)), resolution=(128, 128))
     )
@@ -248,7 +248,7 @@ def test_perturbation_positive_and_stable():
     from blq.grid import GridSpec
 
     datum = loomis_whitney(2)
-    params = derive_adjoint_exponents(datum, (0.9, 0.1), 0.5)
+    params = derive_adjoint_exponents(datum.exponents, (0.9, 0.1), 0.5)
     res_lo = perturbation_gap(
         datum, params, eps=1e-3, grid=GridSpec(box=((-8, 8), (-8, 8)), resolution=(256, 256))
     )

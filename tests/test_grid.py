@@ -13,6 +13,7 @@ from blq.gaussian import SpdMatrix, bl_gaussian_constant, gaussian_pushforward
 from blq.grid import (
     GridFunction,
     GridSpec,
+    InequalityMargin,
     adjoint_margin,
     gaussian_grid,
     grid_pushforward,
@@ -114,7 +115,7 @@ def test_refine_and_coarsen_are_exact_inverses():
 
 def test_margin_p_one_is_equality():
     datum = loomis_whitney(2)
-    params = derive_adjoint_exponents(datum, (0.4, 0.6), 1.0)
+    params = derive_adjoint_exponents(datum.exponents, (0.4, 0.6), 1.0)
     f = random_grid_function(BOX2, (64, 64), seed=9)
     m = adjoint_margin(f, datum, params, 1.0)
     assert abs(m.margin) <= m.quadrature_estimate
@@ -122,7 +123,7 @@ def test_margin_p_one_is_equality():
 
 def test_margin_product_indicator_equality():
     datum = loomis_whitney(2)
-    params = derive_adjoint_exponents(datum, (0.5, 0.5), 0.5)
+    params = derive_adjoint_exponents(datum.exponents, (0.5, 0.5), 0.5)
     f = GridFunction.indicator_box(((0, 1), (0, 2.5)), BOX2, (256, 256))
     m = adjoint_margin(f, datum, params, 1.0)
     assert abs(m.margin) <= m.quadrature_estimate
@@ -130,7 +131,7 @@ def test_margin_product_indicator_equality():
 
 def test_margin_gaussian_ratio_is_prefactor():
     datum = loomis_whitney(2)
-    params = derive_adjoint_exponents(datum, (0.5, 0.5), 0.5)
+    params = derive_adjoint_exponents(datum.exponents, (0.5, 0.5), 0.5)
     f = gaussian_grid(np.eye(2), BOX2, (256, 256))
     m = adjoint_margin(f, datum, params, 1.0)
     assert m.margin > 0
@@ -139,7 +140,7 @@ def test_margin_gaussian_ratio_is_prefactor():
 
 def test_margin_nonproduct_strictly_positive():
     datum = loomis_whitney(2)
-    params = derive_adjoint_exponents(datum, (0.5, 0.5), 0.5)
+    params = derive_adjoint_exponents(datum.exponents, (0.5, 0.5), 0.5)
     rng = np.random.default_rng(17)
     for _ in range(5):
         f = random_grid_function(BOX2, (64, 64), seed=int(rng.integers(1 << 30)))
@@ -171,7 +172,7 @@ def test_forward_margins_never_violated(datum, resolution):
         if f.mass == 0:
             continue
         raw = rng.uniform(0.1, 1.0, size=datum.k)
-        params = derive_adjoint_exponents(datum, raw / raw.sum(), rng.uniform(0.3, 0.95))
+        params = derive_adjoint_exponents(datum.exponents, raw / raw.sum(), rng.uniform(0.3, 0.95))
         m = adjoint_margin(f, datum, params, bl)
         assert m.margin >= -m.quadrature_estimate
 
@@ -179,7 +180,7 @@ def test_forward_margins_never_violated(datum, resolution):
 def test_reverse_transfer_inequality_d3():
     # one marginal is controlled by the others when the input is bounded by 1
     datum = loomis_whitney(3)
-    params = derive_adjoint_exponents(datum, (-1.0, -1.0, 3.0), math.inf)
+    params = derive_adjoint_exponents(datum.exponents, (-1.0, -1.0, 3.0), math.inf)
     rng = np.random.default_rng(55)
     for _ in range(100):
         f = random_grid_function(((0, 1),) * 3, (16, 16, 16), seed=int(rng.integers(1 << 30)))
@@ -190,7 +191,7 @@ def test_reverse_transfer_inequality_d3():
 
 def test_margin_mode_mismatch_rejected():
     datum = loomis_whitney(2)
-    params = derive_adjoint_exponents(datum, (0.5, 0.5), 0.5)
+    params = derive_adjoint_exponents(datum.exponents, (0.5, 0.5), 0.5)
     f = random_grid_function(BOX2, (16, 16), seed=1)
     with pytest.raises(ValueError):
         adjoint_margin(f, datum, params, 1.0, mode="reverse")
@@ -198,7 +199,7 @@ def test_margin_mode_mismatch_rejected():
 
 def test_zero_function_rejected():
     datum = loomis_whitney(2)
-    params = derive_adjoint_exponents(datum, (0.5, 0.5), 0.5)
+    params = derive_adjoint_exponents(datum.exponents, (0.5, 0.5), 0.5)
     f = GridFunction.constant(0.0, BOX2, (8, 8))
     with pytest.raises(MassError):
         adjoint_margin(f, datum, params, 1.0)
@@ -227,7 +228,7 @@ def test_grid_file_roundtrip(tmp_path, payload):
 def test_conjugated_datum_margins_still_certified():
     datum = conjugate_datum(young(), seed=77)
     bl = bl_gaussian_constant(datum).value
-    params = derive_adjoint_exponents(datum, (0.3, 0.3, 0.4), 0.6)
+    params = derive_adjoint_exponents(datum.exponents, (0.3, 0.3, 0.4), 0.6)
     rng = np.random.default_rng(78)
     for _ in range(20):
         f = random_grid_function(((-1, 1), (-1, 1)), (48, 48), seed=int(rng.integers(1 << 30)))
@@ -320,3 +321,26 @@ def test_bin_index_cache_stays_within_its_cap():
     grid_pushforward(big, np.array([[1.0, 0.5]]))
     assert len(cache) == 1 and cache.nbytes == 4 * 1100 * 1100 > cache.cap_bytes
     cache.clear()
+
+
+def test_margin_from_sides_sign_scale_and_estimate():
+    fwd = InequalityMargin.from_sides(2.0, 5.0, "forward", drift=0.25)
+    assert (fwd.lhs, fwd.rhs, fwd.margin, fwd.mode) == (2.0, 5.0, 3.0, "forward")
+    assert fwd.relative_margin == 3.0 / 5.0
+    assert fwd.quadrature_estimate == 0.25 + 1e-12 * 5.0
+    rev = InequalityMargin.from_sides(-7.0, 5.0, "reverse", drift=0.5)
+    assert (rev.margin, rev.mode) == (-12.0, "reverse")
+    assert rev.relative_margin == -12.0 / 7.0
+    assert rev.quadrature_estimate == 0.5 + 1e-12 * 7.0
+    assert not rev.certified
+    small = InequalityMargin.from_sides(0.25, 0.5, "reverse", drift=0.0)
+    assert small.margin == -0.25 and small.relative_margin == -0.25  # scale floors at 1
+    assert small.quadrature_estimate == 1e-12
+
+
+def test_margin_from_sides_exact_has_zero_estimate():
+    m = InequalityMargin.from_sides(3.0, 3.0 + 1e-15, "forward")
+    assert m.quadrature_estimate == 0.0
+    assert m.certified
+    with pytest.raises(ValueError, match="margin mode"):
+        InequalityMargin.from_sides(1.0, 2.0, "Forward")
