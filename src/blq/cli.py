@@ -4,8 +4,7 @@
 report (sorted keys, floats rendered with %.12g) whose bytes depend only on
 the scenario and its seed; wall time is printed to stdout but kept out of
 the canonical report so reruns are byte-identical.  ``blq suite DIR`` runs
-every scenario in a directory and prints a summary table.  BLQ_THREADS caps
-internal parallelism (per-direction tomography work).
+every scenario in a directory and prints a summary table.
 """
 
 from __future__ import annotations
@@ -188,12 +187,6 @@ def _grid_spec(obj, d):
     return GridSpec(box=box, resolution=res)
 
 
-def _require(scn, *fields):
-    missing = [f for f in fields if f not in scn]
-    if missing:
-        raise SchemaError(f"scenario is missing required fields: {missing}")
-
-
 # ---------------------------------------------------------------------------
 # task handlers
 
@@ -276,7 +269,6 @@ def _random_function_for(datum, spec, rng):
 
 
 def _task_adjoint_verify(scn, tol_override):
-    _require(scn, "seed")
     seed = int(scn["seed"])
     mode = scn.get("functions", "random")
     results, assertions = {}, []
@@ -370,7 +362,6 @@ def _equality_cases(scn, seed):
 
 
 def _task_discrete(scn, tol_override):
-    _require(scn, "seed")
     seed = int(scn["seed"])
     tol = _tolerance(tol_override, scn.get("tol", 1e-12))
     n_functions = int(scn.get("n_functions", 1000))
@@ -531,7 +522,6 @@ def _tomography_suite(scn, tol_override, seed):
 
 
 def _task_gowers(scn, tol_override):
-    _require(scn, "seed")
     seed = int(scn["seed"])
     n = int(scn.get("N", 64))
     d = int(scn.get("d", 2))

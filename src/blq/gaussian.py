@@ -27,7 +27,9 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .data import AdjointParams, BLDatum, adjoint_gaussian_prefactor
-from .errors import ConditioningError, ParameterDomainError, ScalingConditionError
+from .entropy import log_lambda
+from .errors import ConditioningError, ParameterDomainError, ResolutionError, ScalingConditionError
+from .grid import GridFunction, GridSpec, default_box, default_resolution, grid_centers, mesh_points
 
 OVERFLOW_GUARD = 1e100
 _LOG_OVERFLOW = math.log(OVERFLOW_GUARD)
@@ -135,11 +137,9 @@ def gaussian_pushforward(A: SpdMatrix, B):
 
 
 def _tuple_log_value(datum, A_list):
-    """log of prod det(A_i)^{c_i/2} / det(sum c_i B_i^T A_i B_i)^{1/2}."""
-    M = sum(
-        c * (b.T @ a @ b) for c, b, a in zip(datum.exponents, datum.maps, A_list)
-    )
-    M = 0.5 * (M + M.T)
+    """log of prod det(A_i)^{c_i/2} / det(M)^{1/2} and M, for the
+    fixed-point map M = sum c_i B_i^T A_i B_i."""
+    M = _fixed_point_map(datum, A_list)
     lv = 0.5 * sum(c * _logdet_pd(a) for c, a in zip(datum.exponents, A_list))
     lv -= 0.5 * _logdet_pd(M)
     return lv, M
@@ -180,19 +180,17 @@ def bl_gaussian_constant(
     """
     d = datum.ambient_dim
     A_list = [np.eye(di) for di in datum.dims]
-    A = _fixed_point_map(datum, A_list)
+    lv, A = _tuple_log_value(datum, A_list)
     A *= d / np.trace(A)
     last_lv = -math.inf
     residual = math.inf
     diverged = False
     it = 0
-    lv, _ = _tuple_log_value(datum, A_list)
     if use_fixed_point:
         for it in range(1, max_iter + 1):
             try:
                 A_list = _derived_tuple(datum, A)
-                lv, _ = _tuple_log_value(datum, A_list)
-                A_prop = _fixed_point_map(datum, A_list)
+                lv, A_prop = _tuple_log_value(datum, A_list)
             except (np.linalg.LinAlgError, ValueError):
                 # singular or non-finite iterate: empirical infeasibility
                 diverged = True
@@ -441,19 +439,23 @@ class PerturbationGapResult:
         return self.coefficient
 
 
-def _gap_integrand_sum(datum, params, j, kappa, radius, box, resolution):
-    from .grid import GridFunction, grid_centers
-
-    d = datum.ambient_dim
-    axes = grid_centers(box, resolution)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
+def _cone_geometry(datum, j, kappa, radius, box, resolution):
+    """At the cell centres x of the grid: |x|^2, <P_i x, x> for the projector
+    P_i onto the row space of each map B_i, and the mask of the cone
+    {<P_j x, x> >= kappa |x|^2} outside the ball of the given radius."""
+    pts = mesh_points(grid_centers(box, resolution))
     norm_sq = np.sum(pts * pts, axis=1)
     proj = []
     for b in datum.maps:
         P = b.T @ np.linalg.solve(b @ b.T, b)
         proj.append(np.sum(pts * (pts @ P.T), axis=1))
     mask = (proj[j] >= kappa * norm_sq) & (norm_sq >= radius**2)
+    return norm_sq, proj, mask
+
+
+def _gap_integrand_sum(datum, params, j, kappa, radius, box, resolution):
+    d = datum.ambient_dim
+    norm_sq, proj, mask = _cone_geometry(datum, j, kappa, radius, box, resolution)
     p = params.p
     total = -(p ** (d / 2.0)) * np.exp(-math.pi * p * norm_sq[mask])
     for t, q, di, quad in zip(params.theta, params.p_i, datum.dims, proj):
@@ -482,8 +484,6 @@ def perturbation_gap(
     first-order effect on the adjoint quotient.  Evaluated by grid
     quadrature with a dyadic-coarsening self-estimate.
     """
-    from .grid import GridSpec, default_box, default_resolution
-
     if params.mode != "forward" or params.p >= 1.0:
         raise ParameterDomainError("perturbation gap needs forward mode with p < 1")
     ratios = [c / t for c, t in zip(datum.exponents, params.theta)]
@@ -506,8 +506,6 @@ def perturbation_gap(
     coeff_coarse = _gap_integrand_sum(datum, params, j, kappa, radius, box, coarse_res)
     estimate = abs(coeff - coeff_coarse)
     if abs(coeff) > 0 and estimate > max_self_estimate * abs(coeff):
-        from .errors import ResolutionError
-
         raise ResolutionError(
             f"quadrature self-estimate {estimate:.3e} exceeds "
             f"{max_self_estimate:.0%} of the coefficient {coeff:.3e}"
@@ -526,18 +524,8 @@ def perturbation_gap(
 
 
 def _direct_ratio_delta(datum, params, j, kappa, radius, box, resolution, eps):
-    from .entropy import log_lambda
-    from .grid import GridFunction, grid_centers
-
-    axes = grid_centers(box, resolution)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    norm_sq = np.sum(pts * pts, axis=1)
-    b = datum.maps[j]
-    P = b.T @ np.linalg.solve(b @ b.T, b)
-    proj = np.sum(pts * (pts @ P.T), axis=1)
+    norm_sq, _, mask = _cone_geometry(datum, j, kappa, radius, box, resolution)
     f_vals = np.exp(-math.pi * norm_sq)
-    mask = (proj >= kappa * norm_sq) & (norm_sq >= radius**2)
     h_vals = np.where(mask, -f_vals, 0.0)
     shape = tuple(resolution)
     f = GridFunction(box=box, resolution=resolution, values=f_vals.reshape(shape))

@@ -10,7 +10,8 @@ with one exact dyadic refinement step: splitting cells leaves the function
 unchanged, so any drift isolates the binning sensitivity.
 ``InequalityMargin.from_sides`` is the one place the margin convention (sign
 by mode, scale, relative margin, drift + 1e-12 * scale estimate) is applied;
-every margin in blq is built through it.
+every margin in blq is built through it.  ``mesh_points`` is the one place
+grid points are laid out as an (N, d) array.
 
 The binning geometry of a pushforward depends only on the source grid, the
 map and the target grid, so ``grid_pushforward`` caches it: the int32 target
@@ -64,6 +65,13 @@ def grid_centers(box, resolution):
         h = (hi - lo) / n
         axes.append(lo + (np.arange(n) + 0.5) * h)
     return axes
+
+
+def mesh_points(axes):
+    """(N, d) points of the product of per-axis coordinate arrays, in the
+    C order of an array of shape (len(a) for a in axes)."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
 
 
 @dataclass(frozen=True)
@@ -177,9 +185,7 @@ def gaussian_grid(quad_form, box=None, resolution=None, amplitude=1.0):
         box = default_box(d)
     if resolution is None:
         resolution = default_resolution(d)
-    axes = grid_centers(box, resolution)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    pts = mesh_points(grid_centers(box, resolution))
     vals = amplitude * np.exp(-math.pi * np.sum(pts * (pts @ Q.T), axis=1))
     return GridFunction(box, tuple(resolution), vals.reshape(tuple(resolution)))
 

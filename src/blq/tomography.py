@@ -10,16 +10,15 @@ Line integrals use equispaced sampling with trapezoid weights at step half
 the grid cell (multilinear interpolation of the cell-center samples);
 codimension-one plane averages use exact mass-deposit binning instead, since
 a full quadrature grid over 2-planes is an order of magnitude more work for
-no accuracy gain.  Directions are deterministic quadratures (uniform angles
-in the plane, Fibonacci points on the sphere); Haar frames come from QR
-factors of seeded gaussian matrices.
+no accuracy gain.  That deposit and the x-ray ``method="deposit"`` share one
+cloud-in-cell loop, ``_deposit_tomogram``.  Directions are deterministic
+quadratures (uniform angles in the plane, Fibonacci points on the sphere);
+Haar frames come from QR factors of seeded gaussian matrices.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,14 +27,7 @@ from scipy.special import gammaln
 
 from .entropy import shannon_entropy
 from .errors import MassError, ParameterDomainError
-from .grid import GridFunction, InequalityMargin, lp_norm
-
-
-def _n_threads():
-    try:
-        return max(1, int(os.environ.get("BLQ_THREADS", "1")))
-    except ValueError:
-        return 1
+from .grid import GridFunction, InequalityMargin, grid_centers, lp_norm, mesh_points
 
 
 @dataclass(frozen=True)
@@ -171,8 +163,7 @@ class TomogramSamples:
 
     def to_csv(self, path):
         """Columns: direction_index, offset coordinates, value."""
-        grids = np.meshgrid(*self.offsets_axes, indexing="ij")
-        coords = np.stack([g.ravel() for g in grids], axis=1)
+        coords = mesh_points(self.offsets_axes)
         with open(path, "w") as fh:
             cols = ",".join(f"offset_{a}" for a in range(coords.shape[1]))
             fh.write(f"direction_index,{cols},value\n")
@@ -197,35 +188,46 @@ def _orthonormal_complement(omega):
     raise ValueError("line transforms are implemented for d <= 3")
 
 
-def _corner_radius(box):
-    return math.sqrt(sum(max(abs(lo), abs(hi)) ** 2 for lo, hi in box))
+def _offset_grid(f: GridFunction, n_v, m):
+    """Radius, cell and axes of the centered m-dimensional offset grid; the
+    radius is that of the smallest origin-centred ball holding f's box."""
+    radius = math.sqrt(sum(max(abs(lo), abs(hi)) ** 2 for lo, hi in f.box))
+    cell = 2.0 * radius / n_v
+    return radius, cell, tuple(grid_centers(((-radius, radius),) * m, (n_v,) * m))
 
 
-def _linear_deposit(y, masses, radius, cell, n_v):
-    """Cloud-in-cell mass assignment onto a centered offset grid.
+def _deposit_tomogram(f: GridFunction, projections, n_v):
+    """Cloud-in-cell deposit of f's cell masses along each projection.
 
+    ``projections`` holds a d x m frame per direction, or a unit normal per
+    direction (m = 1, so each projection is a matrix-vector product).
+    Returns the densities on the (n_v,) * m offset grid of every direction.
     Linear splitting between the two nearest cells per axis suppresses the
     aliasing combs a nearest-cell deposit produces when a projected lattice
     beats against the offset grid; total mass is preserved exactly.
     """
-    y = np.atleast_2d(y.T).T
-    m = y.shape[1]
-    pos = (y + radius) / cell - 0.5
-    base = np.floor(pos).astype(np.int64)
-    frac = pos - base
-    out = np.zeros(n_v**m)
-    for corner in range(1 << m):
-        idx = base.copy()
-        w = masses.copy()
-        for a in range(m):
-            bit = (corner >> a) & 1
-            idx[:, a] = np.clip(base[:, a] + bit, 0, n_v - 1)
-            w = w * (frac[:, a] if bit else 1.0 - frac[:, a])
-        flat = idx[:, 0]
-        for a in range(1, m):
-            flat = flat * n_v + idx[:, a]
-        out += np.bincount(flat, weights=w, minlength=n_v**m)
-    return out.reshape((n_v,) * m)
+    m = 1 if projections.ndim == 2 else projections.shape[2]
+    radius, cell, _ = _offset_grid(f, n_v, m)
+    pts = mesh_points(f.centers())
+    masses = f.values.ravel() * f.cell_volume
+    values = np.zeros((len(projections),) + (n_v,) * m)
+    for q, acc in zip(projections, values.reshape(len(projections), -1)):
+        pos = ((pts @ q).reshape(len(pts), m) + radius) / cell - 0.5
+        base = np.floor(pos).astype(np.int64)
+        frac = pos - base
+        for corner in range(1 << m):
+            idx = base.copy()
+            w = masses
+            for a in range(m):
+                bit = (corner >> a) & 1
+                idx[:, a] = np.clip(base[:, a] + bit, 0, n_v - 1)
+                w = w * (frac[:, a] if bit else 1.0 - frac[:, a])
+            flat = idx[:, 0]
+            for a in range(1, m):
+                flat = flat * n_v + idx[:, a]
+            acc += np.bincount(flat, weights=w, minlength=n_v**m)
+        acc /= cell**m
+    return values
 
 
 def xray_transform(
@@ -253,28 +255,13 @@ def xray_transform(
         raise ValueError("direction set is empty")
     if dirs.dim != d:
         raise ValueError("direction dimension does not match the grid")
-    radius = _corner_radius(f.box)
     if t_resolution is None:
         t_resolution = 2 * max(f.resolution) if (d == 2 or method == "deposit") else max(f.resolution)
     n_v = t_resolution
-    cell = 2.0 * radius / n_v
-    axis = (np.arange(n_v) + 0.5) * cell - radius
-    offsets_axes = tuple([axis] * (d - 1))
-    values = np.zeros((len(dirs),) + (n_v,) * (d - 1))
-    frames = np.zeros((len(dirs), d, d - 1))
+    radius, cell, offsets_axes = _offset_grid(f, n_v, d - 1)
+    frames = np.stack([_orthonormal_complement(omega) for omega in dirs.vectors])
     if method == "deposit":
-        mesh_src = np.meshgrid(*f.centers(), indexing="ij")
-        pts_src = np.stack([m.ravel() for m in mesh_src], axis=1)
-        masses = f.values.ravel() * f.cell_volume
-
-        def work(i):
-            omega = dirs.vectors[i]
-            frame = _orthonormal_complement(omega)
-            frames[i] = frame
-            y = pts_src @ frame
-            acc = _linear_deposit(y, masses, radius, cell, n_v)
-            values[i] = acc / cell ** (d - 1)
-
+        values = _deposit_tomogram(f, frames, n_v)
     elif method == "sample":
         step = line_step or (min(f.cell_sizes) / 2.0)
         n_t = int(math.ceil(2.0 * radius / step))
@@ -282,13 +269,9 @@ def xray_transform(
         t_w = np.full(n_t + 1, t_nodes[1] - t_nodes[0])
         t_w[0] *= 0.5
         t_w[-1] *= 0.5
-        mesh = np.meshgrid(*offsets_axes, indexing="ij")
-        offs = np.stack([m.ravel() for m in mesh], axis=1)
-
-        def work(i):
-            omega = dirs.vectors[i]
-            frame = _orthonormal_complement(omega)
-            frames[i] = frame
+        offs = mesh_points(offsets_axes)
+        values = np.zeros((len(dirs),) + (n_v,) * (d - 1))
+        for i, (omega, frame) in enumerate(zip(dirs.vectors, frames)):
             base = offs @ frame.T
             acc = np.zeros(len(offs))
             chunk = max(1, int(4_000_000 // max(1, n_t + 1)))
@@ -298,17 +281,8 @@ def xray_transform(
                 vals = interp_grid(f, pts.reshape(-1, d)).reshape(len(blk), n_t + 1)
                 acc[s : s + chunk] = vals @ t_w
             values[i] = acc.reshape((n_v,) * (d - 1))
-
     else:
         raise ValueError("method must be 'sample' or 'deposit'")
-
-    n_threads = _n_threads()
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as ex:
-            list(ex.map(work, range(len(dirs))))
-    else:
-        for i in range(len(dirs)):
-            work(i)
     return TomogramSamples(
         k=1,
         directions=dirs.vectors.copy(),
@@ -363,31 +337,19 @@ def kplane_transform(
         dirs = DirectionSet.from_vectors(np.stack([q[:, 0] for q in frames]))
         return xray_transform(f, dirs, t_resolution=t_resolution)
     # k = d-1 = 2, d = 3: bin mass onto the normal coordinate
-    radius = _corner_radius(f.box)
     n_v = t_resolution or 2 * max(f.resolution)
-    cell = 2.0 * radius / n_v
-    axis = (np.arange(n_v) + 0.5) * cell - radius
-    axes = f.centers()
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    masses = f.values.ravel() * f.cell_volume
-    values = np.zeros((len(frames), n_v))
+    _, cell, offsets_axes = _offset_grid(f, n_v, 1)
     normals = np.zeros((len(frames), d))
-    out_frames = np.zeros((len(frames), d, 1))
     for i, q in enumerate(frames):
         normal = np.cross(q[:, 0], q[:, 1])
-        normal /= np.linalg.norm(normal)
-        normals[i] = normal
-        out_frames[i, :, 0] = normal
-        y = pts @ normal
-        values[i] = _linear_deposit(y, masses, radius, cell, n_v) / cell
+        normals[i] = normal / np.linalg.norm(normal)
     return TomogramSamples(
         k=k,
         directions=normals,
         weights=np.full(len(frames), 1.0 / len(frames)),
-        frames=out_frames,
-        offsets_axes=(axis,),
-        values=values,
+        frames=normals[:, :, None],
+        offsets_axes=offsets_axes,
+        values=_deposit_tomogram(f, normals, n_v),
         offset_cell_volume=cell,
     )
 
@@ -618,9 +580,7 @@ def projection_shadow_measure(f: GridFunction, omega) -> float:
     occupied = f.values > 0
     if not occupied.any():
         return 0.0
-    axes = f.centers()
-    cx, cy = np.meshgrid(*axes, indexing="ij")
-    centers = np.stack([cx[occupied], cy[occupied]], axis=1)
+    centers = mesh_points(f.centers())[occupied.ravel()]
     t = centers @ v
     hx, hy = f.cell_sizes
     half = 0.5 * (hx * abs(v[0]) + hy * abs(v[1]))

@@ -98,6 +98,19 @@ def test_seed_mandatory_for_stochastic_tasks():
         validate_scenario({"task": "gowers"})
 
 
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        {"task": "gowers", "seed": 1, "n_function": 5},
+        {"task": "entropy", "seed": 1, "datum": {"preset": "loomis_whitney_2", "conjugate_sed": 3}},
+        {"task": "gaussian-bl", "cases": [{"name": "young", "datum": "young", "expect": 0.5}]},
+    ],
+)
+def test_misspelt_scenario_keys_rejected(scenario):
+    with pytest.raises(SchemaError, match="Additional properties"):
+        validate_scenario(scenario)
+
+
 def test_malformed_json_is_schema_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -191,6 +204,17 @@ def test_shipped_scenarios_validate():
     for path in sorted(SCENARIOS.glob("*.json")):
         jsonschema.validate(json.loads(path.read_text()), schema)
         validate_scenario(json.loads(path.read_text()))
+
+
+def test_benchmark_workload_scenarios_validate():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name in workloads.WORKLOADS:
+        for _, scenario, _ in workloads.build(name, 0):
+            validate_scenario(scenario)
 
 
 def test_partial_results_on_engine_error():

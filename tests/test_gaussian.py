@@ -274,3 +274,58 @@ def test_result_serialization_shape():
     assert payload["converged"] is True
     assert payload["argmax_dims"] == [1, 1]
     assert len(payload["argmax_flat"]) == 2
+
+
+def _reference_cone(datum, j, kappa, radius, box, resolution):
+    """Cell centres, |x|^2 and the projector quadratics, built the long way."""
+    from blq.grid import grid_centers
+
+    mesh = np.meshgrid(*grid_centers(box, resolution), indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    norm_sq = np.sum(pts * pts, axis=1)
+    proj = []
+    for b in datum.maps:
+        P = b.T @ np.linalg.solve(b @ b.T, b)
+        proj.append(np.sum(pts * (pts @ P.T), axis=1))
+    return norm_sq, proj, (proj[j] >= kappa * norm_sq) & (norm_sq >= radius**2)
+
+
+def _reference_gap_sum(datum, params, j, kappa, radius, box, resolution):
+    norm_sq, proj, mask = _reference_cone(datum, j, kappa, radius, box, resolution)
+    p = params.p
+    total = -(p ** (datum.ambient_dim / 2.0)) * np.exp(-math.pi * p * norm_sq[mask])
+    for t, q, di, quad in zip(params.theta, params.p_i, datum.dims, proj):
+        total += t * (q ** (di / 2.0)) * np.exp(-math.pi * (norm_sq[mask] - (1.0 - q) * quad[mask]))
+    cell_vol = 1.0
+    for (lo, hi), n in zip(box, resolution):
+        cell_vol *= (hi - lo) / n
+    return float(np.sum(total) * cell_vol)
+
+
+def _reference_direct_delta(datum, params, j, kappa, radius, box, resolution, eps):
+    from blq.entropy import log_lambda
+    from blq.grid import GridFunction
+
+    norm_sq, _, mask = _reference_cone(datum, j, kappa, radius, box, resolution)
+    f_vals = np.exp(-math.pi * norm_sq)
+    g_vals = f_vals + eps * np.where(mask, -f_vals, 0.0)
+    f = GridFunction(box, resolution, f_vals.reshape(resolution))
+    g = GridFunction(box, resolution, g_vals.reshape(resolution))
+    return math.exp(log_lambda(g, datum, params, 1.0) - log_lambda(f, datum, params, 1.0)) - 1.0
+
+
+def test_perturbation_gap_matches_reference_integrands_bitwise():
+    from blq.grid import GridSpec
+
+    datum = loomis_whitney(2)
+    params = derive_adjoint_exponents(datum.exponents, (0.9, 0.1), 0.5)
+    box, res = ((-8.0, 8.0), (-8.0, 8.0)), (256, 256)
+    gap = perturbation_gap(datum, params, eps=1e-3, grid=GridSpec(box=box, resolution=res))
+    j = gap.j_index
+    kappa = (1.0 - 0.5 * (params.p + params.p_i[j])) / (1.0 - params.p_i[j])
+    fine = _reference_gap_sum(datum, params, j, kappa, gap.radius, box, res)
+    coarse = _reference_gap_sum(datum, params, j, kappa, gap.radius, box, (128, 128))
+    assert gap.coefficient == fine
+    assert gap.quadrature_estimate == abs(fine - coarse)
+    assert gap.direct_ratio_delta == _reference_direct_delta(datum, params, j, kappa, gap.radius, box, res, 1e-3)
+

@@ -19,6 +19,7 @@ from blq.grid import (
     grid_pushforward,
     load_grid_function,
     lp_norm,
+    mesh_points,
     random_grid_function,
     rank_one_distance,
     save_grid_function,
@@ -344,3 +345,17 @@ def test_margin_from_sides_exact_has_zero_estimate():
     assert m.certified
     with pytest.raises(ValueError, match="margin mode"):
         InequalityMargin.from_sides(1.0, 2.0, "Forward")
+
+
+@pytest.mark.parametrize("resolution", [(5,), (4, 3), (3, 2, 4)])
+def test_mesh_points_lay_points_out_in_values_order(resolution):
+    box = tuple((-1.0 - a, 2.0 + a) for a in range(len(resolution)))
+    axes = grid.grid_centers(box, resolution)
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = mesh_points(axes)
+    assert np.array_equal(pts, np.stack([m.ravel() for m in mesh], axis=1))
+    # row i is the centre of the cell whose value is values.ravel()[i]
+    f = GridFunction.from_callable(lambda *x: sum((a + 3) * 10.0**k for k, a in enumerate(x)), box, resolution)
+    expected = sum((pts[:, k] + 3) * 10.0**k for k in range(len(resolution)))
+    assert np.array_equal(f.values.ravel(), expected)
+

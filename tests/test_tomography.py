@@ -286,10 +286,64 @@ def test_tomogram_csv_export(tmp_path):
     assert len(lines) == 1 + 4 * 8
 
 
-def test_threaded_transform_is_identical(monkeypatch):
-    f = random_grid_function(BOX, (48, 48), seed=21)
-    dirs = DirectionSet.uniform_circle(16)
-    single = xray_transform(f, dirs)
-    monkeypatch.setenv("BLQ_THREADS", "4")
-    multi = xray_transform(f, dirs)
-    assert np.array_equal(single.values, multi.values)
+def _reference_deposit(f, projections, n_v):
+    """Per-direction cloud-in-cell deposit written out the long way: the
+    offset axis, the (N, d) cell centres and one bincount per cell corner."""
+    radius = math.sqrt(sum(max(abs(lo), abs(hi)) ** 2 for lo, hi in f.box))
+    cell = 2.0 * radius / n_v
+    axis = (np.arange(n_v) + 0.5) * cell - radius
+    mesh = np.meshgrid(*f.centers(), indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    masses = f.values.ravel() * f.cell_volume
+    out = []
+    for q in projections:
+        y = np.atleast_2d((pts @ q).T).T
+        m = y.shape[1]
+        pos = (y + radius) / cell - 0.5
+        base = np.floor(pos).astype(np.int64)
+        frac = pos - base
+        acc = np.zeros(n_v**m)
+        for corner in range(1 << m):
+            idx = base.copy()
+            w = masses.copy()
+            for a in range(m):
+                bit = (corner >> a) & 1
+                idx[:, a] = np.clip(base[:, a] + bit, 0, n_v - 1)
+                w = w * (frac[:, a] if bit else 1.0 - frac[:, a])
+            flat = idx[:, 0]
+            for a in range(1, m):
+                flat = flat * n_v + idx[:, a]
+            acc += np.bincount(flat, weights=w, minlength=n_v**m)
+        out.append(acc.reshape((n_v,) * m) / cell**m)
+    return axis, np.array(out)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_xray_deposit_matches_reference_loop_bitwise(d):
+    from blq.tomography import _orthonormal_complement
+
+    f = random_grid_function(((-2.0, 2.0),) * d, (20,) * d, seed=30 + d, zero_fraction=0.2)
+    dirs = DirectionSet.uniform_circle(12, offset=0.1) if d == 2 else DirectionSet.fibonacci_sphere(10)
+    tom = xray_transform(f, dirs, t_resolution=24, method="deposit")
+    frames = [_orthonormal_complement(w) for w in dirs.vectors]
+    axis, values = _reference_deposit(f, frames, 24)
+    assert np.array_equal(tom.values, values)
+    assert np.array_equal(tom.frames, np.array(frames))
+    assert len(tom.offsets_axes) == d - 1
+    assert all(np.array_equal(a, axis) for a in tom.offsets_axes)
+
+
+def test_kplane_deposit_matches_reference_loop_bitwise():
+    f = random_grid_function(((-2.0, 2.0),) * 3, (16, 16, 16), seed=12, zero_fraction=0.2)
+    tom = kplane_transform(f, 2, 9, seed=4, t_resolution=20)
+    normals = []
+    for q in haar_planes(3, 2, 9, 4):
+        normal = np.cross(q[:, 0], q[:, 1])
+        normal /= np.linalg.norm(normal)
+        normals.append(normal)
+    axis, values = _reference_deposit(f, normals, 20)
+    assert np.array_equal(tom.values, values)
+    assert np.array_equal(tom.directions, np.array(normals))
+    assert np.array_equal(tom.frames, np.array(normals)[:, :, None])
+    assert len(tom.offsets_axes) == 1 and np.array_equal(tom.offsets_axes[0], axis)
+
