@@ -146,6 +146,14 @@ def _assert_entry(name, value, tolerance, passed):
     }
 
 
+def _at_most(name, value, bound):
+    return _assert_entry(name, value, bound, value <= bound)
+
+
+def _at_least(name, value, bound):
+    return _assert_entry(name, value, bound, value >= bound)
+
+
 def _datum_from_spec(spec) -> BLDatum:
     if isinstance(spec, str):
         spec = {"preset": spec}
@@ -213,7 +221,7 @@ def _task_gaussian_bl(scn, tol_override):
         tol = _tolerance(tol_override, case.get("tol", 1e-6))
         if case.get("expected") is not None:
             err = abs(res.value - _parse_number(case["expected"]))
-            assertions.append(_assert_entry(f"{name}: value within tol", err, tol, err <= tol))
+            assertions.append(_at_most(f"{name}: value within tol", err, tol))
         assertions.append(_assert_entry(f"{name}: converged", float(res.converged), 1.0, res.converged))
         if "max_seconds" in case:
             # the canonical value is the pass flag; run_scenario moves the
@@ -238,7 +246,7 @@ def _task_adjoint_gaussian(scn, tol_override):
         "p_i": list(params.p_i),
     }
     assertions = [
-        _assert_entry("adjoint constant matches prefactor route", rel, tol, rel <= tol),
+        _at_most("adjoint constant matches prefactor route", rel, tol),
         _assert_entry("converged", float(res.converged), 1.0, res.converged),
     ]
     return {"theta": list(scn["theta"]), "p": _parse_number(scn["p"])}, results, assertions
@@ -256,7 +264,7 @@ def _task_identity_ai(scn, tol_override):
         res = identity_ai_residual(datum)
         worst = max(worst, res.residual)
         results[label] = {"residual": res.residual, "left_log": res.left_log, "right_log": res.right_log}
-    assertions.append(_assert_entry("max |log L - log R|", worst, tol, worst <= tol))
+    assertions.append(_at_most("max |log L - log R|", worst, tol))
     return {"n_data": len(data)}, results, assertions
 
 
@@ -309,14 +317,8 @@ def _task_adjoint_verify(scn, tol_override):
             gap = min(gap, m.margin + m.quadrature_estimate)
         min_margin_gap = min(min_margin_gap, gap)
         results[label] = {"cross_check_rel": worst, "min_margin_plus_estimate": gap}
-    assertions.append(
-        _assert_entry("adjoint constant vs prefactor route (rel)", worst_rel, rel_tol, worst_rel <= rel_tol)
-    )
-    assertions.append(
-        _assert_entry(
-            "forward inequality margins >= -estimate", min_margin_gap, 0.0, min_margin_gap >= 0.0
-        )
-    )
+    assertions.append(_at_most("adjoint constant vs prefactor route (rel)", worst_rel, rel_tol))
+    assertions.append(_at_least("forward inequality margins >= -estimate", min_margin_gap, 0.0))
     return {"n_data": len(data), "n_draws": n_draws, "n_functions": n_functions}, results, assertions
 
 
@@ -353,10 +355,8 @@ def _equality_cases(scn, seed):
         worst_ratio = min(worst_ratio, m2.margin / (3.0 * m2.quadrature_estimate))
         results["nonproduct"].append(m2.margin)
     assertions = [
-        _assert_entry("product indicators: |margin| <= estimate", worst_eq, 0.0, worst_eq <= 0.0),
-        _assert_entry(
-            "non-product: margin >= 3x estimate", worst_ratio, 1.0, worst_ratio >= 1.0
-        ),
+        _at_most("product indicators: |margin| <= estimate", worst_eq, 0.0),
+        _at_least("non-product: margin >= 3x estimate", worst_ratio, 1.0),
     ]
     return {"n_functions": n}, results, assertions
 
@@ -404,12 +404,8 @@ def _task_discrete(scn, tol_override):
             m = discrete_adjoint_margin(f, maps, params, blv)
             worst_margin = min(worst_margin, m.margin)
         results[name] = inst
-    assertions.append(
-        _assert_entry("ABLs = BLs^{1/p-1} (rel)", worst_cons, tol, worst_cons <= tol)
-    )
-    assertions.append(
-        _assert_entry("discrete margins >= -1e-12", worst_margin, 1e-12, worst_margin >= -1e-12)
-    )
+    assertions.append(_at_most("ABLs = BLs^{1/p-1} (rel)", worst_cons, tol))
+    assertions.append(_assert_entry("discrete margins >= -1e-12", worst_margin, 1e-12, worst_margin >= -1e-12))
     return {"n_instances": len(instances), "n_functions": n_functions}, results, assertions
 
 
@@ -433,7 +429,7 @@ def _tomography_gamma(scn, tol_override, seed):
         target = si.quad(lambda t: math.sin(t) ** (1.0 - q) / math.pi, 0.0, math.pi)[0]
         worst = max(worst, abs(wedge_moment(2, q) - target))
     results["sin_moment_max_err"] = worst
-    assertions.append(_assert_entry("d=2 sin-moment identity", worst, 1e-10, worst <= 1e-10))
+    assertions.append(_at_most("d=2 sin-moment identity", worst, 1e-10))
     n_mc = int(scn.get("n_mc", 10**6))
     rel_tol = _tolerance(tol_override, scn.get("rel_tol", 0.02))
     p, q = _parse_number(scn.get("p", 2.0)), _parse_number(scn.get("q", 0.5))
@@ -442,7 +438,7 @@ def _tomography_gamma(scn, tol_override, seed):
         mc = xx_constant_via_mc(d, p, q, n_mc, seed + d)
         rel = abs(c_exact - mc.value) / c_exact
         results[f"d{d}"] = {"gamma": c_exact, "mc": mc.value, "mc_stderr": mc.stderr, "rel": rel}
-        assertions.append(_assert_entry(f"d={d} Gamma vs MC (rel)", rel, rel_tol, rel <= rel_tol))
+        assertions.append(_at_most(f"d={d} Gamma vs MC (rel)", rel, rel_tol))
     return {"n_mc": n_mc, "p": p, "q": q}, results, assertions
 
 
@@ -491,8 +487,8 @@ def _tomography_suite(scn, tol_override, seed):
             min_gap = min(min_gap, m.margin + m.quadrature_estimate)
     results["l1_worst_dev"] = worst_l1
     results["min_margin_plus_estimate"] = min_gap
-    assertions.append(_assert_entry("||Xf||_1/||f||_1 = 1 (dev)", worst_l1, l1_tol, worst_l1 <= l1_tol))
-    assertions.append(_assert_entry("lower-bound margins", min_gap, 0.0, min_gap >= 0.0))
+    assertions.append(_at_most("||Xf||_1/||f||_1 = 1 (dev)", worst_l1, l1_tol))
+    assertions.append(_at_least("lower-bound margins", min_gap, 0.0))
     # monotonicity chain in dimension 3
     n3 = int(scn.get("n_samples_3d", 3))
     from .grid import lp_norm
@@ -508,16 +504,12 @@ def _tomography_suite(scn, tol_override, seed):
         n2 = t2.lq(scaling_exponent_q(p, 3, 2))
         worst_chain = min(worst_chain, n1 - n0, n2 - n1)
     results["monotonicity_min_increment"] = worst_chain
-    assertions.append(
-        _assert_entry("k-plane norm monotonicity", worst_chain, 0.0, worst_chain >= 0.0)
-    )
+    assertions.append(_at_least("k-plane norm monotonicity", worst_chain, 0.0))
     gc = DirectionSet.great_circle(128)
     p = 0.5
     est = restricted_xray_constant(gc, p, scaling_exponent_q(p, 3), 3, int(scn.get("n_mc", 10**5)), seed)
     results["great_circle_constant"] = est.value
-    assertions.append(
-        _assert_entry("great-circle constant < 1e-3", est.value, 1e-3, est.value < 1e-3)
-    )
+    assertions.append(_assert_entry("great-circle constant < 1e-3", est.value, 1e-3, est.value < 1e-3))
     return {"n_functions": n_functions, "n_dirs": n_dirs, "resolution": res}, results, assertions
 
 
@@ -538,7 +530,7 @@ def _task_gowers(scn, tol_override):
     results = {"min_margin": worst, "constant_margin": const_margin}
     assertions = [
         _assert_entry("log-convexity margins >= -1e-12", worst, tol, worst >= -tol),
-        _assert_entry("equality at constant functions", const_margin, 1e-12, const_margin <= 1e-12),
+        _at_most("equality at constant functions", const_margin, 1e-12),
     ]
     n_sets = int(scn.get("n_sets", 20))
     n_small = int(scn.get("N_sets", 32))
@@ -553,9 +545,7 @@ def _task_gowers(scn, tol_override):
         delta = s2 / size**3
         worst_pp = min(worst_pp, s3 - delta**4 * size**4)
     results["parallelepiped_slack"] = worst_pp
-    assertions.append(
-        _assert_entry("parallelepiped count >= delta^4 |A|^4", worst_pp, 0.0, worst_pp >= 0.0)
-    )
+    assertions.append(_at_least("parallelepiped count >= delta^4 |A|^4", worst_pp, 0.0))
     if scn.get("profile_csv"):
         f = rng.uniform(0.0, 1.0, size=n)
         gowers_profile(f, 3).to_csv(scn["profile_csv"])
@@ -601,18 +591,16 @@ def _task_entropy(scn, tol_override):
         slopes.append((m_p - m_sh) / eps)
     results["renyi_slopes"] = slopes
     slope_consistency = abs(slopes[0] - slopes[1]) / max(1e-12, abs(slopes[1]))
-    assertions.append(
-        _assert_entry("Renyi->Shannon slope consistency", slope_consistency, 0.5, slope_consistency <= 0.5)
-    )
+    assertions.append(_at_most("Renyi->Shannon slope consistency", slope_consistency, 0.5))
     fd = power_curvature_fd(Fraction(1, 4))
     err = abs(fd - power_curvature_exact(Fraction(1, 4)))
     results["curvature_fd"] = fd
-    assertions.append(_assert_entry("curvature counterexample to 1e-12", err, 1e-12, err <= 1e-12))
+    assertions.append(_at_most("curvature counterexample to 1e-12", err, 1e-12))
     probe = p_entropy_probe(
         GridFunction.indicator_box(((0.0, 1.5),) * d, box, (res,) * d), 0.5, datum, bl_value=bl
     )
     results["indicator_probe"] = probe
-    assertions.append(_assert_entry("indicator probe <= tol", probe, tol, probe <= tol))
+    assertions.append(_at_most("indicator probe <= tol", probe, tol))
     return {"resolution": res, "tol": tol}, results, assertions
 
 
@@ -637,7 +625,7 @@ def _task_perturbation(scn, tol_override):
     }
     assertions = [
         _assert_entry("first-order coefficient > 0", coeffs[-1].coefficient, 0.0, coeffs[-1].coefficient > 0),
-        _assert_entry("stability across resolutions", stability, stability_tol, stability <= stability_tol),
+        _at_most("stability across resolutions", stability, stability_tol),
     ]
     return {"theta": theta, "p": p, "resolutions": resolutions}, results, assertions
 
@@ -665,7 +653,7 @@ def validate_scenario(scn):
     except Exception as exc:
         raise SchemaError(f"scenario violates the schema: {exc}") from exc
     if error is not None:
-        raise SchemaError(f"scenario violates the schema: {error}") from error
+        raise SchemaError(f"scenario violates the schema at {error.json_path}: {error.message}") from error
     task = scn.get("task")
     if task not in _HANDLERS:
         raise SchemaError(f"unknown task {task!r}; options: {tuple(_HANDLERS)}")
@@ -722,7 +710,7 @@ def run_scenario(scenario, seed_override=None, tol_override=None) -> RunReport:
         results = {"error": f"{type(exc).__name__}: {exc}"}
         assertions = [_assert_entry("task completed", 0.0, 1.0, False)]
         measured = {}
-    report = RunReport(
+    return RunReport(
         task=scn["task"],
         inputs=inputs_echo,
         results=results,
@@ -730,7 +718,6 @@ def run_scenario(scenario, seed_override=None, tol_override=None) -> RunReport:
         wall_time_s=time.perf_counter() - t0,
         measured_s=measured,
     )
-    return report
 
 
 def _resolve_scenario_path(name):
@@ -782,10 +769,9 @@ def _cmd_suite(args):
             rows.append((path.name, "-", "-", "-", f"ERROR: {exc}"))
             ok = False
         all_pass = all_pass and ok
-    widths = [max(len(str(r[i])) for r in rows + [("scenario", "task", "asserts", "time", "status")]) for i in range(5)]
     header = ("scenario", "task", "asserts", "time", "status")
-    print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-    for r in rows:
+    widths = [max(len(str(r[i])) for r in rows + [header]) for i in range(5)]
+    for r in [header] + rows:
         print("  ".join(str(v).ljust(w) for v, w in zip(r, widths)))
     return 0 if all_pass else 1
 

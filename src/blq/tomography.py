@@ -7,8 +7,10 @@ offsets.  With that normalization the transform of an L^1 function keeps its
 total integral, which anchors all the lower-bound checks.
 
 Line integrals use equispaced sampling with trapezoid weights at step half
-the grid cell (multilinear interpolation of the cell-center samples);
-codimension-one plane averages use exact mass-deposit binning instead, since
+the grid cell (multilinear interpolation of the cell-center samples).  Only
+the samples inside the zero-padded grid are evaluated, with arithmetic
+bit-exact to scipy's order-1 ``map_coordinates``; the others add exactly 0.
+Codimension-one plane averages use exact mass-deposit binning instead, since
 a full quadrature grid over 2-planes is an order of magnitude more work for
 no accuracy gain.  That deposit and the x-ray ``method="deposit"`` share one
 cloud-in-cell loop, ``_deposit_tomogram``.  Directions are deterministic
@@ -83,11 +85,7 @@ class DirectionSet:
     def great_circle(cls, n, normal=(0.0, 0.0, 1.0)):
         """Directions confined to the great circle orthogonal to ``normal``."""
         normal = np.asarray(normal, dtype=float)
-        normal = normal / np.linalg.norm(normal)
-        h = np.eye(3)[int(np.argmin(np.abs(normal)))]
-        u = h - (h @ normal) * normal
-        u /= np.linalg.norm(u)
-        w = np.cross(normal, u)
+        u, w = _orthonormal_complement(normal / np.linalg.norm(normal)).T
         angles = 2.0 * math.pi * np.arange(n) / n
         v = np.outer(np.cos(angles), u) + np.outer(np.sin(angles), w)
         return cls(v, np.full(n, 1.0 / n))
@@ -100,22 +98,33 @@ class DirectionSet:
         return cls(vectors, weights)
 
 
-def interp_grid(f: GridFunction, pts):
-    """Multilinear interpolation of cell-center samples, zero outside.
-
-    The sample array is zero-padded by one ring so the interpolant ramps to
-    zero over the half-cell skirt beyond the outermost centers (keeping the
-    interpolant's integral equal to the grid mass).
-    """
-    from scipy import ndimage
-
-    pts = np.asarray(pts, dtype=float)
-    cells = np.array(f.cell_sizes)
-    lo = np.array([b[0] for b in f.box])
-    u = (pts - lo) / cells + 0.5
-    return ndimage.map_coordinates(
-        np.pad(f.values, 1), u.T, order=1, mode="constant", cval=0.0, prefilter=False
-    )
+def _interp_linear(padded, u):
+    """Order-1 interpolation of ``padded``, which has a zero ring, at per-axis
+    coordinates ``u``.  Points off [0, n_a - 1) on any axis are 0 unevaluated;
+    the others repeat scipy's arithmetic (w0 = 1 - frac, w1 = 1 - w0, corners
+    last axis fastest, value times axis weights summed from 0.0), so the result
+    is ``map_coordinates(padded, u, order=1, prefilter=False)`` bit for bit."""
+    inside = np.logical_and.reduce([(ua >= 0.0) & (ua < n - 1) for ua, n in zip(u, padded.shape)])
+    strides = [math.prod(padded.shape[a + 1 :]) for a in range(padded.ndim)]
+    flat = 0
+    weights = []
+    for ua, stride in zip(u, strides):
+        ua = ua[inside]
+        ia = np.floor(ua)
+        ua -= ia
+        w0 = np.subtract(1.0, ua, out=ua)
+        weights.append((w0, 1.0 - w0))
+        flat = flat + ia.astype(np.intp) * stride
+    src = padded.ravel()
+    acc = np.zeros(np.count_nonzero(inside))
+    for corner in np.ndindex((2,) * len(u)):
+        coeff = src.take(flat + sum(bit * s for bit, s in zip(corner, strides)))
+        for w, bit in zip(weights, corner):
+            coeff *= w[bit]
+        acc += coeff
+    out = np.zeros(u[0].shape)
+    out[inside] = acc
+    return out
 
 
 @dataclass(frozen=True)
@@ -134,31 +143,27 @@ class TomogramSamples:
     def dim(self):
         return self.directions.shape[1]
 
+    def _per_dir(self, g):
+        """The offset integral of g(values) for each direction."""
+        return np.sum(g(self.values.reshape(len(self.weights), -1)), axis=1) * self.offset_cell_volume
+
     def lq(self, q) -> float:
         if q == math.inf:
             return float(self.values.max())
         q = float(q)
-        per_dir = np.sum(
-            self.values.reshape(len(self.weights), -1) ** q, axis=1
-        ) * self.offset_cell_volume
-        return float(np.sum(self.weights * per_dir)) ** (1.0 / q)
+        return float(np.sum(self.weights * self._per_dir(lambda v: v**q))) ** (1.0 / q)
 
     def l1(self) -> float:
         return self.lq(1.0)
 
     def sup_dirs_lq(self, r) -> float:
         """Mixed norm: sup over directions of the offset L^r norm."""
-        per_dir = (
-            np.sum(self.values.reshape(len(self.weights), -1) ** float(r), axis=1)
-            * self.offset_cell_volume
-        ) ** (1.0 / float(r))
-        return float(per_dir.max())
+        r = float(r)
+        return float((self._per_dir(lambda v: v**r) ** (1.0 / r)).max())
 
     def entropy(self) -> float:
-        v = self.values.reshape(len(self.weights), -1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(v > 0, -v * np.log(v), 0.0)
-        per_dir = np.sum(t, axis=1) * self.offset_cell_volume
+            per_dir = self._per_dir(lambda v: np.where(v > 0, -v * np.log(v), 0.0))
         return float(np.sum(self.weights * per_dir))
 
     def to_csv(self, path):
@@ -241,10 +246,11 @@ def xray_transform(
 
     ``method="sample"`` (default) integrates along equispaced line samples
     with trapezoid weights at step half the smallest grid cell (override with
-    ``line_step``).  ``method="deposit"`` bins each cell's mass onto the
-    offset grid instead, which preserves ||Xf||_1 = ||f||_1 exactly and is
-    preferred for entropy work.  ``t_resolution`` is the tomogram resolution
-    per offset axis.
+    ``line_step`` > 0), evaluating only the samples inside the grid,
+    bit-exact to scipy's order-1 interpolation.  ``method="deposit"`` bins each
+    cell's mass onto the offset grid instead, which preserves ||Xf||_1 = ||f||_1
+    exactly and is preferred for entropy work.  ``t_resolution`` >= 1 is the
+    tomogram resolution per offset axis.
     """
     d = f.dim
     if d < 2:
@@ -255,32 +261,42 @@ def xray_transform(
         raise ValueError("direction set is empty")
     if dirs.dim != d:
         raise ValueError("direction dimension does not match the grid")
-    if t_resolution is None:
-        t_resolution = 2 * max(f.resolution) if (d == 2 or method == "deposit") else max(f.resolution)
-    n_v = t_resolution
+    if line_step is not None and not line_step > 0:
+        raise ValueError(f"line_step must be positive, got {line_step!r}")
+    if t_resolution is not None and not t_resolution >= 1:
+        raise ValueError(f"t_resolution must be at least 1, got {t_resolution!r}")
+    n_v = t_resolution or (2 * max(f.resolution) if (d == 2 or method == "deposit") else max(f.resolution))
     radius, cell, offsets_axes = _offset_grid(f, n_v, d - 1)
     frames = np.stack([_orthonormal_complement(omega) for omega in dirs.vectors])
     if method == "deposit":
         values = _deposit_tomogram(f, frames, n_v)
     elif method == "sample":
-        step = line_step or (min(f.cell_sizes) / 2.0)
+        step = line_step or min(f.cell_sizes) / 2.0
         n_t = int(math.ceil(2.0 * radius / step))
         t_nodes = np.linspace(-radius, radius, n_t + 1)
         t_w = np.full(n_t + 1, t_nodes[1] - t_nodes[0])
         t_w[0] *= 0.5
         t_w[-1] *= 0.5
         offs = mesh_points(offsets_axes)
+        padded, cells = np.pad(f.values, 1), f.cell_sizes
         values = np.zeros((len(dirs),) + (n_v,) * (d - 1))
+        # trapezoid sums over chunks of offsets; interpolation in blocks of about
+        # 2^13 samples, whose 64 KiB temporaries stay in cache and in the heap
+        chunk = max(1, int(4_000_000 // max(1, n_t + 1)))
+        block = max(1, 8192 // (n_t + 1))
+        vals = np.empty((min(chunk, len(offs)), n_t + 1))
         for i, (omega, frame) in enumerate(zip(dirs.vectors, frames)):
             base = offs @ frame.T
-            acc = np.zeros(len(offs))
-            chunk = max(1, int(4_000_000 // max(1, n_t + 1)))
+            steps = [t_nodes * w for w in omega]
+            acc = values[i].reshape(-1)
             for s in range(0, len(offs), chunk):
                 blk = base[s : s + chunk]
-                pts = blk[:, None, :] + t_nodes[None, :, None] * omega[None, None, :]
-                vals = interp_grid(f, pts.reshape(-1, d)).reshape(len(blk), n_t + 1)
-                acc[s : s + chunk] = vals @ t_w
-            values[i] = acc.reshape((n_v,) * (d - 1))
+                for r in range(0, len(blk), block):
+                    rows = blk[r : r + block]
+                    # grid coordinate on each axis of sample (offset, t), an outer sum
+                    u = [((rows[:, a, None] + steps[a]) - f.box[a][0]) / cells[a] + 0.5 for a in range(d)]
+                    vals[r : r + len(rows)] = _interp_linear(padded, u)
+                acc[s : s + chunk] = vals[: len(blk)] @ t_w
     else:
         raise ValueError("method must be 'sample' or 'deposit'")
     return TomogramSamples(
@@ -404,10 +420,8 @@ def tomography_lower_bound_margin(
     _check_scaling_line(p, q, d, k)
     n_v = 2 * max(f.resolution) if d == 2 else max(f.resolution)
     if k == 1:
-        if dirs is None:
-            dirs = DirectionSet.uniform_circle(360) if d == 2 else DirectionSet.fibonacci_sphere(128)
         tom = xray_transform(f, dirs, t_resolution=n_v)
-        half = DirectionSet.from_vectors(dirs.vectors[::2], None)
+        half = DirectionSet.from_vectors(tom.directions[::2])
         tom_half = xray_transform(f, half, t_resolution=max(2, n_v // 2))
     else:
         n_planes = dirs if isinstance(dirs, int) else 64

@@ -34,13 +34,27 @@ def test_schema_error_message_is_jsonschema_validates(tmp_path):
 
     with res.files("blq.schemas").joinpath("scenario.schema.json").open() as fh:
         schema = json.load(fh)
-    for bad in ({"task": "gowers", "seed": -1}, {"task": "tomography", "seed": "7"}, {"seed": 1}):
+    cases = (
+        ({"task": "gowers", "seed": -1}, "at $.seed: -1 is less than the minimum of 0"),
+        ({"task": "tomography", "seed": "7"}, "at $.seed: '7' is not of type 'integer'"),
+        ({"seed": 1}, "at $: 'task' is a required property"),
+    )
+    for bad, text in cases:
         with pytest.raises(jsonschema.ValidationError) as expected:
             jsonschema.validate(bad, schema)
         for _ in range(2):
             with pytest.raises(SchemaError) as err:
                 validate_scenario(bad)
-            assert str(err.value) == f"scenario violates the schema: {expected.value}"
+            assert str(err.value) == f"scenario violates the schema {text}"
+            assert str(err.value).endswith(f"at {expected.value.json_path}: {expected.value.message}")
+
+
+def test_schema_error_for_a_misspelt_key_is_one_line():
+    with pytest.raises(SchemaError) as err:
+        validate_scenario({"task": "gowers", "seed": 1, "n_function": 5})
+    text = str(err.value)
+    assert "\n" not in text and len(text) < 300
+    assert "'n_function' was unexpected" in text
 
 
 def test_zero_tolerance_override_is_honoured():

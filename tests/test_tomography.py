@@ -347,3 +347,110 @@ def test_kplane_deposit_matches_reference_loop_bitwise():
     assert np.array_equal(tom.frames, np.array(normals)[:, :, None])
     assert len(tom.offsets_axes) == 1 and np.array_equal(tom.offsets_axes[0], axis)
 
+
+
+def _reference_sample(f, dirs, t_resolution=None, line_step=None):
+    """Sampled x-ray transform written out the long way: the (N, d) line
+    points of each offset chunk through scipy's ``map_coordinates`` on the
+    zero-padded samples, then the trapezoid sum over each chunk."""
+    from scipy import ndimage
+
+    d = f.dim
+    n_v = t_resolution or (2 * max(f.resolution) if d == 2 else max(f.resolution))
+    radius = math.sqrt(sum(max(abs(lo), abs(hi)) ** 2 for lo, hi in f.box))
+    cell = 2.0 * radius / n_v
+    axis = (np.arange(n_v) + 0.5) * cell - radius
+    offs = np.stack([m.ravel() for m in np.meshgrid(*([axis] * (d - 1)), indexing="ij")], axis=1)
+    step = line_step or (min(f.cell_sizes) / 2.0)
+    n_t = int(math.ceil(2.0 * radius / step))
+    t_nodes = np.linspace(-radius, radius, n_t + 1)
+    t_w = np.full(n_t + 1, t_nodes[1] - t_nodes[0])
+    t_w[0] *= 0.5
+    t_w[-1] *= 0.5
+    cells = np.array(f.cell_sizes)
+    lo = np.array([b[0] for b in f.box])
+    padded = np.pad(f.values, 1)
+    out = []
+    for omega in dirs.vectors:
+        if d == 2:
+            frame = np.array([[-omega[1]], [omega[0]]])
+        else:
+            h = np.eye(d)[int(np.argmin(np.abs(omega)))]
+            v = h - (h @ omega) * omega
+            v /= np.linalg.norm(v)
+            frame = np.stack([v, np.cross(omega, v)], axis=1)
+        base = offs @ frame.T
+        acc = np.zeros(len(offs))
+        chunk = max(1, int(4_000_000 // max(1, n_t + 1)))
+        for s in range(0, len(offs), chunk):
+            blk = base[s : s + chunk]
+            pts = (blk[:, None, :] + t_nodes[None, :, None] * omega[None, None, :]).reshape(-1, d)
+            u = (pts - lo) / cells + 0.5
+            vals = ndimage.map_coordinates(padded, u.T, order=1, mode="constant", cval=0.0, prefilter=False)
+            acc[s : s + chunk] = vals.reshape(len(blk), n_t + 1) @ t_w
+        out.append(acc.reshape((n_v,) * (d - 1)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize(
+    "box, resolution, dirs, kwargs",
+    [
+        (BOX, (24, 24), DirectionSet.uniform_circle(10, offset=0.1), {}),
+        (((-2.0, 3.0), (-1.0, 2.0)), (20, 28), DirectionSet.uniform_circle(7), {"t_resolution": 31, "line_step": 0.09}),
+        (BOX, (16, 16), DirectionSet.uniform_circle(4), {}),
+        (((-2.0, 2.0), (-1.0, 1.5), (-3.0, 1.0)), (10, 8, 12), DirectionSet.fibonacci_sphere(12), {}),
+    ],
+    ids=["2d-default", "2d-step", "2d-axis-aligned", "3d-box"],
+)
+def test_xray_sample_matches_reference_loop_bitwise(box, resolution, dirs, kwargs):
+    f = random_grid_function(box, resolution, seed=len(resolution) + resolution[0], zero_fraction=0.2)
+    tom = xray_transform(f, dirs, **kwargs)
+    assert np.array_equal(tom.values, _reference_sample(f, dirs, **kwargs))
+
+
+@pytest.mark.parametrize("shape", [(7, 9), (5, 6, 4)])
+def test_interp_linear_is_scipy_order_one_bitwise(shape):
+    """A scipy whose order-1 arithmetic changes fails here, not in a digest."""
+    from scipy import ndimage
+
+    from blq.tomography import _interp_linear
+
+    rng = np.random.default_rng(sum(shape))
+    padded = np.pad(rng.random(shape), 1)
+    n = np.array(padded.shape, dtype=float)
+    scattered = rng.uniform(-1.5, n + 0.5, size=(4000, len(shape)))  # inside, on the ring and outside
+    lattice = rng.integers(-1, padded.shape, size=(500, len(shape))).astype(float)  # integer u
+    halves = lattice[:200] + 0.5
+    edges = np.where(rng.random((300, len(shape))) < 0.5, 0.0, n - 1.0)
+    edges[:, 0] = rng.uniform(0.0, n[0] - 1.0, size=300)
+    coords = np.concatenate([scattered, lattice, halves, edges])
+    got = _interp_linear(padded, [c.copy() for c in coords.T])
+    want = ndimage.map_coordinates(padded, coords.T, order=1, mode="constant", cval=0.0, prefilter=False)
+    assert np.array_equal(got, want)
+    assert len(coords) // 5 < np.count_nonzero(got) < len(coords)
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"line_step": 0}, "line_step"),
+        ({"line_step": 0.0}, "line_step"),
+        ({"line_step": -0.1}, "line_step"),
+        ({"t_resolution": 0}, "t_resolution"),
+        ({"t_resolution": -3}, "t_resolution"),
+        ({"t_resolution": 0, "method": "deposit"}, "t_resolution"),
+    ],
+)
+def test_xray_rejects_nonpositive_step_and_resolution(kwargs, name):
+    f = random_grid_function(BOX, (8, 8), seed=1)
+    with pytest.raises(ValueError, match=name):
+        xray_transform(f, DirectionSet.uniform_circle(4), **kwargs)
+
+
+def test_xray_none_keeps_the_default_step_and_resolution():
+    f = random_grid_function(BOX, (8, 8), seed=1)
+    dirs = DirectionSet.uniform_circle(4)
+    default = xray_transform(f, dirs)
+    explicit = xray_transform(f, dirs, t_resolution=16, line_step=0.25)
+    assert np.array_equal(xray_transform(f, dirs, t_resolution=None, line_step=None).values, default.values)
+    assert np.array_equal(explicit.values, default.values)
