@@ -348,7 +348,6 @@ def test_kplane_deposit_matches_reference_loop_bitwise():
     assert len(tom.offsets_axes) == 1 and np.array_equal(tom.offsets_axes[0], axis)
 
 
-
 def _reference_sample(f, dirs, t_resolution=None, line_step=None):
     """Sampled x-ray transform written out the long way: the (N, d) line
     points of each offset chunk through scipy's ``map_coordinates`` on the
@@ -397,7 +396,8 @@ def _reference_sample(f, dirs, t_resolution=None, line_step=None):
     [
         (BOX, (24, 24), DirectionSet.uniform_circle(10, offset=0.1), {}),
         (((-2.0, 3.0), (-1.0, 2.0)), (20, 28), DirectionSet.uniform_circle(7), {"t_resolution": 31, "line_step": 0.09}),
-        (BOX, (16, 16), DirectionSet.uniform_circle(4), {}),
+        # radius 5 and step 0.25 put many samples on integer u, u = 0 and u = n + 1 included
+        (((0.0, 3.0), (0.0, 4.0)), (6, 8), DirectionSet.uniform_circle(4), {"t_resolution": 20}),
         (((-2.0, 2.0), (-1.0, 1.5), (-3.0, 1.0)), (10, 8, 12), DirectionSet.fibonacci_sphere(12), {}),
     ],
     ids=["2d-default", "2d-step", "2d-axis-aligned", "3d-box"],
@@ -421,7 +421,7 @@ def test_interp_linear_is_scipy_order_one_bitwise(shape):
     scattered = rng.uniform(-1.5, n + 0.5, size=(4000, len(shape)))  # inside, on the ring and outside
     lattice = rng.integers(-1, padded.shape, size=(500, len(shape))).astype(float)  # integer u
     halves = lattice[:200] + 0.5
-    edges = np.where(rng.random((300, len(shape))) < 0.5, 0.0, n - 1.0)
+    edges = np.where(rng.random((300, len(shape))) < 0.5, 0.0, n - 1.0)  # exactly on u = 0 or n - 1
     edges[:, 0] = rng.uniform(0.0, n[0] - 1.0, size=300)
     coords = np.concatenate([scattered, lattice, halves, edges])
     got = _interp_linear(padded, [c.copy() for c in coords.T])
