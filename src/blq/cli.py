@@ -33,7 +33,9 @@ from .gaussian import (
     perturbation_gap,
     quotient_supremum,
 )
-from .grid import GridFunction, GridSpec, adjoint_margin, gaussian_grid, random_grid_function, rank_one_distance
+from .grid import (
+    GridFunction, GridSpec, adjoint_margin, gaussian_grid, lp_norm, random_grid_function, rank_one_distance
+)
 from .discrete import (
     abls_constant,
     bls_constant,
@@ -82,8 +84,7 @@ def canonical_json(obj) -> str:
             x = float(o)
             if not math.isfinite(x):
                 return json.dumps(str(x))
-            token = format(x, ".12g")
-            return token
+            return format(x, ".12g")
         if isinstance(o, np.ndarray):
             return render(o.tolist())
         return json.dumps(o)
@@ -99,8 +100,7 @@ class RunReport:
     assertions: list
     library_version: str = LIBRARY_VERSION
     wall_time_s: float = 0.0
-    # measured seconds of each runtime gate, by assertion name; volatile, so
-    # kept out of the canonical bytes like wall_time_s
+    # seconds of each runtime gate by assertion name; volatile like wall_time_s
     measured_s: dict = field(default_factory=dict)
 
     @property
@@ -123,6 +123,7 @@ def emit_report(report: RunReport, fmt: str = "json", dest=None) -> str:
     """Serialize a report; canonical JSON or a flat CSV of the assertions."""
     if fmt == "json":
         text = canonical_json(report.to_canonical_dict())
+        _conform("report", json.loads(text))
     elif fmt == "csv":
         lines = ["name,value,tolerance,passed"]
         for a in report.assertions:
@@ -135,23 +136,6 @@ def emit_report(report: RunReport, fmt: str = "json", dest=None) -> str:
     if dest is not None:
         Path(dest).write_bytes(text.encode("utf-8"))
     return text
-
-
-def _assert_entry(name, value, tolerance, passed):
-    return {
-        "name": name,
-        "value": float(value),
-        "tolerance": float(tolerance),
-        "passed": bool(passed),
-    }
-
-
-def _at_most(name, value, bound):
-    return _assert_entry(name, value, bound, value <= bound)
-
-
-def _at_least(name, value, bound):
-    return _assert_entry(name, value, bound, value >= bound)
 
 
 def _datum_from_spec(spec) -> BLDatum:
@@ -168,42 +152,54 @@ def _datum_from_spec(spec) -> BLDatum:
 
 
 def _parse_number(x):
-    if isinstance(x, str):
-        return float(Fraction(x))
-    return float(x)
+    return float(Fraction(x)) if isinstance(x, str) else float(x)
 
 
-def _tolerance(tol_override, default):
-    """The scenario's tolerance unless ``--tol`` gave one; 0 is a valid override."""
-    return _parse_number(default) if tol_override is None else float(tol_override)
+class _Checks:
+    """The assertion entries of one run, in declaration order.
 
+    ``tol`` is the one place ``--tol`` replaces a scenario tolerance (0 is a
+    valid override).  A runtime gate's entry holds its pass flag; the
+    measured seconds are volatile and go to ``measured_s`` instead.
+    """
 
-def _grid_spec(obj, d):
-    from .grid import default_box, default_resolution
+    def __init__(self, tol_override=None):
+        self.tol_override = tol_override
+        self.entries = []
+        self.measured_s = {}
 
-    if obj is None:
-        return GridSpec(box=default_box(d), resolution=default_resolution(d))
-    box = obj.get("box")
-    res = obj.get("resolution")
-    box = tuple((float(a), float(b)) for a, b in box) if box else default_box(d)
-    if res is None:
-        res = default_resolution(d)
-    elif isinstance(res, int):
-        res = (res,) * d
-    else:
-        res = tuple(int(n) for n in res)
-    return GridSpec(box=box, resolution=res)
+    def tol(self, default):
+        return _parse_number(default) if self.tol_override is None else float(self.tol_override)
+
+    def add(self, name, value, tolerance, passed):
+        self.entries.append(
+            {"name": name, "value": float(value), "tolerance": float(tolerance), "passed": bool(passed)}
+        )
+
+    def at_most(self, name, value, bound):
+        self.add(name, value, bound, value <= bound)
+
+    def at_least(self, name, value, bound):
+        self.add(name, value, bound, value >= bound)
+
+    def flag(self, name, ok):
+        self.add(name, float(ok), 1.0, ok)
+
+    def runtime(self, name, seconds, bound):
+        ok = seconds < bound
+        self.add(name, float(ok), bound, ok)
+        self.measured_s[name] = seconds
 
 
 # ---------------------------------------------------------------------------
 # task handlers
 
 
-def _task_gaussian_bl(scn, tol_override):
+def _task_gaussian_bl(scn, checks):
     cases = scn.get("cases")
     if cases is None:
         cases = [dict(datum=scn["datum"], expected=scn.get("expected"), tol=scn.get("tol", 1e-6))]
-    results, assertions = {}, []
+    results = {}
     for i, case in enumerate(cases):
         datum = _datum_from_spec(case["datum"])
         name = case.get("name", f"case{i}")
@@ -218,43 +214,33 @@ def _task_gaussian_bl(scn, tol_override):
             "residual": res.residual,
             "feasibility": report.verdict,
         }
-        tol = _tolerance(tol_override, case.get("tol", 1e-6))
         if case.get("expected") is not None:
             err = abs(res.value - _parse_number(case["expected"]))
-            assertions.append(_at_most(f"{name}: value within tol", err, tol))
-        assertions.append(_assert_entry(f"{name}: converged", float(res.converged), 1.0, res.converged))
+            checks.at_most(f"{name}: value within tol", err, checks.tol(case.get("tol", 1e-6)))
+        checks.flag(f"{name}: converged", res.converged)
         if "max_seconds" in case:
-            # the canonical value is the pass flag; run_scenario moves the
-            # measured seconds to RunReport.measured_s
-            ok = dt < case["max_seconds"]
-            entry = _assert_entry(f"{name}: runtime", float(ok), case["max_seconds"], ok)
-            entry["measured_s"] = dt
-            assertions.append(entry)
-    return {"cases": [c.get("name", f"case{i}") for i, c in enumerate(cases)]}, results, assertions
+            checks.runtime(f"{name}: runtime", dt, case["max_seconds"])
+    return {"cases": [c.get("name", f"case{i}") for i, c in enumerate(cases)]}, results
 
 
-def _task_adjoint_gaussian(scn, tol_override):
+def _task_adjoint_gaussian(scn, checks):
     datum = _datum_from_spec(scn["datum"])
     params = derive_adjoint_exponents(datum.exponents, scn["theta"], _parse_number(scn["p"]))
     res = abl_gaussian_constant(datum, params)
     rel = abs(res.value - res.cross_check) / max(abs(res.cross_check), 1e-300)
-    tol = _tolerance(tol_override, scn.get("rel_tol", 1e-4))
     results = {
         "value": res.value,
         "cross_check": res.cross_check,
         "prefactor": adjoint_gaussian_prefactor(params, datum.dims, datum.ambient_dim),
         "p_i": list(params.p_i),
     }
-    assertions = [
-        _at_most("adjoint constant matches prefactor route", rel, tol),
-        _assert_entry("converged", float(res.converged), 1.0, res.converged),
-    ]
-    return {"theta": list(scn["theta"]), "p": _parse_number(scn["p"])}, results, assertions
+    checks.at_most("adjoint constant matches prefactor route", rel, checks.tol(scn.get("rel_tol", 1e-4)))
+    checks.flag("converged", res.converged)
+    return {"theta": list(scn["theta"]), "p": _parse_number(scn["p"])}, results
 
 
-def _task_identity_ai(scn, tol_override):
-    tol = _tolerance(tol_override, scn.get("tol", 1e-4))
-    results, assertions = {}, []
+def _task_identity_ai(scn, checks):
+    results = {}
     if "datum" in scn:
         data = [("datum", _datum_from_spec(scn["datum"]))]
     else:
@@ -264,24 +250,15 @@ def _task_identity_ai(scn, tol_override):
         res = identity_ai_residual(datum)
         worst = max(worst, res.residual)
         results[label] = {"residual": res.residual, "left_log": res.left_log, "right_log": res.right_log}
-    assertions.append(_at_most("max |log L - log R|", worst, tol))
-    return {"n_data": len(data)}, results, assertions
+    checks.at_most("max |log L - log R|", worst, checks.tol(scn.get("tol", 1e-4)))
+    return {"n_data": len(data)}, results
 
 
-def _random_function_for(datum, spec, rng):
-    d = datum.ambient_dim
-    zero_fraction = 0.3 if rng.uniform() < 0.5 else 0.0
-    return random_grid_function(
-        spec.box, spec.resolution, seed=int(rng.integers(0, 2**31)), zero_fraction=zero_fraction
-    )
-
-
-def _task_adjoint_verify(scn, tol_override):
+def _task_adjoint_verify(scn, checks):
     seed = int(scn["seed"])
-    mode = scn.get("functions", "random")
-    results, assertions = {}, []
-    if mode == "equality-cases":
-        return _equality_cases(scn, seed)
+    if scn.get("functions", "random") == "equality-cases":
+        return _equality_cases(scn, checks, seed)
+    results = {}
     if "datum" in scn:
         data = [("datum", _datum_from_spec(scn["datum"]))]
     else:
@@ -289,7 +266,7 @@ def _task_adjoint_verify(scn, tol_override):
     n_draws = int(scn.get("n_draws", 5))
     n_functions = int(scn.get("n_functions", 200))
     res_table = {2: 64, 3: 24, 4: 10}
-    rel_tol = _tolerance(tol_override, scn.get("rel_tol", 1e-4))
+    grid = scn.get("grid", {})
     worst_rel = 0.0
     min_margin_gap = math.inf
     for t, (label, datum) in enumerate(data):
@@ -305,24 +282,25 @@ def _task_adjoint_verify(scn, tol_override):
             worst = max(worst, abs(res.value - res.cross_check) / abs(res.cross_check))
         worst_rel = max(worst_rel, worst)
         d = datum.ambient_dim
-        spec = _grid_spec(
-            scn.get("grid") or {"box": [[-1, 1]] * d, "resolution": res_table[d]}, d
-        )
+        box = tuple((float(a), float(b)) for a, b in grid.get("box", [[-1, 1]] * d))
+        res = grid.get("resolution", res_table[d])
+        res = (res,) * d if isinstance(res, int) else tuple(int(n) for n in res)
         rng = np.random.default_rng(seed + 1000 + t)
         gap = math.inf
         for j in range(n_functions):
-            f = _random_function_for(datum, spec, rng)
+            zero_fraction = 0.3 if rng.uniform() < 0.5 else 0.0
+            f = random_grid_function(box, res, seed=int(rng.integers(0, 2**31)), zero_fraction=zero_fraction)
             params = draws[j % len(draws)]
             m = adjoint_margin(f, datum, params, bl.value)
             gap = min(gap, m.margin + m.quadrature_estimate)
         min_margin_gap = min(min_margin_gap, gap)
         results[label] = {"cross_check_rel": worst, "min_margin_plus_estimate": gap}
-    assertions.append(_at_most("adjoint constant vs prefactor route (rel)", worst_rel, rel_tol))
-    assertions.append(_at_least("forward inequality margins >= -estimate", min_margin_gap, 0.0))
-    return {"n_data": len(data), "n_draws": n_draws, "n_functions": n_functions}, results, assertions
+    checks.at_most("adjoint constant vs prefactor route (rel)", worst_rel, checks.tol(scn.get("rel_tol", 1e-4)))
+    checks.at_least("forward inequality margins >= -estimate", min_margin_gap, 0.0)
+    return {"n_data": len(data), "n_draws": n_draws, "n_functions": n_functions}, results
 
 
-def _equality_cases(scn, seed):
+def _equality_cases(scn, checks, seed):
     datum = _datum_from_spec(scn.get("datum", "loomis_whitney_2"))
     params = derive_adjoint_exponents(
         datum.exponents, scn.get("theta", [0.5, 0.5]), _parse_number(scn.get("p", "1/2"))
@@ -347,29 +325,24 @@ def _equality_cases(scn, seed):
         m = adjoint_margin(f, datum, params, bl)
         worst_eq = max(worst_eq, abs(m.margin) - m.quadrature_estimate)
         results["product"].append(m.margin)
-        g = f.values * rng.uniform(0.5, 1.5, size=f.values.shape)
-        g = GridFunction(box, res, g)
+        g = GridFunction(box, res, f.values * rng.uniform(0.5, 1.5, size=f.values.shape))
         if rank_one_distance(g) <= 0.1:
             continue
         m2 = adjoint_margin(g, datum, params, bl)
         worst_ratio = min(worst_ratio, m2.margin / (3.0 * m2.quadrature_estimate))
         results["nonproduct"].append(m2.margin)
-    assertions = [
-        _at_most("product indicators: |margin| <= estimate", worst_eq, 0.0),
-        _at_least("non-product: margin >= 3x estimate", worst_ratio, 1.0),
-    ]
-    return {"n_functions": n}, results, assertions
+    checks.at_most("product indicators: |margin| <= estimate", worst_eq, 0.0)
+    checks.at_least("non-product: margin >= 3x estimate", worst_ratio, 1.0)
+    return {"n_functions": n}, results
 
 
-def _task_discrete(scn, tol_override):
+def _task_discrete(scn, checks):
     seed = int(scn["seed"])
-    tol = _tolerance(tol_override, scn.get("tol", 1e-12))
     n_functions = int(scn.get("n_functions", 1000))
-    results, assertions = {}, []
+    results = {}
     if "group" in scn:
         group, maps = group_from_json({**scn["group"], "maps": scn["maps"]})
-        c = [Fraction(str(x)) for x in scn["c"]]
-        instances = [("scenario", maps, tuple(c))]
+        instances = [("scenario", maps, tuple(Fraction(str(x)) for x in scn["c"]))]
     else:
         instances = catalog.discrete_instances(int(scn.get("max_order", 256)))
     ps = [Fraction(str(x)) for x in scn.get("p_values", ["1/2", "1/3", "3/4"])]
@@ -404,45 +377,38 @@ def _task_discrete(scn, tol_override):
             m = discrete_adjoint_margin(f, maps, params, blv)
             worst_margin = min(worst_margin, m.margin)
         results[name] = inst
-    assertions.append(_at_most("ABLs = BLs^{1/p-1} (rel)", worst_cons, tol))
-    assertions.append(_assert_entry("discrete margins >= -1e-12", worst_margin, 1e-12, worst_margin >= -1e-12))
-    return {"n_instances": len(instances), "n_functions": n_functions}, results, assertions
+    checks.at_most("ABLs = BLs^{1/p-1} (rel)", worst_cons, checks.tol(scn.get("tol", 1e-12)))
+    checks.add("discrete margins >= -1e-12", worst_margin, 1e-12, worst_margin >= -1e-12)
+    return {"n_instances": len(instances), "n_functions": n_functions}, results
 
 
-def _task_tomography(scn, tol_override):
-    check = scn.get("check", "lower-bound-suite")
-    seed = int(scn.get("seed", 0))
-    if check == "gamma-constant":
-        return _tomography_gamma(scn, tol_override, seed)
-    if check == "restricted":
-        return _tomography_restricted(scn, seed)
-    return _tomography_suite(scn, tol_override, seed)
+def _task_tomography(scn, checks):
+    variants = {"gamma-constant": _tomography_gamma, "restricted": _tomography_restricted}
+    handler = variants.get(scn.get("check"), _tomography_suite)  # default: lower-bound-suite
+    return handler(scn, checks, int(scn.get("seed", 0)))
 
 
-def _tomography_gamma(scn, tol_override, seed):
-    import scipy.integrate as si
+def _tomography_gamma(scn, checks, seed):
+    import scipy.integrate as si  # imported on first use: it is slow to import
 
-    results, assertions = {}, []
-    qs = [round(0.1 * i, 10) for i in range(1, 10)]
     worst = 0.0
-    for q in qs:
+    for q in [round(0.1 * i, 10) for i in range(1, 10)]:
         target = si.quad(lambda t: math.sin(t) ** (1.0 - q) / math.pi, 0.0, math.pi)[0]
         worst = max(worst, abs(wedge_moment(2, q) - target))
-    results["sin_moment_max_err"] = worst
-    assertions.append(_at_most("d=2 sin-moment identity", worst, 1e-10))
+    results = {"sin_moment_max_err": worst}
+    checks.at_most("d=2 sin-moment identity", worst, 1e-10)
     n_mc = int(scn.get("n_mc", 10**6))
-    rel_tol = _tolerance(tol_override, scn.get("rel_tol", 0.02))
     p, q = _parse_number(scn.get("p", 2.0)), _parse_number(scn.get("q", 0.5))
     for d in (2, 3):
         c_exact = xx_gamma_constant(d, p, q)
         mc = xx_constant_via_mc(d, p, q, n_mc, seed + d)
         rel = abs(c_exact - mc.value) / c_exact
         results[f"d{d}"] = {"gamma": c_exact, "mc": mc.value, "mc_stderr": mc.stderr, "rel": rel}
-        assertions.append(_at_most(f"d={d} Gamma vs MC (rel)", rel, rel_tol))
-    return {"n_mc": n_mc, "p": p, "q": q}, results, assertions
+        checks.at_most(f"d={d} Gamma vs MC (rel)", rel, checks.tol(scn.get("rel_tol", 0.02)))
+    return {"n_mc": n_mc, "p": p, "q": q}, results
 
 
-def _tomography_restricted(scn, seed):
+def _tomography_restricted(scn, checks, seed):
     d = int(scn.get("d", 3))
     p = _parse_number(scn.get("p", 0.5))
     q = scaling_exponent_q(p, d)
@@ -456,19 +422,16 @@ def _tomography_restricted(scn, seed):
         raise SchemaError("mu must be 'great-circle' or 'uniform'")
     est = restricted_xray_constant(mu, p, q, d, n_mc, seed)
     results = {"value": est.value, "stderr": est.stderr, "n": est.n_samples}
-    assertions = []
     if "expected_below" in scn:
         bound = _parse_number(scn["expected_below"])
-        assertions.append(_assert_entry("constant below bound", est.value, bound, est.value < bound))
-    return {"mu": mu_kind, "p": p, "q": q, "d": d}, results, assertions
+        checks.add("constant below bound", est.value, bound, est.value < bound)
+    return {"mu": mu_kind, "p": p, "q": q, "d": d}, results
 
 
-def _tomography_suite(scn, tol_override, seed):
-    results, assertions = {}, []
+def _tomography_suite(scn, checks, seed):
     n_functions = int(scn.get("n_functions", 100))
     n_dirs = int(scn.get("n_dirs", 120))
     res = int(scn.get("resolution", 96))
-    l1_tol = _tolerance(tol_override, scn.get("l1_tol", 1e-3))
     box = ((-4.0, 4.0), (-4.0, 4.0))
     dirs = DirectionSet.uniform_circle(n_dirs)
     half = DirectionSet.from_vectors(dirs.vectors[::2])
@@ -485,14 +448,11 @@ def _tomography_suite(scn, tol_override, seed):
             q = scaling_exponent_q(p, 2)
             m = lower_bound_margin_from_tomograms(tom, tom_half, f, p, q)
             min_gap = min(min_gap, m.margin + m.quadrature_estimate)
-    results["l1_worst_dev"] = worst_l1
-    results["min_margin_plus_estimate"] = min_gap
-    assertions.append(_at_most("||Xf||_1/||f||_1 = 1 (dev)", worst_l1, l1_tol))
-    assertions.append(_at_least("lower-bound margins", min_gap, 0.0))
+    results = {"l1_worst_dev": worst_l1, "min_margin_plus_estimate": min_gap}
+    checks.at_most("||Xf||_1/||f||_1 = 1 (dev)", worst_l1, checks.tol(scn.get("l1_tol", 1e-3)))
+    checks.at_least("lower-bound margins", min_gap, 0.0)
     # monotonicity chain in dimension 3
     n3 = int(scn.get("n_samples_3d", 3))
-    from .grid import lp_norm
-
     worst_chain = math.inf
     for t in range(n3):
         f3 = random_grid_function(((-2.0, 2.0),) * 3, (32,) * 3, seed=seed + 7 * t, smooth=1)
@@ -504,21 +464,21 @@ def _tomography_suite(scn, tol_override, seed):
         n2 = t2.lq(scaling_exponent_q(p, 3, 2))
         worst_chain = min(worst_chain, n1 - n0, n2 - n1)
     results["monotonicity_min_increment"] = worst_chain
-    assertions.append(_at_least("k-plane norm monotonicity", worst_chain, 0.0))
+    checks.at_least("k-plane norm monotonicity", worst_chain, 0.0)
     gc = DirectionSet.great_circle(128)
     p = 0.5
     est = restricted_xray_constant(gc, p, scaling_exponent_q(p, 3), 3, int(scn.get("n_mc", 10**5)), seed)
     results["great_circle_constant"] = est.value
-    assertions.append(_assert_entry("great-circle constant < 1e-3", est.value, 1e-3, est.value < 1e-3))
-    return {"n_functions": n_functions, "n_dirs": n_dirs, "resolution": res}, results, assertions
+    checks.add("great-circle constant < 1e-3", est.value, 1e-3, est.value < 1e-3)
+    return {"n_functions": n_functions, "n_dirs": n_dirs, "resolution": res}, results
 
 
-def _task_gowers(scn, tol_override):
+def _task_gowers(scn, checks):
     seed = int(scn["seed"])
     n = int(scn.get("N", 64))
     d = int(scn.get("d", 2))
     n_functions = int(scn.get("n_functions", 200))
-    tol = _tolerance(tol_override, scn.get("tol", 1e-12))
+    tol = checks.tol(scn.get("tol", 1e-12))
     rng = np.random.default_rng(seed)
     worst = math.inf
     for _ in range(n_functions):
@@ -528,10 +488,8 @@ def _task_gowers(scn, tol_override):
         worst = min(worst, gowers_logconvexity_margin(f, d))
     const_margin = abs(gowers_logconvexity_margin(np.ones(n), d))
     results = {"min_margin": worst, "constant_margin": const_margin}
-    assertions = [
-        _assert_entry("log-convexity margins >= -1e-12", worst, tol, worst >= -tol),
-        _at_most("equality at constant functions", const_margin, 1e-12),
-    ]
+    checks.add("log-convexity margins >= -1e-12", worst, tol, worst >= -tol)
+    checks.at_most("equality at constant functions", const_margin, 1e-12)
     n_sets = int(scn.get("n_sets", 20))
     n_small = int(scn.get("N_sets", 32))
     worst_pp = math.inf
@@ -545,45 +503,37 @@ def _task_gowers(scn, tol_override):
         delta = s2 / size**3
         worst_pp = min(worst_pp, s3 - delta**4 * size**4)
     results["parallelepiped_slack"] = worst_pp
-    assertions.append(_at_least("parallelepiped count >= delta^4 |A|^4", worst_pp, 0.0))
+    checks.at_least("parallelepiped count >= delta^4 |A|^4", worst_pp, 0.0)
     if scn.get("profile_csv"):
         f = rng.uniform(0.0, 1.0, size=n)
         gowers_profile(f, 3).to_csv(scn["profile_csv"])
-    return {"N": n, "d": d, "n_functions": n_functions}, results, assertions
+    return {"N": n, "d": d, "n_functions": n_functions}, results
 
 
-def _task_entropy(scn, tol_override):
-    seed = int(scn.get("seed", 0))
-    tol = _tolerance(tol_override, scn.get("tol", 1e-3))
+def _task_entropy(scn, checks):
+    tol = checks.tol(scn.get("tol", 1e-3))
     datum = _datum_from_spec(scn.get("datum", "loomis_whitney_2"))
     bl = bl_gaussian_constant(datum).value
     d = datum.ambient_dim
     res = int(scn.get("resolution", 256))
-    box = ((-8.0, 8.0),) * d
-    rng = np.random.default_rng(seed)
+    grid = (((-8.0, 8.0),) * d, (res,) * d)
+    product = gaussian_grid(np.eye(d), *grid)
     densities = {
-        "product_gaussian": gaussian_grid(np.eye(d), box, (res,) * d),
-        "correlated_gaussian": gaussian_grid(
-            np.linalg.inv(np.eye(d) + 0.5 * (np.ones((d, d)) - np.eye(d))) , box, (res,) * d
-        ),
-        "indicator": GridFunction.indicator_box(((0.0, 2.0),) * d, box, (res,) * d),
-        "mixture": GridFunction(
-            box,
-            (res,) * d,
-            gaussian_grid(np.eye(d), box, (res,) * d).values
-            + 0.5 * gaussian_grid(2.0 * np.eye(d), box, (res,) * d).values,
-        ),
+        "product_gaussian": product,
+        "correlated_gaussian": gaussian_grid(np.linalg.inv(np.eye(d) + 0.5 * (np.ones((d, d)) - np.eye(d))), *grid),
+        "indicator": GridFunction.indicator_box(((0.0, 2.0),) * d, *grid),
+        "mixture": GridFunction(*grid, product.values + 0.5 * gaussian_grid(2.0 * np.eye(d), *grid).values),
     }
-    results, assertions = {}, []
+    results = {}
     worst = math.inf
     for name, f in densities.items():
         m = entropic_bl_margin(f, datum, bl)
         results[name] = {"shannon_margin": m}
         worst = min(worst, m)
-    assertions.append(_assert_entry("entropic margins >= -tol", worst, tol, worst >= -tol))
+    checks.add("entropic margins >= -tol", worst, tol, worst >= -tol)
     theta = [1.0 / datum.k] * datum.k
     f = densities["correlated_gaussian"]
-    m_sh = entropic_bl_margin(f, datum, bl)
+    m_sh = results["correlated_gaussian"]["shannon_margin"]
     slopes = []
     for eps in (1e-2, 1e-3):
         params = derive_adjoint_exponents(datum.exponents, theta, 1.0 - eps)
@@ -591,27 +541,24 @@ def _task_entropy(scn, tol_override):
         slopes.append((m_p - m_sh) / eps)
     results["renyi_slopes"] = slopes
     slope_consistency = abs(slopes[0] - slopes[1]) / max(1e-12, abs(slopes[1]))
-    assertions.append(_at_most("Renyi->Shannon slope consistency", slope_consistency, 0.5))
+    checks.at_most("Renyi->Shannon slope consistency", slope_consistency, 0.5)
     fd = power_curvature_fd(Fraction(1, 4))
     err = abs(fd - power_curvature_exact(Fraction(1, 4)))
     results["curvature_fd"] = fd
-    assertions.append(_at_most("curvature counterexample to 1e-12", err, 1e-12))
-    probe = p_entropy_probe(
-        GridFunction.indicator_box(((0.0, 1.5),) * d, box, (res,) * d), 0.5, datum, bl_value=bl
-    )
+    checks.at_most("curvature counterexample to 1e-12", err, 1e-12)
+    probe = p_entropy_probe(GridFunction.indicator_box(((0.0, 1.5),) * d, *grid), 0.5, datum, bl_value=bl)
     results["indicator_probe"] = probe
-    assertions.append(_at_most("indicator probe <= tol", probe, tol))
-    return {"resolution": res, "tol": tol}, results, assertions
+    checks.at_most("indicator probe <= tol", probe, tol)
+    return {"resolution": res, "tol": tol}, results
 
 
-def _task_perturbation(scn, tol_override):
+def _task_perturbation(scn, checks):
     datum = _datum_from_spec(scn.get("datum", "loomis_whitney_2"))
     theta = scn.get("theta", [0.9, 0.1])
     p = _parse_number(scn.get("p", "1/2"))
     params = derive_adjoint_exponents(datum.exponents, theta, p)
     d = datum.ambient_dim
     resolutions = scn.get("resolutions", [512, 1024])
-    stability_tol = _tolerance(tol_override, scn.get("stability_tol", 0.05))
     coeffs = []
     for n in resolutions:
         spec = GridSpec(box=((-8.0, 8.0),) * d, resolution=(int(n),) * d)
@@ -623,11 +570,9 @@ def _task_perturbation(scn, tol_override):
         "radius": coeffs[-1].radius,
         "direct_ratio_delta": coeffs[-1].direct_ratio_delta,
     }
-    assertions = [
-        _assert_entry("first-order coefficient > 0", coeffs[-1].coefficient, 0.0, coeffs[-1].coefficient > 0),
-        _at_most("stability across resolutions", stability, stability_tol),
-    ]
-    return {"theta": theta, "p": p, "resolutions": resolutions}, results, assertions
+    checks.add("first-order coefficient > 0", coeffs[-1].coefficient, 0.0, coeffs[-1].coefficient > 0)
+    checks.at_most("stability across resolutions", stability, checks.tol(scn.get("stability_tol", 0.05)))
+    return {"theta": theta, "p": p, "resolutions": resolutions}, results
 
 
 _HANDLERS = {
@@ -646,32 +591,35 @@ _HANDLERS = {
 def validate_scenario(scn):
     if not isinstance(scn, dict):
         raise SchemaError("scenario must be a JSON object")
-    import jsonschema  # imported on first use: it is slow to import
-
-    try:
-        error = jsonschema.exceptions.best_match(_scenario_validator().iter_errors(scn))
-    except Exception as exc:
-        raise SchemaError(f"scenario violates the schema: {exc}") from exc
-    if error is not None:
-        raise SchemaError(f"scenario violates the schema at {error.json_path}: {error.message}") from error
-    task = scn.get("task")
-    if task not in _HANDLERS:
-        raise SchemaError(f"unknown task {task!r}; options: {tuple(_HANDLERS)}")
+    _conform("scenario", scn)
+    task = scn["task"]  # the schema's task enum is the handler registry
     if task in _STOCHASTIC_TASKS and "seed" not in scn:
         raise SchemaError(f"task {task!r} is stochastic: a seed is mandatory")
     return scn
 
 
+def _conform(name, instance):
+    """Raise a one-line SchemaError unless ``instance`` matches schema ``name``."""
+    import jsonschema  # imported on first use: it is slow to import
+
+    try:
+        error = jsonschema.exceptions.best_match(_validator(name).iter_errors(instance))
+    except Exception as exc:
+        raise SchemaError(f"{name} violates the schema: {exc}") from exc
+    if error is not None:
+        raise SchemaError(f"{name} violates the schema at {error.json_path}: {error.message}") from error
+
+
 @functools.cache
-def _scenario_validator():
-    """The scenario schema's validator, checked and built on first use.
+def _validator(name):
+    """The validator of schema ``name``, checked and built on first use.
 
     Same checks and error as ``jsonschema.validate``, which re-checks the
     schema itself on every call.
     """
     import jsonschema
 
-    schema = _load_schema("scenario")
+    schema = _load_schema(name)
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
     return cls(schema)
@@ -697,26 +645,26 @@ def run_scenario(scenario, seed_override=None, tol_override=None) -> RunReport:
     if seed_override is not None:
         scn["seed"] = int(seed_override)
     t0 = time.perf_counter()
-    inputs_echo = {k: v for k, v in scn.items()}
+    inputs_echo = dict(scn)
+    checks = _Checks(tol_override)
     try:
-        extra_inputs, results, assertions = _HANDLERS[scn["task"]](scn, tol_override)
+        extra_inputs, results = _HANDLERS[scn["task"]](scn, checks)
         inputs_echo.update(extra_inputs)
-        measured = {a["name"]: a.pop("measured_s") for a in assertions if "measured_s" in a}
     except SchemaError:
         raise
     except Exception as exc:
         # engine errors surface in the report with task context; the partial
         # report is still written and the run exits non-zero
         results = {"error": f"{type(exc).__name__}: {exc}"}
-        assertions = [_assert_entry("task completed", 0.0, 1.0, False)]
-        measured = {}
+        checks = _Checks()
+        checks.flag("task completed", False)
     return RunReport(
         task=scn["task"],
         inputs=inputs_echo,
         results=results,
-        assertions=assertions,
+        assertions=checks.entries,
         wall_time_s=time.perf_counter() - t0,
-        measured_s=measured,
+        measured_s=checks.measured_s,
     )
 
 

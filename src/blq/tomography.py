@@ -193,6 +193,13 @@ def _orthonormal_complement(omega):
     raise ValueError("line transforms are implemented for d <= 3")
 
 
+def _offset_count(t_resolution, default):
+    """``t_resolution`` offsets per axis, at least 1; ``default`` when it is None."""
+    if t_resolution is not None and not t_resolution >= 1:
+        raise ValueError(f"t_resolution must be at least 1, got {t_resolution!r}")
+    return default if t_resolution is None else t_resolution
+
+
 def _offset_grid(f: GridFunction, n_v, m):
     """Radius, cell and axes of the centered m-dimensional offset grid; the
     radius is that of the smallest origin-centred ball holding f's box."""
@@ -263,9 +270,7 @@ def xray_transform(
         raise ValueError("direction dimension does not match the grid")
     if line_step is not None and not line_step > 0:
         raise ValueError(f"line_step must be positive, got {line_step!r}")
-    if t_resolution is not None and not t_resolution >= 1:
-        raise ValueError(f"t_resolution must be at least 1, got {t_resolution!r}")
-    n_v = t_resolution or (2 * max(f.resolution) if (d == 2 or method == "deposit") else max(f.resolution))
+    n_v = _offset_count(t_resolution, 2 * max(f.resolution) if (d == 2 or method == "deposit") else max(f.resolution))
     radius, cell, offsets_axes = _offset_grid(f, n_v, d - 1)
     frames = np.stack([_orthonormal_complement(omega) for omega in dirs.vectors])
     if method == "deposit":
@@ -353,7 +358,7 @@ def kplane_transform(
         dirs = DirectionSet.from_vectors(np.stack([q[:, 0] for q in frames]))
         return xray_transform(f, dirs, t_resolution=t_resolution)
     # k = d-1 = 2, d = 3: bin mass onto the normal coordinate
-    n_v = t_resolution or 2 * max(f.resolution)
+    n_v = _offset_count(t_resolution, 2 * max(f.resolution))
     _, cell, offsets_axes = _offset_grid(f, n_v, 1)
     normals = np.zeros((len(frames), d))
     for i, q in enumerate(frames):

@@ -9,6 +9,7 @@ import pytest
 
 from blq.cli import (
     _HANDLERS,
+    RunReport,
     _load_schema,
     canonical_json,
     emit_report,
@@ -118,11 +119,52 @@ def test_seed_mandatory_for_stochastic_tasks():
         {"task": "gowers", "seed": 1, "n_function": 5},
         {"task": "entropy", "seed": 1, "datum": {"preset": "loomis_whitney_2", "conjugate_sed": 3}},
         {"task": "gaussian-bl", "cases": [{"name": "young", "datum": "young", "expect": 0.5}]},
+        {"task": "adjoint-verify", "seed": 1, "grid": {"resolutoin": 8}},
+        {"task": "discrete", "seed": 1, "group": {"factor": [4, 4]}},
     ],
 )
 def test_misspelt_scenario_keys_rejected(scenario):
     with pytest.raises(SchemaError, match="Additional properties"):
         validate_scenario(scenario)
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        {"task": "perturbation", "resolution": 64},
+        {"task": "gowers", "seed": 1, "n_dirs": 5},
+    ],
+)
+def test_keys_of_another_task_rejected(scenario):
+    with pytest.raises(SchemaError, match="is not one of") as err:
+        validate_scenario(scenario)
+    assert "\n" not in str(err.value)
+
+
+def test_every_task_has_one_key_set_of_known_keys():
+    schema = _load_schema("scenario")
+    rules = schema["allOf"]
+    assert [rule["if"]["properties"]["task"]["const"] for rule in rules] == list(_HANDLERS)
+    for rule in rules:
+        keys = rule["then"]["propertyNames"]["enum"]
+        assert {"task", "seed"} <= set(keys) <= set(schema["properties"])
+
+
+def test_partial_grid_falls_back_to_the_task_grid(monkeypatch):
+    import blq.cli
+    import blq.grid
+
+    seen = []
+
+    def recording(box, resolution, **kwargs):
+        seen.append((box, resolution))
+        return blq.grid.random_grid_function(box, resolution, **kwargs)
+
+    monkeypatch.setattr(blq.cli, "random_grid_function", recording)
+    scenario = {"task": "adjoint-verify", "seed": 3, "datum": "loomis_whitney_2", "n_draws": 1, "n_functions": 1}
+    run_scenario({**scenario, "grid": {"resolution": 8}})
+    run_scenario({**scenario, "grid": {"box": [[-2, 2], [-1, 3]]}})
+    assert seen == [(((-1.0, 1.0), (-1.0, 1.0)), (8, 8)), (((-2.0, 2.0), (-1.0, 3.0)), (64, 64))]
 
 
 def test_malformed_json_is_schema_error(tmp_path):
@@ -147,6 +189,23 @@ def test_report_validates_against_shipped_schema():
     with res.files("blq.schemas").joinpath("report.schema.json").open() as fh:
         schema = json.load(fh)
     jsonschema.validate(payload, schema)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_non_finite_values_match_the_report_schema(seed):
+    # with one set of two elements every set is skipped: the slack stays inf
+    report = run_scenario({"task": "gowers", "seed": seed, "N": 16, "n_functions": 2, "n_sets": 1, "N_sets": 2})
+    text = emit_report(report)
+    assert '"value":"inf"' in text
+    jsonschema.validate(json.loads(text), _load_schema("report"))
+
+
+def test_emit_report_rejects_a_report_the_schema_rejects():
+    entry = {"name": "margin", "value": "large", "tolerance": 1.0, "passed": True}
+    report = RunReport(task="gowers", inputs={}, results={}, assertions=[entry])
+    with pytest.raises(SchemaError, match=r"at \$\.assertions\[0\]\.value") as err:
+        emit_report(report)
+    assert "\n" not in str(err.value)
 
 
 def test_csv_report_format():

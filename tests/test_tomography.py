@@ -454,3 +454,17 @@ def test_xray_none_keeps_the_default_step_and_resolution():
     explicit = xray_transform(f, dirs, t_resolution=16, line_step=0.25)
     assert np.array_equal(xray_transform(f, dirs, t_resolution=None, line_step=None).values, default.values)
     assert np.array_equal(explicit.values, default.values)
+
+
+@pytest.mark.parametrize("t_resolution", [0, -2])
+def test_kplane_rejects_nonpositive_resolution(t_resolution):
+    f = random_grid_function(((-1.0, 1.0),) * 3, (8, 8, 8), seed=2)
+    with pytest.raises(ValueError, match="t_resolution"):
+        kplane_transform(f, 2, 4, t_resolution=t_resolution)
+
+
+def test_kplane_none_keeps_the_default_resolution():
+    f = random_grid_function(((-1.0, 1.0),) * 3, (8, 8, 8), seed=2)
+    default = kplane_transform(f, 2, 4, seed=1)
+    assert default.values.shape == (4, 16)
+    assert np.array_equal(kplane_transform(f, 2, 4, seed=1, t_resolution=16).values, default.values)
