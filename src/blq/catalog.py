@@ -105,14 +105,11 @@ def _well_conditioned(rng, n, lo=0.7, hi=1.4):
     return u @ np.diag(s) @ vt
 
 
-def conjugate_datum(datum: BLDatum, seed, ambient=True, targets=True) -> BLDatum:
+def conjugate_datum(datum: BLDatum, seed) -> BLDatum:
     """Replace B_i by U_i B_i T for seeded well-conditioned T, U_i."""
     rng = np.random.default_rng(seed)
-    T = _well_conditioned(rng, datum.ambient_dim) if ambient else np.eye(datum.ambient_dim)
-    maps = []
-    for b in datum.maps:
-        u = _well_conditioned(rng, b.shape[0]) if targets else np.eye(b.shape[0])
-        maps.append(u @ b @ T)
+    T = _well_conditioned(rng, datum.ambient_dim)
+    maps = [_well_conditioned(rng, b.shape[0]) @ b @ T for b in datum.maps]
     return BLDatum(
         maps=tuple(maps),
         exponents=datum.exponents,
@@ -143,14 +140,15 @@ def seeded_feasible_data(n=20, seed0=2024):
     return out
 
 
-def random_adjoint_draws(datum: BLDatum, seed, n=5, p_range=(0.35, 0.9), theta_floor=0.12):
-    """Seeded forward-mode (theta, p) draws with theta bounded away from 0."""
+def random_adjoint_draws(datum: BLDatum, seed, n=5):
+    """Seeded forward-mode (theta, p) draws, p in [0.35, 0.9), with theta
+    bounded away from 0 (normalized weights drawn from [0.12, 1))."""
     rng = np.random.default_rng(seed)
     draws = []
     for _ in range(n):
-        raw = rng.uniform(theta_floor, 1.0, size=datum.k)
+        raw = rng.uniform(0.12, 1.0, size=datum.k)
         theta = raw / raw.sum()
-        p = float(rng.uniform(*p_range))
+        p = float(rng.uniform(0.35, 0.9))
         draws.append(derive_adjoint_exponents(datum.exponents, theta, p))
     return draws
 

@@ -64,7 +64,7 @@ try:
 except Exception:  # pragma: no cover
     LIBRARY_VERSION = "0.1.0"
 
-_STOCHASTIC_TASKS = {"adjoint-verify", "discrete", "tomography", "gowers", "entropy"}
+_STOCHASTIC_TASKS = {"adjoint-verify", "discrete", "tomography", "gowers"}
 
 
 def canonical_json(obj) -> str:
@@ -385,7 +385,7 @@ def _task_discrete(scn, checks):
 def _task_tomography(scn, checks):
     variants = {"gamma-constant": _tomography_gamma, "restricted": _tomography_restricted}
     handler = variants.get(scn.get("check"), _tomography_suite)  # default: lower-bound-suite
-    return handler(scn, checks, int(scn.get("seed", 0)))
+    return handler(scn, checks, int(scn["seed"]))
 
 
 def _tomography_gamma(scn, checks, seed):
@@ -503,7 +503,8 @@ def _task_gowers(scn, checks):
         delta = s2 / size**3
         worst_pp = min(worst_pp, s3 - delta**4 * size**4)
     results["parallelepiped_slack"] = worst_pp
-    checks.at_least("parallelepiped count >= delta^4 |A|^4", worst_pp, 0.0)
+    # an infinite slack means no set had two elements: nothing was checked
+    checks.add("parallelepiped count >= delta^4 |A|^4", worst_pp, 0.0, 0.0 <= worst_pp < math.inf)
     if scn.get("profile_csv"):
         f = rng.uniform(0.0, 1.0, size=n)
         gowers_profile(f, 3).to_csv(scn["profile_csv"])

@@ -100,6 +100,13 @@ class BLDatum:
             )
         return self.ambient_dim - sum(c * di for c, di in zip(self.exponents, self.dims))
 
+    def satisfies_scaling(self):
+        """d = sum(c_i d_i): exactly for rational exponents, to SCALING_TOL otherwise."""
+        defect = self.scaling_defect()
+        if isinstance(defect, Fraction):
+            return defect == 0
+        return abs(defect) <= SCALING_TOL
+
     def to_json_dict(self):
         c = (
             [str(c) for c in self.exact_exponents]
@@ -222,11 +229,7 @@ def validate_datum(datum: BLDatum, n_random: int = 20, seed: int = 0) -> Feasibi
     dim(V) <= sum(c_i dim(B_i V)) is sampled, not decided, so the positive
     verdict is reported as "feasible(heuristic)".
     """
-    defect = datum.scaling_defect()
-    if isinstance(defect, Fraction):
-        scaling_ok = defect == 0
-    else:
-        scaling_ok = abs(defect) <= SCALING_TOL
+    scaling_ok = datum.satisfies_scaling()
     checks = []
     all_pass = True
     for label, basis in _subspace_family(datum, n_random, seed):

@@ -33,6 +33,15 @@ from .grid import GridFunction, GridSpec, default_box, default_resolution, grid_
 
 OVERFLOW_GUARD = 1e100
 _LOG_OVERFLOW = math.log(OVERFLOW_GUARD)
+# tuple side: relative step of the fixed point that counts as converged
+FIXED_POINT_TOL = 1e-10
+FIXED_POINT_MAX_ITER = 10_000
+# quotient side: gradient norm, relative to 1 + |log value|, that counts as converged
+ASCENT_GTOL = 1e-9
+ASCENT_MAX_ITER = 20_000
+_ARMIJO = 1e-4
+# largest quadrature self-estimate of perturbation_gap, relative to its coefficient
+MAX_SELF_ESTIMATE = 0.1
 
 
 @dataclass(frozen=True)
@@ -43,12 +52,12 @@ class SpdMatrix:
     chol: np.ndarray
 
     @classmethod
-    def from_matrix(cls, m, sym_tol=1e-12):
+    def from_matrix(cls, m):
         m = np.array(m, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("need a square matrix")
         scale = max(1.0, float(np.abs(m).max()))
-        if np.abs(m - m.T).max() > sym_tol * scale:
+        if np.abs(m - m.T).max() > 1e-12 * scale:
             raise ValueError("matrix is not symmetric to tolerance")
         m = 0.5 * (m + m.T)
         try:
@@ -162,89 +171,55 @@ def _fixed_point_map(datum, A_list):
     return 0.5 * (M + M.T)
 
 
-def bl_gaussian_constant(
-    datum: BLDatum,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
-    use_fixed_point: bool = True,
-    ascent_iters: int = 20_000,
-) -> GaussianOptResult:
+def bl_gaussian_constant(datum: BLDatum) -> GaussianOptResult:
     """Gaussian Brascamp-Lieb constant by stationarity fixed-point iteration.
 
     Iterates A_i := (B_i A^{-1} B_i^T)^{-1}, A := sum c_i B_i^T A_i B_i from
     the tuple seed A_i = I, with a 0.5 damping step whenever the objective
-    decreases.  Falls back to damped gradient ascent on the log objective
-    (Cholesky-parametrized iterates) if the fixed point stalls.  Values that
-    cross the overflow guard are reported as a divergence signal rather than
-    raised, since they indicate an infinite constant.
+    decreases.  A fixed point that stalls is reported as not converged.
+    Values that cross the overflow guard are reported as a divergence signal
+    rather than raised, since they indicate an infinite constant.
     """
     d = datum.ambient_dim
     A_list = [np.eye(di) for di in datum.dims]
-    lv, A = _tuple_log_value(datum, A_list)
+    _, A = _tuple_log_value(datum, A_list)
     A *= d / np.trace(A)
     last_lv = -math.inf
     residual = math.inf
     diverged = False
-    it = 0
-    if use_fixed_point:
-        for it in range(1, max_iter + 1):
-            try:
-                A_list = _derived_tuple(datum, A)
-                lv, A_prop = _tuple_log_value(datum, A_list)
-            except (np.linalg.LinAlgError, ValueError):
-                # singular or non-finite iterate: empirical infeasibility
-                diverged = True
+    for it in range(1, FIXED_POINT_MAX_ITER + 1):
+        try:
+            A_list = _derived_tuple(datum, A)
+            lv, A_prop = _tuple_log_value(datum, A_list)
+        except (np.linalg.LinAlgError, ValueError):
+            # singular or non-finite iterate: empirical infeasibility
+            diverged = True
+            lv = last_lv
+            break
+        if lv > _LOG_OVERFLOW or not math.isfinite(lv):
+            diverged = True
+            if not math.isfinite(lv):
                 lv = last_lv
-                break
-            if lv > _LOG_OVERFLOW or not math.isfinite(lv):
-                diverged = True
-                if not math.isfinite(lv):
-                    lv = last_lv
-                break
-            residual = float(
-                np.linalg.norm(A_prop - A) / max(np.linalg.norm(A), 1e-300)
-            )
-            if residual < tol:
-                last_lv = lv
-                break
-            if lv < last_lv - 1e-15:
-                A_prop = 0.5 * (A + A_prop)
-            last_lv = lv
-            A = A_prop * (d / np.trace(A_prop))
-    converged = residual < tol and not diverged
-    if not converged and not diverged:
-        A_list, lv, asc_conv, gnorm, extra = _ascent_spd_blocks(
-            lambda blocks: _bl_tuple_value_grad(datum, blocks),
-            A_list,
-            max_iter=ascent_iters,
-        )
-        it += extra
-        M = _fixed_point_map(datum, A_list)
+            break
         residual = float(
-            np.linalg.norm(_fixed_point_map(datum, _derived_tuple(datum, M)) - M)
-            / max(np.linalg.norm(M), 1e-300)
+            np.linalg.norm(A_prop - A) / max(np.linalg.norm(A), 1e-300)
         )
-        converged = asc_conv and residual < max(tol, 1e-8)
+        if residual < FIXED_POINT_TOL:
+            break
+        if lv < last_lv - 1e-15:
+            A_prop = 0.5 * (A + A_prop)
+        last_lv = lv
+        A = A_prop * (d / np.trace(A_prop))
     value = math.inf if lv > 700 else math.exp(lv)
     argmax = tuple(SpdMatrix.from_matrix(a) for a in A_list) if not diverged else None
     return GaussianOptResult(
         value=value,
         argmax=argmax,
         iterations=it,
-        converged=bool(converged),
-        residual=float(residual),
+        converged=residual < FIXED_POINT_TOL and not diverged,
+        residual=residual,
         diverged=diverged,
     )
-
-
-def _bl_tuple_value_grad(datum, A_list):
-    lv, M = _tuple_log_value(datum, A_list)
-    cho = cho_factor(M, lower=True)
-    grads = []
-    for c, b, a in zip(datum.exponents, datum.maps, A_list):
-        g = 0.5 * c * (np.linalg.inv(a) - b @ cho_solve(cho, b.T))
-        grads.append(0.5 * (g + g.T))
-    return lv, grads
 
 
 def quotient_log_objective(datum: BLDatum, S) -> float:
@@ -267,72 +242,52 @@ def quotient_log_gradient(datum: BLDatum, S):
     return 0.5 * (g + g.T)
 
 
-def _ascent_spd_blocks(value_and_grad, blocks, max_iter=20_000, gtol=1e-9, armijo=1e-4):
-    """Preconditioned gradient ascent over SPD blocks.
+def quotient_supremum(datum: BLDatum) -> GaussianOptResult:
+    """sup over SPD S of det(S) / prod det(B_i S B_i^T)^{c_i} via ascent.
 
-    Direction D_j = S_j G_j S_j; joint Armijo backtracking line search with
-    positive-definiteness enforced through Cholesky factorization of each
-    trial iterate.
+    Preconditioned gradient ascent from S = I: direction S G S, Armijo
+    backtracking line search, positive-definiteness of each trial iterate
+    enforced through its Cholesky factorization.  The ascent stops early
+    when no step is accepted or 20 accepted steps in a row gain nothing.
     """
-    blocks = [np.array(b, dtype=float) for b in blocks]
-    val, grads = value_and_grad(blocks)
+    S = np.eye(datum.ambient_dim)
+    val, grad = quotient_log_objective(datum, S), quotient_log_gradient(datum, S)
     step = 1.0
-    it = 0
-    gnorm = math.inf
     stalled = 0
-    while it < max_iter:
-        it += 1
-        chols = [np.linalg.cholesky(s) for s in blocks]
-        gnorm_sq = 0.0
-        dirs = []
-        for s, g, L in zip(blocks, grads, chols):
-            m = L.T @ g @ L
-            gnorm_sq += float(np.sum(m * m))
-            dirs.append(s @ g @ s)
+    converged = False
+    for it in range(1, ASCENT_MAX_ITER + 1):
+        L = np.linalg.cholesky(S)
+        m = L.T @ grad @ L
+        gnorm_sq = float(np.sum(m * m))
+        direction = S @ grad @ S
         gnorm = math.sqrt(gnorm_sq)
-        if gnorm <= gtol * (1.0 + abs(val)):
-            return blocks, val, True, gnorm, it
+        if gnorm <= ASCENT_GTOL * (1.0 + abs(val)):
+            converged = True
+            break
         t = min(step * 2.0, 4.0)
         accepted = False
         while t > 1e-16:
-            trial = [s + t * d for s, d in zip(blocks, dirs)]
+            trial = S + t * direction
             try:
-                for m in trial:
-                    np.linalg.cholesky(m)
-                new_val, new_grads = value_and_grad(trial)
+                np.linalg.cholesky(trial)
+                new_val, new_grad = quotient_log_objective(datum, trial), quotient_log_gradient(datum, trial)
             except np.linalg.LinAlgError:
                 t *= 0.5
                 continue
-            if new_val >= val + armijo * t * gnorm_sq:
+            if new_val >= val + _ARMIJO * t * gnorm_sq:
                 gain = new_val - val
-                blocks, val, grads = trial, new_val, new_grads
+                S, val, grad = trial, new_val, new_grad
                 step = t
                 accepted = True
                 stalled = stalled + 1 if gain < 1e-14 * (1.0 + abs(val)) else 0
                 break
             t *= 0.5
         if not accepted or stalled >= 20:
-            return blocks, val, gnorm <= 1e-6 * (1.0 + abs(val)), gnorm, it
-    return blocks, val, False, gnorm, it
-
-
-def quotient_supremum(
-    datum: BLDatum, max_iter: int = 20_000, gtol: float = 1e-9
-) -> GaussianOptResult:
-    """sup over SPD S of det(S) / prod det(B_i S B_i^T)^{c_i} via ascent."""
-    d = datum.ambient_dim
-
-    def vg(blocks):
-        (S,) = blocks
-        return quotient_log_objective(datum, S), [quotient_log_gradient(datum, S)]
-
-    blocks, val, converged, gnorm, it = _ascent_spd_blocks(
-        vg, [np.eye(d)], max_iter=max_iter, gtol=gtol
-    )
-    value = math.inf if val > 700 else math.exp(val)
+            converged = gnorm <= 1e-6 * (1.0 + abs(val))
+            break
     return GaussianOptResult(
-        value=value,
-        argmax=SpdMatrix.from_matrix(blocks[0]),
+        value=math.inf if val > 700 else math.exp(val),
+        argmax=SpdMatrix.from_matrix(S),
         iterations=it,
         converged=converged,
         residual=gnorm,
@@ -353,7 +308,7 @@ class AiIdentityResult:
         return self.residual
 
 
-def identity_ai_residual(datum: BLDatum, tol: float = 1e-10, max_iter: int = 10_000) -> AiIdentityResult:
+def identity_ai_residual(datum: BLDatum) -> AiIdentityResult:
     """Optimize both sides of the duality identity independently.
 
     Left: sup over tuples of prod det(A_i)^{c_i} / det(sum c_i B_i^T A_i B_i)
@@ -361,13 +316,11 @@ def identity_ai_residual(datum: BLDatum, tol: float = 1e-10, max_iter: int = 10_
     (gradient ascent).  Returns |log L - log R| plus diagnostics; rejects
     data violating the scaling condition, where both sides are infinite.
     """
-    defect = datum.scaling_defect()
-    bad = (defect != 0) if not isinstance(defect, float) else abs(defect) > 1e-9
-    if bad:
+    if not datum.satisfies_scaling():
         raise ScalingConditionError(
-            f"scaling condition fails (d - sum c_i d_i = {float(defect)}); both sides infinite"
+            f"scaling condition fails (d - sum c_i d_i = {float(datum.scaling_defect())}); both sides infinite"
         )
-    left = bl_gaussian_constant(datum, tol=tol, max_iter=max_iter)
+    left = bl_gaussian_constant(datum)
     right = quotient_supremum(datum)
     if not left.converged or not right.converged:
         warnings.warn("identity check: one side did not converge", RuntimeWarning)
@@ -382,9 +335,7 @@ def identity_ai_residual(datum: BLDatum, tol: float = 1e-10, max_iter: int = 10_
     )
 
 
-def abl_gaussian_constant(
-    datum: BLDatum, params: AdjointParams, max_iter: int = 20_000, gtol: float = 1e-9
-) -> GaussianOptResult:
+def abl_gaussian_constant(datum: BLDatum, params: AdjointParams) -> GaussianOptResult:
     """Adjoint gaussian constant via ascent on the quotient objective.
 
     For exponent p < 1 the supremum over gaussian inputs reduces to
@@ -399,7 +350,7 @@ def abl_gaussian_constant(
         return GaussianOptResult(
             value=1.0, argmax=None, iterations=0, converged=True, residual=0.0, cross_check=1.0
         )
-    quot = quotient_supremum(datum, max_iter=max_iter, gtol=gtol)
+    quot = quotient_supremum(datum)
     return _abl_from_solves(pref, params, quot, bl_gaussian_constant(datum))
 
 
@@ -472,7 +423,6 @@ def perturbation_gap(
     params: AdjointParams,
     eps: Optional[float] = 1e-3,
     grid=None,
-    max_self_estimate: float = 0.1,
 ):
     """First-order coefficient of the gaussian perturbation that beats ABLg.
 
@@ -505,10 +455,10 @@ def perturbation_gap(
     coarse_res = tuple(max(2, n // 2) for n in resolution)
     coeff_coarse = _gap_integrand_sum(datum, params, j, kappa, radius, box, coarse_res)
     estimate = abs(coeff - coeff_coarse)
-    if abs(coeff) > 0 and estimate > max_self_estimate * abs(coeff):
+    if abs(coeff) > 0 and estimate > MAX_SELF_ESTIMATE * abs(coeff):
         raise ResolutionError(
             f"quadrature self-estimate {estimate:.3e} exceeds "
-            f"{max_self_estimate:.0%} of the coefficient {coeff:.3e}"
+            f"{MAX_SELF_ESTIMATE:.0%} of the coefficient {coeff:.3e}"
         )
     direct = None
     if eps is not None:

@@ -159,18 +159,19 @@ def gowers_profile(f, max_order, measure_weight=1.0) -> GowersProfile:
     return GowersProfile(orders=orders, abscissae=abscissae, norms=norms)
 
 
-def real_line_u2_ratio(samples, spacing, pad_factor=4):
+def real_line_u2_ratio(samples, spacing):
     """||f||_{U^2} / (||f||_{U^1}^{1/2} ||f||_{U^3}^{1/2}) for a compactly
     supported sampled function on the real line.
 
-    The samples are zero-padded so the cyclic box sums equal the real-line
-    integrals, and each sum carries the grid spacing as measure weight.  The
-    ratio is at most 1 by log-convexity; how far below 1 it can stay over
-    rich families is open, so scans report values without asserting a gap.
+    The samples are zero-padded to four times their length so the cyclic box
+    sums equal the real-line integrals, and each sum carries the grid spacing
+    as measure weight.  The ratio is at most 1 by log-convexity; how far below
+    1 it can stay over rich families is open, so scans report values without
+    asserting a gap.
     """
     f = np.asarray(samples, dtype=float)
     support = len(f)
-    padded = np.zeros(pad_factor * support)
+    padded = np.zeros(4 * support)
     padded[:support] = f
     u1 = gowers_norm(padded, 1, measure_weight=spacing)
     u2 = gowers_norm(padded, 2, measure_weight=spacing)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -113,6 +114,12 @@ def test_seed_mandatory_for_stochastic_tasks():
         validate_scenario({"task": "gowers"})
 
 
+def test_entropy_draws_nothing_at_random_and_needs_no_seed():
+    assert validate_scenario({"task": "entropy"}) == {"task": "entropy"}
+    with pytest.raises(SchemaError, match="seed"):
+        validate_scenario({"task": "tomography", "check": "gamma-constant"})
+
+
 @pytest.mark.parametrize(
     "scenario",
     [
@@ -198,6 +205,13 @@ def test_non_finite_values_match_the_report_schema(seed):
     text = emit_report(report)
     assert '"value":"inf"' in text
     jsonschema.validate(json.loads(text), _load_schema("report"))
+
+
+def test_parallelepiped_check_fails_when_no_set_was_counted():
+    report = run_scenario({"task": "gowers", "seed": 0, "N": 16, "n_functions": 2, "n_sets": 1, "N_sets": 2})
+    (entry,) = [a for a in report.assertions if a["name"] == "parallelepiped count >= delta^4 |A|^4"]
+    assert entry["value"] == math.inf
+    assert not entry["passed"] and not report.passed
 
 
 def test_emit_report_rejects_a_report_the_schema_rejects():

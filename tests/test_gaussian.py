@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from blq.catalog import (
+    NAMED_DATA,
     conjugate_datum,
     finner_cyclic4,
+    finner_mixed,
     holder_identity,
     loomis_whitney,
+    named_datum,
+    seeded_feasible_data,
     young,
 )
 from blq.data import BLDatum, derive_adjoint_exponents
@@ -207,23 +211,97 @@ def test_divergence_signal_for_infeasible_datum():
     datum = BLDatum(
         maps=(np.eye(2), np.array([[1.0, 0.0]])), exponents=(0.5, 1.0), ambient_dim=2
     )
-    res = bl_gaussian_constant(datum, max_iter=4000)
+    res = bl_gaussian_constant(datum)
     assert res.diverged or not res.converged
     assert res.value > 1e10
 
 
-def test_ascent_only_path_matches_fixed_point():
-    datum = conjugate_datum(young(), seed=12)
-    fp = bl_gaussian_constant(datum)
-    asc = bl_gaussian_constant(datum, use_fixed_point=False)
-    assert asc.value == pytest.approx(fp.value, rel=1e-6)
+def test_fixed_point_converges_on_named_and_seeded_data():
+    data = [(name, named_datum(name)) for name in NAMED_DATA] + seeded_feasible_data(40)
+    for label, datum in data:
+        res = bl_gaussian_constant(datum)
+        assert res.converged and not res.diverged, label
 
 
 def test_quotient_supremum_matches_squared_constant():
-    datum = loomis_whitney(2)
-    res = quotient_supremum(datum)
+    res = quotient_supremum(loomis_whitney(2))
     assert res.converged
     assert res.value == pytest.approx(1.0, rel=1e-8)
+    # the two sides of the duality come from independent optimizers
+    datum = conjugate_datum(young(), seed=12)
+    res = quotient_supremum(datum)
+    assert res.converged
+    assert res.value == pytest.approx(bl_gaussian_constant(datum).value ** 2, rel=1e-6)
+
+
+def _reference_ascent_spd_blocks(value_and_grad, blocks, max_iter=20_000, gtol=1e-9, armijo=1e-4):
+    """Preconditioned ascent over a list of SPD blocks written out the long
+    way: a value-and-gradient callback, per-block directions and Cholesky
+    trial checks, one joint Armijo step."""
+    blocks = [np.array(b, dtype=float) for b in blocks]
+    val, grads = value_and_grad(blocks)
+    step = 1.0
+    it = 0
+    gnorm = math.inf
+    stalled = 0
+    while it < max_iter:
+        it += 1
+        chols = [np.linalg.cholesky(s) for s in blocks]
+        gnorm_sq = 0.0
+        dirs = []
+        for s, g, L in zip(blocks, grads, chols):
+            m = L.T @ g @ L
+            gnorm_sq += float(np.sum(m * m))
+            dirs.append(s @ g @ s)
+        gnorm = math.sqrt(gnorm_sq)
+        if gnorm <= gtol * (1.0 + abs(val)):
+            return blocks, val, True, gnorm, it
+        t = min(step * 2.0, 4.0)
+        accepted = False
+        while t > 1e-16:
+            trial = [s + t * d for s, d in zip(blocks, dirs)]
+            try:
+                for m in trial:
+                    np.linalg.cholesky(m)
+                new_val, new_grads = value_and_grad(trial)
+            except np.linalg.LinAlgError:
+                t *= 0.5
+                continue
+            if new_val >= val + armijo * t * gnorm_sq:
+                gain = new_val - val
+                blocks, val, grads = trial, new_val, new_grads
+                step = t
+                accepted = True
+                stalled = stalled + 1 if gain < 1e-14 * (1.0 + abs(val)) else 0
+                break
+            t *= 0.5
+        if not accepted or stalled >= 20:
+            return blocks, val, gnorm <= 1e-6 * (1.0 + abs(val)), gnorm, it
+    return blocks, val, False, gnorm, it
+
+
+@pytest.mark.parametrize(
+    "datum",
+    [
+        young(),
+        loomis_whitney(3),
+        finner_mixed(),
+        holder_identity(2, k=2),
+        conjugate_datum(young(), seed=31),
+        conjugate_datum(loomis_whitney(4), seed=5),
+        conjugate_datum(finner_mixed(), seed=8),
+    ],
+)
+def test_quotient_supremum_is_bitwise_the_block_ascent(datum):
+    def vg(blocks):
+        (S,) = blocks
+        return quotient_log_objective(datum, S), [quotient_log_gradient(datum, S)]
+
+    blocks, val, converged, gnorm, it = _reference_ascent_spd_blocks(vg, [np.eye(datum.ambient_dim)])
+    res = quotient_supremum(datum)
+    assert res.value == (math.inf if val > 700 else math.exp(val))
+    assert (res.iterations, res.converged, res.residual) == (it, converged, gnorm)
+    assert np.array_equal(res.argmax.matrix, SpdMatrix.from_matrix(blocks[0]).matrix)
 
 
 def test_perturbation_rejects_theta_equals_c():
