@@ -48,6 +48,7 @@ from .discrete import (
     abls_constant,
     bls_constant,
     discrete_adjoint_margin,
+    discrete_adjoint_margins,
     discrete_pushforward,
     enumerate_subgroups,
 )

@@ -40,6 +40,7 @@ from .discrete import (
     abls_constant,
     bls_constant,
     discrete_adjoint_margin,
+    discrete_adjoint_margins,
     group_from_json,
     subgroup_indicator,
 )
@@ -366,20 +367,28 @@ def _task_discrete(scn, checks):
             worst_margin = min(worst_margin, m.margin)
         rng = np.random.default_rng(seed + group.order)
         params = derive_adjoint_exponents(c, theta, float(ps[0]))
-        for _ in range(n_functions):
-            f = rng.uniform(0.0, 1.0, size=group.order)
-            f *= rng.uniform(size=group.order) < 0.8
-            if f.sum() == 0:
-                continue
-            # the inequality is 1-homogeneous in f: normalize so float rounding
-            # stays at unit scale
-            f /= f.sum()
-            m = discrete_adjoint_margin(f, maps, params, blv)
-            worst_margin = min(worst_margin, m.margin)
+        for F in _discrete_draws(rng, group.order, n_functions):
+            for m in discrete_adjoint_margins(F, maps, params, blv):
+                worst_margin = min(worst_margin, m.margin)
         results[name] = inst
     checks.at_most("ABLs = BLs^{1/p-1} (rel)", worst_cons, checks.tol(scn.get("tol", 1e-12)))
     checks.add("discrete margins >= -1e-12", worst_margin, 1e-12, worst_margin >= -1e-12)
     return {"n_instances": len(instances), "n_functions": n_functions}, results
+
+
+def _discrete_draws(rng, order, n_functions):
+    """The discrete check's random functions in row blocks of at most 4096
+    values, drawn row by row as one ``uniform(size=order)`` for the values and
+    one for the keep-with-probability-0.8 mask.  Zero-sum rows are dropped,
+    the rest normalized to sum 1 (the inequality is 1-homogeneous in f, so
+    float rounding stays at unit scale)."""
+    block = max(1, 4096 // order)
+    for start in range(0, n_functions, block):
+        u = rng.uniform(size=(min(block, n_functions - start), 2, order))
+        F = u[:, 0] * (u[:, 1] < 0.8)
+        total = F.sum(axis=1)
+        keep = total != 0
+        yield F[keep] / total[keep, None]
 
 
 def _task_tomography(scn, checks):
@@ -594,6 +603,10 @@ def validate_scenario(scn):
         raise SchemaError("scenario must be a JSON object")
     _conform("scenario", scn)
     task = scn["task"]  # the schema's task enum is the handler registry
+    keys = _validator("scenario").schema["taskKeys"][task]
+    unknown = [key for key in scn if key not in keys]
+    if unknown:
+        raise SchemaError(f"scenario violates the schema at $: {unknown[0]!r} is not one of {keys} (task {task!r})")
     if task in _STOCHASTIC_TASKS and "seed" not in scn:
         raise SchemaError(f"task {task!r} is stochastic: a seed is mandatory")
     return scn

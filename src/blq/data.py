@@ -38,7 +38,7 @@ def _as_fraction(x):
         return Fraction(x)
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, float) and x == int(x):
+    if isinstance(x, float) and x.is_integer():
         return Fraction(int(x))
     return None
 
@@ -75,6 +75,8 @@ class BLDatum:
             maps.append(b)
         object.__setattr__(self, "maps", tuple(maps))
         exps = tuple(float(c) for c in self.exponents)
+        if not all(math.isfinite(c) for c in exps):
+            raise DatumError(f"all exponents c_i must be finite, got {exps}")
         if any(c <= 0 for c in exps):
             raise DatumError("all exponents c_i must be positive")
         object.__setattr__(self, "exponents", exps)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -37,12 +37,14 @@ class FiniteAbelianGroup:
     """Product of cyclic groups Z_{n_1} x ... x Z_{n_m}."""
 
     factors: tuple
+    order: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         factors = tuple(int(n) for n in self.factors)
         if len(factors) == 0 or any(n < 1 for n in factors):
             raise ValueError("factors must be positive integers")
         object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "order", math.prod(factors))
         strides = []
         s = 1
         for n in reversed(factors):
@@ -54,10 +56,6 @@ class FiniteAbelianGroup:
         ).reshape(-1, len(factors))
         coords.flags.writeable = False
         object.__setattr__(self, "_coords", coords)
-
-    @property
-    def order(self):
-        return int(np.prod(self.factors))
 
     @property
     def rank(self):
@@ -173,17 +171,32 @@ def _close_under(group, base_indices, g):
 
 
 def enumerate_subgroups(group: FiniteAbelianGroup, cap: int = SUBGROUP_CAP):
-    """All subgroups, canonically ordered by (order, bitmask).
+    """All subgroups, canonically ordered by (order, bitmask), as a tuple.
 
     Breadth-first closure over single-generator extensions with bitmask
     dedup; only one candidate generator per coset of the current subgroup is
     tried, since g and g + h generate the same extension for h in the base.
+    The lattice is built once per group instance and cached on it, like the
+    addition table; ``cap`` is checked on every call.
     """
     if group.order > cap:
         raise CapExceededError(f"group order {group.order} exceeds the cap {cap}")
+    lattice = getattr(group, "_lattice", None)
+    if lattice is None:
+        lattice = _subgroup_lattice(group)
+        object.__setattr__(group, "_lattice", lattice)
+    return lattice
+
+
+def _subgroup(generators, indices, order):
+    indices.flags.writeable = False
+    return Subgroup(generators=generators, indices=indices, mask=_mask_of(indices, order))
+
+
+def _subgroup_lattice(group):
     table = group._table()
-    trivial = Subgroup(generators=(), indices=np.array([0], dtype=np.int64), mask=1)
-    found = {1: trivial}
+    trivial = _subgroup((), np.array([0], dtype=np.int64), group.order)
+    found = {trivial.mask: trivial}
     queue = [trivial]
     every = np.arange(group.order)
     while queue:
@@ -197,14 +210,11 @@ def enumerate_subgroups(group: FiniteAbelianGroup, cap: int = SUBGROUP_CAP):
             g = int(g)
             if (h.mask >> g) & 1:
                 continue
-            indices = _close_under(group, h.indices, g)
-            mask = _mask_of(indices, group.order)
-            if mask not in found:
-                sub = Subgroup(generators=h.generators + (g,), indices=indices, mask=mask)
-                found[mask] = sub
+            sub = _subgroup(h.generators + (g,), _close_under(group, h.indices, g), group.order)
+            if sub.mask not in found:
+                found[sub.mask] = sub
                 queue.append(sub)
-    subs = sorted(found.values(), key=lambda s: (s.order, s.mask))
-    return subs
+    return tuple(sorted(found.values(), key=lambda s: (s.order, s.mask)))
 
 
 def subgroup_indicator(sub: Subgroup, group: FiniteAbelianGroup):
@@ -214,9 +224,15 @@ def subgroup_indicator(sub: Subgroup, group: FiniteAbelianGroup):
 
 
 def discrete_pushforward(f, hom: GroupHom):
-    """(B)_* f by summing fibers; exact for integer-valued f."""
+    """(B)_* f by summing fibers, of a vector f or of each row of a 2-D f;
+    exact for integer-valued f.  The one bincount over row-offset image
+    indices adds each bin's fiber in source order, as for a single vector."""
     f = np.asarray(f, dtype=float)
-    return np.bincount(hom.image_indices(), weights=f, minlength=hom.target.order)
+    n = hom.target.order
+    rows = f.reshape(-1, hom.source.order)
+    index = hom.image_indices() + n * np.arange(len(rows))[:, None]
+    pf = np.bincount(index.ravel(), weights=rows.ravel(), minlength=n * len(rows))
+    return pf.reshape(f.shape[:-1] + (n,))
 
 
 def _check_maps(maps):
@@ -295,23 +311,37 @@ def abls_constant(maps: Sequence[GroupHom], c: Sequence, p, cap: int = SUBGROUP_
     return math.exp(expo * best_log), best
 
 
-def _lp_counting(f, p):
-    f = np.asarray(f, dtype=float)
+def _lp_rows(F, p):
+    """Counting-measure L^p norm of each row of F."""
     if p == math.inf:
-        return float(f.max())
-    return float(np.sum(f**p)) ** (1.0 / p)
+        return [float(v) for v in F.max(axis=1)]
+    return [float(v) ** (1.0 / p) for v in np.sum(F**p, axis=1)]
+
+
+def discrete_adjoint_margins(
+    F, maps: Sequence[GroupHom], params: AdjointParams, bl_value: float
+) -> list:
+    """Exact counting-measure margins of the discrete adjoint inequality,
+    one per row of F (one function on the source group per row)."""
+    src = _check_maps(maps)
+    F = np.asarray(F, dtype=float)
+    if F.ndim != 2 or F.shape[1] != src.order:
+        raise ValueError("F must hold one vector indexed by the source group per row")
+    if np.any(F < 0):
+        raise ValueError("f must be non-negative")
+    lhs = _lp_rows(F, params.p)
+    norms = [_lp_rows(discrete_pushforward(F, m), q) for m, q in zip(maps, params.p_i)]
+    return [
+        InequalityMargin.from_sides(l, math.exp(params.log_rhs(n, bl_value)), params.mode)
+        for l, *n in zip(lhs, *norms)
+    ]
 
 
 def discrete_adjoint_margin(
     f, maps: Sequence[GroupHom], params: AdjointParams, bl_value: float
 ) -> InequalityMargin:
     """Exact counting-measure margin of the discrete adjoint inequality."""
-    src = _check_maps(maps)
     f = np.asarray(f, dtype=float)
-    if f.shape != (src.order,):
+    if f.ndim != 1:
         raise ValueError("f must be a vector indexed by the source group")
-    if np.any(f < 0):
-        raise ValueError("f must be non-negative")
-    lhs = _lp_counting(f, params.p)
-    norms = (_lp_counting(discrete_pushforward(f, m), q) for m, q in zip(maps, params.p_i))
-    return InequalityMargin.from_sides(lhs, math.exp(params.log_rhs(norms, bl_value)), params.mode)
+    return discrete_adjoint_margins(f[None, :], maps, params, bl_value)[0]

@@ -222,21 +222,23 @@ def _deposit_tomogram(f: GridFunction, projections, n_v):
     radius, cell, _ = _offset_grid(f, n_v, m)
     pts = mesh_points(f.centers())
     masses = f.values.ravel() * f.cell_volume
+    strides = [n_v ** (m - 1 - a) for a in range(m)]  # row-major offset grid
+    corners = [[(c >> a) & 1 for a in range(m)] for c in range(1 << m)]
     values = np.zeros((len(projections),) + (n_v,) * m)
     for q, acc in zip(projections, values.reshape(len(projections), -1)):
         pos = ((pts @ q).reshape(len(pts), m) + radius) / cell - 0.5
         base = np.floor(pos).astype(np.int64)
         frac = pos - base
-        for corner in range(1 << m):
-            idx = base.copy()
-            w = masses
-            for a in range(m):
-                bit = (corner >> a) & 1
-                idx[:, a] = np.clip(base[:, a] + bit, 0, n_v - 1)
-                w = w * (frac[:, a] if bit else 1.0 - frac[:, a])
-            flat = idx[:, 0]
+        # per axis and neighbour (lower, upper): the clipped index times the
+        # axis stride, and the weight 1 - frac or frac
+        index = [[np.clip(base[:, a] + bit, 0, n_v - 1) * strides[a] for bit in (0, 1)] for a in range(m)]
+        weight = [[1.0 - frac[:, a], np.ascontiguousarray(frac[:, a])] for a in range(m)]
+        for bits in corners:
+            flat = index[0][bits[0]]
+            w = masses * weight[0][bits[0]]
             for a in range(1, m):
-                flat = flat * n_v + idx[:, a]
+                flat = flat + index[a][bits[a]]
+                w = w * weight[a][bits[a]]
             acc += np.bincount(flat, weights=w, minlength=n_v**m)
         acc /= cell**m
     return values

@@ -150,10 +150,9 @@ def test_keys_of_another_task_rejected(scenario):
 
 def test_every_task_has_one_key_set_of_known_keys():
     schema = _load_schema("scenario")
-    rules = schema["allOf"]
-    assert [rule["if"]["properties"]["task"]["const"] for rule in rules] == list(_HANDLERS)
-    for rule in rules:
-        keys = rule["then"]["propertyNames"]["enum"]
+    key_sets = schema["taskKeys"]
+    assert list(key_sets) == list(_HANDLERS)
+    for keys in key_sets.values():
         assert {"task", "seed"} <= set(keys) <= set(schema["properties"])
 
 

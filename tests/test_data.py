@@ -172,6 +172,14 @@ def test_bad_exponent_rejected():
         BLDatum(maps=(np.eye(2),), exponents=(-1.0,), ambient_dim=2)
 
 
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+def test_non_finite_exponent_rejected(c):
+    with pytest.raises(DatumError, match="finite"):
+        BLDatum(maps=(np.eye(2),), exponents=(c,), ambient_dim=2)
+    with pytest.raises(DatumError, match="finite"):
+        BLDatum.from_json_dict({"maps": [[[1.0, 0.0]], [[0.0, 1.0]]], "c": [1.0, c]})
+
+
 def test_verdict_monotone_in_test_family_size():
     # a datum caught as infeasible by the deterministic family stays
     # infeasible no matter how many extra random subspaces are added

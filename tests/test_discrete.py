@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from blq.catalog import discrete_instances
+from blq.cli import _discrete_draws
 from blq.data import derive_adjoint_exponents
 from blq.discrete import (
     FiniteAbelianGroup,
@@ -13,12 +15,14 @@ from blq.discrete import (
     abls_constant,
     bls_constant,
     discrete_adjoint_margin,
+    discrete_adjoint_margins,
     discrete_pushforward,
     enumerate_subgroups,
     group_from_json,
     subgroup_indicator,
 )
 from blq.errors import CapExceededError, DatumError
+from blq.grid import InequalityMargin
 
 
 def brute_force_subgroups(group):
@@ -54,6 +58,32 @@ def test_subgroups_match_bruteforce(factors):
 def test_subgroup_cap():
     with pytest.raises(CapExceededError):
         enumerate_subgroups(FiniteAbelianGroup((2,) * 13))
+
+
+def test_order_is_an_int_outside_equality():
+    g = FiniteAbelianGroup((6, 4))
+    assert type(g.order) is int and g.order == 24
+    assert g == FiniteAbelianGroup((6, 4)) and "order" not in repr(g)
+
+
+def test_cached_lattice_equals_a_fresh_enumeration():
+    group = FiniteAbelianGroup((4, 8))
+    first = enumerate_subgroups(group)
+    assert enumerate_subgroups(group) is first
+    fresh = enumerate_subgroups(FiniteAbelianGroup((4, 8)))
+    assert fresh is not first
+    assert [(s.order, s.mask) for s in first] == [(s.order, s.mask) for s in fresh]
+    with pytest.raises(ValueError, match="read-only"):
+        first[-1].indices[0] = 1
+
+
+def test_cap_raises_on_a_cached_lattice():
+    group = FiniteAbelianGroup((8, 8))
+    assert len(enumerate_subgroups(group)) > 0
+    with pytest.raises(CapExceededError):
+        enumerate_subgroups(group, cap=32)
+    with pytest.raises(CapExceededError):
+        bls_constant((GroupHom(((1, 0), (0, 1)), group, group),), (1.0,), cap=32)
 
 
 def test_bad_homomorphism_rejected():
@@ -232,3 +262,92 @@ def test_consistency_at_order_512():
     for p in (Fraction(1, 2), Fraction(2, 3)):
         ablv, _ = abls_constant(maps, c, p, cap=512)
         assert ablv == pytest.approx(blv ** float(1 / p - 1), rel=1e-12)
+
+
+def reference_margin(f, maps, params, bl_value):
+    """The single-function margin written out the long way: one L^p sum and
+    one bincount pushforward per map."""
+
+    def lp(v, q):
+        return float(v.max()) if q == math.inf else float(np.sum(v**q)) ** (1.0 / q)
+
+    norms = [
+        lp(np.bincount(m.image_indices(), weights=f, minlength=m.target.order), q)
+        for m, q in zip(maps, params.p_i)
+    ]
+    rhs = math.exp(params.log_rhs(norms, bl_value))
+    return InequalityMargin.from_sides(lp(f, params.p), rhs, params.mode)
+
+
+@pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)])
+def test_batched_margins_are_bitwise_the_single_margins(p):
+    rng = np.random.default_rng(4)
+    for name, maps, c in discrete_instances():
+        order = maps[0].source.order
+        blv, _ = bls_constant(maps, [float(x) for x in c])
+        params = params_for(maps, c, float(p))
+        infinite = dataclasses.replace(params, p_i=(math.inf,) + params.p_i[1:])
+        F = rng.uniform(size=(5, order)) * (rng.uniform(size=(5, order)) < 0.8)
+        F[1] = 0.0
+        F[1, order - 1] = 1.0  # a delta function
+        F[:, 0] *= 3.0
+        for prm in (params, infinite):
+            batched = discrete_adjoint_margins(F, maps, prm, blv)
+            assert len(batched) == len(F)
+            for row, m in zip(F, batched):
+                single = discrete_adjoint_margin(row, maps, prm, blv)
+                assert dataclasses.astuple(m) == dataclasses.astuple(single), name
+                assert dataclasses.astuple(m) == dataclasses.astuple(reference_margin(row, maps, prm, blv)), name
+
+
+def test_batched_pushforward_is_bitwise_the_single_pushforward():
+    g = FiniteAbelianGroup((6, 4))
+    hom = GroupHom(((1, 1),), g, FiniteAbelianGroup((2,)))
+    F = np.random.default_rng(1).uniform(size=(7, g.order))
+    batched = discrete_pushforward(F, hom)
+    assert batched.shape == (7, 2)
+    for row, pf in zip(F, batched):
+        assert np.array_equal(pf, discrete_pushforward(row, hom))
+
+
+def test_batched_margins_reject_a_bad_shape_or_sign():
+    _, maps = coordinate_pair()
+    params = params_for(maps, (1, 1), 0.5)
+    with pytest.raises(ValueError, match="one vector"):
+        discrete_adjoint_margins(np.ones(4), maps, params, 1.0)
+    with pytest.raises(ValueError, match="one vector"):
+        discrete_adjoint_margins(np.ones((2, 5)), maps, params, 1.0)
+    with pytest.raises(ValueError, match="non-negative"):
+        discrete_adjoint_margins(-np.ones((2, 4)), maps, params, 1.0)
+    assert discrete_adjoint_margins(np.ones((0, 4)), maps, params, 1.0) == []
+
+
+def per_function_draws(rng, order, n_functions):
+    """The discrete handler's draws written one function at a time: zero-sum
+    functions skipped, the rest normalized to sum 1."""
+    for _ in range(n_functions):
+        f = rng.uniform(0.0, 1.0, size=order)
+        f *= rng.uniform(size=order) < 0.8
+        if f.sum() == 0:
+            continue
+        f /= f.sum()
+        yield f
+
+
+@pytest.mark.parametrize("order,n_functions", [(1, 50), (2, 3000), (100, 97), (256, 40), (5000, 3)])
+def test_blocked_draws_give_the_per_function_margins(order, n_functions):
+    seed = 11 + order
+    blocks = list(_discrete_draws(np.random.default_rng(seed), order, n_functions))
+    assert all(F.size <= 4096 or len(F) == 1 for F in blocks)
+    blocked = np.concatenate(blocks)
+    single = list(per_function_draws(np.random.default_rng(seed), order, n_functions))
+    assert len(blocked) == len(single)
+    if order <= 2:  # zero-sum draws are likely: some must have been dropped
+        assert len(single) < n_functions
+    assert all(np.array_equal(a, b) for a, b in zip(blocked, single))
+    g = FiniteAbelianGroup((order,))
+    maps = (GroupHom(((1,),), g, g),)
+    params = params_for(maps, (1,), 0.5)
+    expected = [reference_margin(f, maps, params, 1.0) for f in single]
+    got = [m for F in blocks for m in discrete_adjoint_margins(F, maps, params, 1.0)]
+    assert [dataclasses.astuple(m) for m in got] == [dataclasses.astuple(m) for m in expected]
