@@ -29,7 +29,7 @@ from scipy.linalg import cho_factor, cho_solve
 from .data import AdjointParams, BLDatum, adjoint_gaussian_prefactor
 from .entropy import log_lambda
 from .errors import ConditioningError, ParameterDomainError, ResolutionError, ScalingConditionError
-from .grid import GridFunction, GridSpec, default_box, default_resolution, grid_centers, mesh_points
+from .grid import GridFunction, GridSpec, default_box, default_resolution, grid_centers, mesh_points, row_blocks
 
 OVERFLOW_GUARD = 1e100
 _LOG_OVERFLOW = math.log(OVERFLOW_GUARD)
@@ -391,31 +391,34 @@ class PerturbationGapResult:
 
 
 def _cone_geometry(datum, j, kappa, radius, box, resolution):
-    """At the cell centres x of the grid: |x|^2, <P_i x, x> for the projector
-    P_i onto the row space of each map B_i, and the mask of the cone
-    {<P_j x, x> >= kappa |x|^2} outside the ball of the given radius."""
-    pts = mesh_points(grid_centers(box, resolution))
-    norm_sq = np.sum(pts * pts, axis=1)
-    proj = []
-    for b in datum.maps:
-        P = b.T @ np.linalg.solve(b @ b.T, b)
-        proj.append(np.sum(pts * (pts @ P.T), axis=1))
-    mask = (proj[j] >= kappa * norm_sq) & (norm_sq >= radius**2)
-    return norm_sq, proj, mask
+    """Per row block of the grid: its flat cells, and at their centres x |x|^2,
+    <P_i x, x> for the projector P_i onto the row space of each map B_i, and the
+    mask of the cone {<P_j x, x> >= kappa |x|^2} outside the ball of the given radius."""
+    axes = grid_centers(box, resolution)
+    projectors = [b.T @ np.linalg.solve(b @ b.T, b) for b in datum.maps]
+    for rows, cells in row_blocks(resolution):
+        pts = mesh_points([axes[0][rows]] + axes[1:])
+        norm_sq = np.sum(pts * pts, axis=1)
+        proj = [np.sum(pts * (pts @ P.T), axis=1) for P in projectors]
+        yield cells, norm_sq, proj, (proj[j] >= kappa * norm_sq) & (norm_sq >= radius**2)
 
 
 def _gap_integrand_sum(datum, params, j, kappa, radius, box, resolution):
     d = datum.ambient_dim
-    norm_sq, proj, mask = _cone_geometry(datum, j, kappa, radius, box, resolution)
     p = params.p
-    total = -(p ** (d / 2.0)) * np.exp(-math.pi * p * norm_sq[mask])
-    for t, q, di, quad in zip(params.theta, params.p_i, datum.dims, proj):
-        expo = -math.pi * (norm_sq[mask] - (1.0 - q) * quad[mask])
-        total += t * (q ** (di / 2.0)) * np.exp(expo)
+    total = np.empty(math.prod(resolution))  # the masked integrand, filled block by block
+    n = 0
+    for _, norm_sq, proj, mask in _cone_geometry(datum, j, kappa, radius, box, resolution):
+        part = -(p ** (d / 2.0)) * np.exp(-math.pi * p * norm_sq[mask])
+        for t, q, di, quad in zip(params.theta, params.p_i, datum.dims, proj):
+            expo = -math.pi * (norm_sq[mask] - (1.0 - q) * quad[mask])
+            part += t * (q ** (di / 2.0)) * np.exp(expo)
+        total[n : n + len(part)] = part
+        n += len(part)
     cell_vol = 1.0
-    for (lo, hi), n in zip(box, resolution):
-        cell_vol *= (hi - lo) / n
-    return float(np.sum(total) * cell_vol)
+    for (lo, hi), m in zip(box, resolution):
+        cell_vol *= (hi - lo) / m
+    return float(np.sum(total[:n]) * cell_vol)
 
 
 def perturbation_gap(
@@ -474,13 +477,18 @@ def perturbation_gap(
 
 
 def _direct_ratio_delta(datum, params, j, kappa, radius, box, resolution, eps):
-    norm_sq, _, mask = _cone_geometry(datum, j, kappa, radius, box, resolution)
-    f_vals = np.exp(-math.pi * norm_sq)
-    h_vals = np.where(mask, -f_vals, 0.0)
-    shape = tuple(resolution)
-    f = GridFunction(box=box, resolution=resolution, values=f_vals.reshape(shape))
-    g = GridFunction(
-        box=box, resolution=resolution, values=(f_vals + eps * h_vals).reshape(shape)
-    )
+    f_vals = np.empty(math.prod(resolution))
+    mask = np.empty(f_vals.size, dtype=bool)
+    for cells, norm_sq, _, cone in _cone_geometry(datum, j, kappa, radius, box, resolution):
+        f_vals[cells] = np.exp(-math.pi * norm_sq)
+        mask[cells] = cone
+    f = GridFunction(box=box, resolution=resolution, values=f_vals.reshape(resolution))
+    del f_vals  # only f, later only g, is alive while log_lambda runs
     # with bl = 1 the bl factor drops out of the ratio
-    return math.exp(log_lambda(g, datum, params, 1.0) - log_lambda(f, datum, params, 1.0)) - 1.0
+    log_f = log_lambda(f, datum, params, 1.0)
+    g_vals = f.values.ravel().copy()
+    del f
+    g_vals[mask] -= eps * g_vals[mask]  # g = f + eps * h with h = -f on the cone
+    g = GridFunction(box=box, resolution=resolution, values=g_vals.reshape(resolution))
+    del g_vals
+    return math.exp(log_lambda(g, datum, params, 1.0) - log_f) - 1.0

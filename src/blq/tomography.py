@@ -31,6 +31,8 @@ from .entropy import shannon_entropy
 from .errors import MassError, ParameterDomainError
 from .grid import GridFunction, InequalityMargin, grid_centers, lp_norm, mesh_points
 
+_MC_BLOCK = 1 << 15  # matrices per block of the gaussian wedge Monte Carlo
+
 
 @dataclass(frozen=True)
 class DirectionSet:
@@ -456,7 +458,8 @@ def restricted_xray_constant(
 
     C(mu) = (E |w_1 ^ ... ^ w_d|^{dq(1/p-1)/(d-1)})^{1/(dq)} with the w_j
     drawn independently from mu; the wedge modulus is |det| of the stacked
-    direction matrix.
+    direction matrix.  If the support of mu spans less than R^d and the exponent
+    is positive, every wedge is 0, so the constant is exactly 0 and nothing is drawn.
     """
     _check_scaling_line(p, q, d, 1)
     if n_mc < 1:
@@ -464,6 +467,8 @@ def restricted_xray_constant(
     if mu_samples.dim != d:
         raise ValueError("direction dimension mismatch")
     a = d * q * (1.0 / p - 1.0) / (d - 1)
+    if a > 0 and np.linalg.matrix_rank(mu_samples.vectors[mu_samples.weights > 0]) < d:
+        return MonteCarloEstimate(value=0.0, stderr=0.0, n_samples=n_mc, mean=0.0, mean_stderr=0.0)
     rng = np.random.default_rng(seed)
     idx = rng.choice(len(mu_samples), size=(n_mc, d), p=mu_samples.weights)
     mats = mu_samples.vectors[idx]
@@ -511,9 +516,10 @@ def gauss_wedge_integral_mc(d, a, n_mc, seed) -> MonteCarloEstimate:
     """Monte Carlo oracle for the gaussian wedge-power integral
     E |x_1 ^ ... ^ x_d|^a over d independent e^{-pi|x|^2} vectors."""
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n_mc, d, d)) / math.sqrt(2.0 * math.pi)
-    dets = np.abs(np.linalg.det(x))
-    vals = dets ** float(a)
+    vals = np.empty(n_mc)
+    for s in range(0, n_mc, _MC_BLOCK):  # the same draws as one (n_mc, d, d) array
+        x = rng.standard_normal((min(_MC_BLOCK, n_mc - s), d, d)) / math.sqrt(2.0 * math.pi)
+        vals[s : s + len(x)] = np.abs(np.linalg.det(x)) ** float(a)
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(n_mc)) if n_mc > 1 else 0.0
     return MonteCarloEstimate(value=mean, stderr=se, n_samples=n_mc, mean=mean, mean_stderr=se)

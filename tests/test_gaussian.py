@@ -396,18 +396,51 @@ def _reference_direct_delta(datum, params, j, kappa, radius, box, resolution, ep
     return math.exp(log_lambda(g, datum, params, 1.0) - log_lambda(f, datum, params, 1.0)) - 1.0
 
 
-def test_perturbation_gap_matches_reference_integrands_bitwise():
+def _check_gap_against_reference(res):
     from blq.grid import GridSpec
 
     datum = loomis_whitney(2)
     params = derive_adjoint_exponents(datum.exponents, (0.9, 0.1), 0.5)
-    box, res = ((-8.0, 8.0), (-8.0, 8.0)), (256, 256)
+    box = ((-8.0, 8.0), (-8.0, 8.0))
     gap = perturbation_gap(datum, params, eps=1e-3, grid=GridSpec(box=box, resolution=res))
     j = gap.j_index
     kappa = (1.0 - 0.5 * (params.p + params.p_i[j])) / (1.0 - params.p_i[j])
     fine = _reference_gap_sum(datum, params, j, kappa, gap.radius, box, res)
-    coarse = _reference_gap_sum(datum, params, j, kappa, gap.radius, box, (128, 128))
+    coarse = _reference_gap_sum(datum, params, j, kappa, gap.radius, box, tuple(n // 2 for n in res))
     assert gap.coefficient == fine
     assert gap.quadrature_estimate == abs(fine - coarse)
     assert gap.direct_ratio_delta == _reference_direct_delta(datum, params, j, kappa, gap.radius, box, res, 1e-3)
 
+
+def test_perturbation_gap_matches_reference_integrands_bitwise():
+    _check_gap_against_reference((256, 256))
+
+
+@pytest.mark.parametrize("res", [(600, 500), (1030, 70)])
+def test_row_blocked_perturbation_gap_matches_whole_grid_bitwise(res):
+    from blq.grid import row_blocks
+
+    blocks = row_blocks(res)
+    assert len(blocks) > 1 and blocks[-1][0].stop > res[0]  # several blocks, the last one partial
+    _check_gap_against_reference(res)
+
+
+def test_perturbation_gap_memory_peak_on_the_scenario_grid():
+    import tracemalloc
+
+    from blq import grid
+
+    datum = loomis_whitney(2)
+    params = derive_adjoint_exponents(datum.exponents, (0.9, 0.1), 0.5)
+    spec = grid.GridSpec(box=((-8.0, 8.0),) * 2, resolution=(1024, 1024))
+    grid._BIN_INDEX_CACHE.clear()
+    tracemalloc.start()
+    try:
+        perturbation_gap(datum, params, eps=1e-3, grid=spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        grid._BIN_INDEX_CACHE.clear()
+    # the (N, 2) cell centres alone are 16 MiB; what is whole is one function's
+    # 8 MiB of values with its L^p temporaries, and one map's 4 MiB bin index
+    assert peak <= 48 * 2**20

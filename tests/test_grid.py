@@ -359,3 +359,51 @@ def test_mesh_points_lay_points_out_in_values_order(resolution):
     expected = sum((pts[:, k] + 3) * 10.0**k for k in range(len(resolution)))
     assert np.array_equal(f.values.ravel(), expected)
 
+
+
+def _whole_grid_bin_index(f, B, target):
+    """The int64 bin index and escape mask of every cell centre, each target
+    coordinate one whole-grid outer sum of per-axis terms."""
+    axes = f.centers()
+    flat = np.zeros(f.values.size, dtype=np.int64)
+    inside = np.ones(f.values.size, dtype=bool)
+    for a, ((lo, hi), n) in enumerate(zip(target.box, target.resolution)):
+        y = 0.0
+        for j, c in enumerate(axes):
+            shape = [1] * f.dim
+            shape[j] = c.size
+            y = y + (c * B[a, j]).reshape(shape)
+        y = np.broadcast_to(y, f.resolution).ravel()
+        tol = 1e-12 * max(hi - lo, 1.0)
+        inside &= (y >= lo - tol) & (y <= hi + tol)
+        flat = flat * n + np.clip(np.floor((y - lo) / ((hi - lo) / n)).astype(np.int64), 0, n - 1)
+    return flat, ~inside
+
+
+@pytest.mark.parametrize("res", [(300, 700), (40, 50, 60), (21, 18, 24, 26)], ids=["d2", "d3", "d4"])
+def test_row_blocked_bin_index_is_the_whole_grid_index(res):
+    d = len(res)
+    blocks = grid.row_blocks(res)
+    assert len(blocks) > 1 and blocks[-1][0].stop > res[0]  # several blocks, the last one partial
+    f = random_grid_function(((-1.0, 1.5),) * d, res, seed=d, zero_fraction=0.3)
+    B = np.random.default_rng(d).standard_normal((2, d))
+    target = grid._auto_target(f, B)
+    flat, outside = grid._bin_index(f, B, target)
+    expected, escaping = _whole_grid_bin_index(f, B, target)
+    assert outside is None and not escaping.any()
+    assert flat.dtype == np.int32 and np.array_equal(flat, expected)
+    # a target too wide for int32 keeps the index in int64
+    wide = GridSpec(box=target.box, resolution=(50_000, 50_000))
+    flat, _ = grid._bin_index(f, B, wide)
+    assert flat.dtype == np.int64 and np.array_equal(flat, _whole_grid_bin_index(f, B, wide)[0])
+    # an escaping geometry gives the whole-grid mask and escaping mass fraction
+    small = GridSpec(box=tuple((0.5 * lo, 0.5 * hi) for lo, hi in target.box), resolution=target.resolution)
+    flat, outside = grid._bin_index(f, B, small)
+    escaping = _whole_grid_bin_index(f, B, small)[1]
+    assert flat is None and escaping.any() and np.array_equal(outside, escaping)
+    masses = f.values.ravel() * f.cell_volume
+    grid._BIN_INDEX_CACHE.clear()
+    with pytest.raises(CoverageError) as err:
+        grid_pushforward(f, B, small)
+    assert err.value.escaping_fraction == float(masses[escaping].sum()) / float(masses.sum())
+    grid._BIN_INDEX_CACHE.clear()

@@ -160,6 +160,46 @@ def test_restricted_constant_great_circle_vanishes():
     assert est.value < 1e-3
 
 
+def _reference_restricted_mean(mu, a, d, n_mc, seed):
+    """The restricted constant's Monte Carlo mean, drawn the long way."""
+    idx = np.random.default_rng(seed).choice(len(mu), size=(n_mc, d), p=mu.weights)
+    return float((np.abs(np.linalg.det(mu.vectors[idx])) ** a).mean())
+
+
+def test_rank_deficient_restricted_constant_is_exactly_zero_without_draws(monkeypatch):
+    p = 0.5
+    q = scaling_exponent_q(p, 3)
+    a = 3 * q * (1.0 / p - 1.0) / 2
+    circle = DirectionSet.great_circle(128)
+    # the draws give exactly 0 too, since every det has a zero column
+    assert _reference_restricted_mean(circle, a, 3, 5000, seed=3) == 0.0
+    pole = np.array([[0.0, 0.0, 1.0]])
+    weightless_pole = DirectionSet.from_vectors(
+        np.concatenate([circle.vectors, pole]), np.append(circle.weights, 0.0)
+    )
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a rank-deficient support needs no draws")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    for mu in (circle, weightless_pole):
+        est = restricted_xray_constant(mu, p, q, 3, 100_000, seed=3)
+        assert (est.value, est.stderr, est.mean, est.mean_stderr, est.n_samples) == (0.0, 0.0, 0.0, 0.0, 100_000)
+    monkeypatch.undo()
+    # with exponent a = 0 the constant stays 1
+    assert restricted_xray_constant(circle, 1.0, 1.0, 3, 1000, seed=0).value == 1.0
+
+
+def test_full_rank_restricted_constant_keeps_its_monte_carlo():
+    p = 0.5
+    q = scaling_exponent_q(p, 3)
+    a = 3 * q * (1.0 / p - 1.0) / 2
+    mu = DirectionSet.fibonacci_sphere(32)
+    est = restricted_xray_constant(mu, p, q, 3, 5000, seed=3)
+    assert est.mean == _reference_restricted_mean(mu, a, 3, 5000, seed=3) > 0.0
+    assert est.value == est.mean ** (1.0 / (3 * q))
+
+
 def test_restricted_constant_uniform_matches_sin_moment():
     p = 0.5
     d = 2
@@ -179,6 +219,13 @@ def test_wedge_moment_matches_sin_oracle(q):
     assert abs(wedge_moment(2, q) - oracle) < 1e-10
 
 
+@pytest.mark.parametrize("q", [0.1 * i for i in range(1, 10)])
+def test_wedge_moment_matches_the_d3_sphere_law(q):
+    # E |w_1 ^ w_2 ^ w_3|^{1-q} = (int_0^1 (1 - s^2)^{(1-q)/2} ds) / (2 - q)
+    law = scipy.integrate.quad(lambda s: (1.0 - s * s) ** ((1.0 - q) / 2.0), 0.0, 1.0)[0] / (2.0 - q)
+    assert abs(wedge_moment(3, q) - law) < 1e-14
+
+
 def test_gamma_constant_limits():
     assert xx_gamma_constant(2, 2.0, 1.0 - 1e-9) == pytest.approx(1.0, abs=1e-6)
     # d=2, q -> 0: the inner moment tends to the mean of |sin|, which is 2/pi
@@ -195,6 +242,30 @@ def test_gauss_wedge_integral_matches_closed_form():
             closed *= radial_moment_factor(d - ell, a)
         est = gauss_wedge_integral_mc(d, a, 100_000, seed=2)
         assert est.mean == pytest.approx(closed, abs=4.0 * est.mean_stderr + 1e-5)
+
+
+@pytest.mark.parametrize("seed", [4, 11])
+@pytest.mark.parametrize("d", [2, 3])
+def test_blocked_wedge_draws_are_the_whole_array_draw(d, seed):
+    n_mc = 3 * 2**15 + 5  # the last block is partial
+    x = np.random.default_rng(seed).standard_normal((n_mc, d, d)) / math.sqrt(2.0 * math.pi)
+    vals = np.abs(np.linalg.det(x)) ** 0.5
+    est = gauss_wedge_integral_mc(d, 0.5, n_mc, seed)
+    assert est.mean == float(vals.mean())
+    assert est.mean_stderr == float(vals.std(ddof=1) / math.sqrt(n_mc))
+
+
+def test_wedge_mc_memory_peak():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        gauss_wedge_integral_mc(3, 0.5, 10**6, seed=9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (10^6, 3, 3) draw alone is 72 MB; only the 8 MB of powers and std's 8 MB temporary are whole
+    assert peak <= 24 * 2**20
 
 
 def test_gamma_constant_vs_mc():
