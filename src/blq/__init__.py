@@ -38,9 +38,7 @@ from .grid import (
     adjoint_margin,
     gaussian_grid,
     grid_pushforward,
-    load_grid_function,
     lp_norm,
-    save_grid_function,
 )
 from .discrete import (
     FiniteAbelianGroup,

@@ -163,18 +163,13 @@ def _coordinate_projection(group, axis_subset):
 
 
 def discrete_instances(max_order=256):
-    """Coordinate-style data on small groups: (name, maps, c, exact flag)."""
+    """Coordinate-style data on small groups: (name, maps, c) with exact c."""
     out = []
-
-    def coords(factors, c):
-        g = FiniteAbelianGroup(factors)
-        maps = tuple(_coordinate_projection(g, (a,)) for a in range(g.rank))
-        return g, maps, c
-
     for factors in [(2, 2), (4, 4), (8, 8), (16, 16), (3, 9), (6, 4)]:
-        g, maps, c = coords(factors, (Fraction(1), Fraction(1)))
+        g = FiniteAbelianGroup(factors)
         if g.order <= max_order:
-            out.append((f"coords{factors}", maps, c))
+            maps = tuple(_coordinate_projection(g, (a,)) for a in range(g.rank))
+            out.append((f"coords{factors}", maps, (Fraction(1), Fraction(1))))
     for factors in [(2, 2, 2), (4, 4, 4), (2, 4, 8)]:
         g = FiniteAbelianGroup(factors)
         if g.order <= max_order:

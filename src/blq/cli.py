@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import math
 import os
@@ -45,7 +46,7 @@ from .discrete import (
     subgroup_indicator,
 )
 from .entropy import entropic_bl_margin, p_entropy_probe, power_curvature_exact, power_curvature_fd, renyi_bl_margin
-from .gowers import gowers_logconvexity_margin, gowers_profile, parallelogram_count, parallelepiped_count
+from .gowers import gowers_logconvexity_margin, parallelogram_count, parallelepiped_count
 from .tomography import (
     DirectionSet,
     kplane_transform,
@@ -64,8 +65,6 @@ try:
     LIBRARY_VERSION = _pkg_version("blq")
 except Exception:  # pragma: no cover
     LIBRARY_VERSION = "0.1.0"
-
-_STOCHASTIC_TASKS = {"adjoint-verify", "discrete", "tomography", "gowers"}
 
 
 def canonical_json(obj) -> str:
@@ -120,20 +119,10 @@ class RunReport:
         }
 
 
-def emit_report(report: RunReport, fmt: str = "json", dest=None) -> str:
-    """Serialize a report; canonical JSON or a flat CSV of the assertions."""
-    if fmt == "json":
-        text = canonical_json(report.to_canonical_dict())
-        _conform("report", json.loads(text))
-    elif fmt == "csv":
-        lines = ["name,value,tolerance,passed"]
-        for a in report.assertions:
-            lines.append(
-                f"{a['name']},{format(a['value'], '.12g')},{format(a['tolerance'], '.12g')},{a['passed']}"
-            )
-        text = "\n".join(lines) + "\n"
-    else:
-        raise SchemaError("format must be 'json' or 'csv'")
+def emit_report(report: RunReport, dest=None) -> str:
+    """The report's canonical JSON, checked against the report schema."""
+    text = canonical_json(report.to_canonical_dict())
+    _conform("report", json.loads(text))
     if dest is not None:
         Path(dest).write_bytes(text.encode("utf-8"))
     return text
@@ -143,6 +132,8 @@ def _datum_from_spec(spec) -> BLDatum:
     if isinstance(spec, str):
         spec = {"preset": spec}
     if "preset" in spec:
+        if spec["preset"] not in catalog.NAMED_DATA:
+            raise SchemaError(f"unknown datum preset {spec['preset']!r}: one of {sorted(catalog.NAMED_DATA)}")
         datum = catalog.named_datum(spec["preset"])
         if "conjugate_seed" in spec:
             datum = catalog.conjugate_datum(datum, int(spec["conjugate_seed"]))
@@ -193,40 +184,44 @@ class _Checks:
 
 
 # ---------------------------------------------------------------------------
-# task handlers
+# task handlers: the keyword-only parameters are the scenario keys, with their
+# defaults.  Every handler takes ``seed``, so ``--seed`` applies to every
+# scenario; a stochastic handler takes it without a default.
 
 
-def _task_gaussian_bl(scn, checks):
-    cases = scn.get("cases")
-    if cases is None:
-        cases = [dict(datum=scn["datum"], expected=scn.get("expected"), tol=scn.get("tol", 1e-6))]
-    results = {}
+def _task_gaussian_bl(checks, *, cases, seed=0):
+    names, results = [], {}
     for i, case in enumerate(cases):
-        datum = _datum_from_spec(case["datum"])
-        name = case.get("name", f"case{i}")
-        report = validate_datum(datum, seed=int(scn.get("seed", 0)))
-        t0 = time.perf_counter()
-        res = bl_gaussian_constant(datum)
-        dt = time.perf_counter() - t0
-        results[name] = {
-            "value": res.value,
-            "iterations": res.iterations,
-            "converged": res.converged,
-            "residual": res.residual,
-            "feasibility": report.verdict,
-        }
-        if case.get("expected") is not None:
-            err = abs(res.value - _parse_number(case["expected"]))
-            checks.at_most(f"{name}: value within tol", err, checks.tol(case.get("tol", 1e-6)))
-        checks.flag(f"{name}: converged", res.converged)
-        if "max_seconds" in case:
-            checks.runtime(f"{name}: runtime", dt, case["max_seconds"])
-    return {"cases": [c.get("name", f"case{i}") for i, c in enumerate(cases)]}, results
+        case = {"name": f"case{i}", **case}
+        names.append(case["name"])
+        results[case["name"]] = _gaussian_bl_case(checks, int(seed), **case)
+    return {"cases": names}, results
 
 
-def _task_adjoint_gaussian(scn, checks):
-    datum = _datum_from_spec(scn["datum"])
-    params = derive_adjoint_exponents(datum.exponents, scn["theta"], _parse_number(scn["p"]))
+def _gaussian_bl_case(checks, seed, *, name, datum, expected=None, tol=1e-6, max_seconds=None):
+    datum = _datum_from_spec(datum)
+    report = validate_datum(datum, seed=seed)
+    t0 = time.perf_counter()
+    res = bl_gaussian_constant(datum)
+    dt = time.perf_counter() - t0
+    if expected is not None:
+        err = abs(res.value - _parse_number(expected))
+        checks.at_most(f"{name}: value within tol", err, checks.tol(tol))
+    checks.flag(f"{name}: converged", res.converged)
+    if max_seconds is not None:
+        checks.runtime(f"{name}: runtime", dt, max_seconds)
+    return {
+        "value": res.value,
+        "iterations": res.iterations,
+        "converged": res.converged,
+        "residual": res.residual,
+        "feasibility": report.verdict,
+    }
+
+
+def _task_adjoint_gaussian(checks, *, datum, theta, p, rel_tol=1e-4, seed=None):
+    datum = _datum_from_spec(datum)
+    params = derive_adjoint_exponents(datum.exponents, theta, _parse_number(p))
     res = abl_gaussian_constant(datum, params)
     rel = abs(res.value - res.cross_check) / max(abs(res.cross_check), 1e-300)
     results = {
@@ -235,39 +230,39 @@ def _task_adjoint_gaussian(scn, checks):
         "prefactor": adjoint_gaussian_prefactor(params, datum.dims, datum.ambient_dim),
         "p_i": list(params.p_i),
     }
-    checks.at_most("adjoint constant matches prefactor route", rel, checks.tol(scn.get("rel_tol", 1e-4)))
+    checks.at_most("adjoint constant matches prefactor route", rel, checks.tol(rel_tol))
     checks.flag("converged", res.converged)
-    return {"theta": list(scn["theta"]), "p": _parse_number(scn["p"])}, results
+    return {"theta": list(theta), "p": _parse_number(p)}, results
 
 
-def _task_identity_ai(scn, checks):
+def _task_identity_ai(checks, *, seed=2024, datum=None, n_data=20, tol=1e-4):
     results = {}
-    if "datum" in scn:
-        data = [("datum", _datum_from_spec(scn["datum"]))]
+    if datum is not None:
+        data = [("datum", _datum_from_spec(datum))]
     else:
-        data = catalog.seeded_feasible_data(int(scn.get("n_data", 20)), seed0=int(scn.get("seed", 2024)))
+        data = catalog.seeded_feasible_data(int(n_data), seed0=int(seed))
     worst = 0.0
     for label, datum in data:
         res = identity_ai_residual(datum)
         worst = max(worst, res.residual)
         results[label] = {"residual": res.residual, "left_log": res.left_log, "right_log": res.right_log}
-    checks.at_most("max |log L - log R|", worst, checks.tol(scn.get("tol", 1e-4)))
+    checks.at_most("max |log L - log R|", worst, checks.tol(tol))
     return {"n_data": len(data)}, results
 
 
-def _task_adjoint_verify(scn, checks):
-    seed = int(scn["seed"])
-    if scn.get("functions", "random") == "equality-cases":
-        return _equality_cases(scn, checks, seed)
+def _verify_random(
+    checks, *, seed, datum=None, n_data=20, seed0=2024, n_draws=5, n_functions=200, rel_tol=1e-4, grid=None
+):
+    seed = int(seed)
     results = {}
-    if "datum" in scn:
-        data = [("datum", _datum_from_spec(scn["datum"]))]
+    if datum is not None:
+        data = [("datum", _datum_from_spec(datum))]
     else:
-        data = catalog.seeded_feasible_data(int(scn.get("n_data", 20)), seed0=int(scn.get("seed0", 2024)))
-    n_draws = int(scn.get("n_draws", 5))
-    n_functions = int(scn.get("n_functions", 200))
+        data = catalog.seeded_feasible_data(int(n_data), seed0=int(seed0))
+    n_draws = int(n_draws)
+    n_functions = int(n_functions)
     res_table = {2: 64, 3: 24, 4: 10}
-    grid = scn.get("grid", {})
+    grid = grid or {}
     worst_rel = 0.0
     min_margin_gap = math.inf
     for t, (label, datum) in enumerate(data):
@@ -296,19 +291,17 @@ def _task_adjoint_verify(scn, checks):
             gap = min(gap, m.margin + m.quadrature_estimate)
         min_margin_gap = min(min_margin_gap, gap)
         results[label] = {"cross_check_rel": worst, "min_margin_plus_estimate": gap}
-    checks.at_most("adjoint constant vs prefactor route (rel)", worst_rel, checks.tol(scn.get("rel_tol", 1e-4)))
+    checks.at_most("adjoint constant vs prefactor route (rel)", worst_rel, checks.tol(rel_tol))
     checks.at_least("forward inequality margins >= -estimate", min_margin_gap, 0.0)
     return {"n_data": len(data), "n_draws": n_draws, "n_functions": n_functions}, results
 
 
-def _equality_cases(scn, checks, seed):
-    datum = _datum_from_spec(scn.get("datum", "loomis_whitney_2"))
-    params = derive_adjoint_exponents(
-        datum.exponents, scn.get("theta", [0.5, 0.5]), _parse_number(scn.get("p", "1/2"))
-    )
+def _verify_equality_cases(checks, *, seed, datum="loomis_whitney_2", theta=(0.5, 0.5), p="1/2", n_functions=20):
+    datum = _datum_from_spec(datum)
+    params = derive_adjoint_exponents(datum.exponents, theta, _parse_number(p))
     bl = bl_gaussian_constant(datum).value
-    n = int(scn.get("n_functions", 20))
-    rng = np.random.default_rng(seed)
+    n = int(n_functions)
+    rng = np.random.default_rng(int(seed))
     box = ((-8.0, 8.0), (-8.0, 8.0))
     res = (256, 256)
     worst_eq = 0.0
@@ -337,16 +330,18 @@ def _equality_cases(scn, checks, seed):
     return {"n_functions": n}, results
 
 
-def _task_discrete(scn, checks):
-    seed = int(scn["seed"])
-    n_functions = int(scn.get("n_functions", 1000))
+def _task_discrete(
+    checks, *, seed, group=None, maps=None, c=None, max_order=256, p_values=("1/2", "1/3", "3/4"),
+    n_functions=1000, tol=1e-12,
+):
+    n_functions = int(n_functions)
     results = {}
-    if "group" in scn:
-        group, maps = group_from_json({**scn["group"], "maps": scn["maps"]})
-        instances = [("scenario", maps, tuple(Fraction(str(x)) for x in scn["c"]))]
+    if group is not None:
+        _, homs = group_from_json({**group, "maps": maps})
+        instances = [("scenario", homs, tuple(Fraction(str(x)) for x in c))]
     else:
-        instances = catalog.discrete_instances(int(scn.get("max_order", 256)))
-    ps = [Fraction(str(x)) for x in scn.get("p_values", ["1/2", "1/3", "3/4"])]
+        instances = catalog.discrete_instances(int(max_order))
+    ps = [Fraction(str(x)) for x in p_values]
     worst_cons = 0.0
     worst_margin = math.inf
     for name, maps, c in instances:
@@ -365,13 +360,13 @@ def _task_discrete(scn, checks):
             f = subgroup_indicator(arg, group)
             m = discrete_adjoint_margin(f / f.sum(), maps, params, blv)
             worst_margin = min(worst_margin, m.margin)
-        rng = np.random.default_rng(seed + group.order)
+        rng = np.random.default_rng(int(seed) + group.order)
         params = derive_adjoint_exponents(c, theta, float(ps[0]))
         for F in _discrete_draws(rng, group.order, n_functions):
             for m in discrete_adjoint_margins(F, maps, params, blv):
                 worst_margin = min(worst_margin, m.margin)
         results[name] = inst
-    checks.at_most("ABLs = BLs^{1/p-1} (rel)", worst_cons, checks.tol(scn.get("tol", 1e-12)))
+    checks.at_most("ABLs = BLs^{1/p-1} (rel)", worst_cons, checks.tol(tol))
     checks.add("discrete margins >= -1e-12", worst_margin, 1e-12, worst_margin >= -1e-12)
     return {"n_instances": len(instances), "n_functions": n_functions}, results
 
@@ -391,61 +386,19 @@ def _discrete_draws(rng, order, n_functions):
         yield F[keep] / total[keep, None]
 
 
-def _task_tomography(scn, checks):
-    variants = {"gamma-constant": _tomography_gamma, "restricted": _tomography_restricted}
-    handler = variants.get(scn.get("check"), _tomography_suite)  # default: lower-bound-suite
-    return handler(scn, checks, int(scn["seed"]))
-
-
-def _tomography_gamma(scn, checks, seed):
-    import scipy.integrate as si  # imported on first use: it is slow to import
-
-    worst = 0.0
-    for q in [round(0.1 * i, 10) for i in range(1, 10)]:
-        target = si.quad(lambda t: math.sin(t) ** (1.0 - q) / math.pi, 0.0, math.pi)[0]
-        worst = max(worst, abs(wedge_moment(2, q) - target))
-    results = {"sin_moment_max_err": worst}
-    checks.at_most("d=2 sin-moment identity", worst, 1e-10)
-    n_mc = int(scn.get("n_mc", 10**6))
-    p, q = _parse_number(scn.get("p", 2.0)), _parse_number(scn.get("q", 0.5))
-    for d in (2, 3):
-        c_exact = xx_gamma_constant(d, p, q)
-        mc = xx_constant_via_mc(d, p, q, n_mc, seed + d)
-        rel = abs(c_exact - mc.value) / c_exact
-        results[f"d{d}"] = {"gamma": c_exact, "mc": mc.value, "mc_stderr": mc.stderr, "rel": rel}
-        checks.at_most(f"d={d} Gamma vs MC (rel)", rel, checks.tol(scn.get("rel_tol", 0.02)))
-    return {"n_mc": n_mc, "p": p, "q": q}, results
-
-
-def _tomography_restricted(scn, checks, seed):
-    d = int(scn.get("d", 3))
-    p = _parse_number(scn.get("p", 0.5))
-    q = scaling_exponent_q(p, d)
-    n_mc = int(scn.get("n_mc", 10**5))
-    mu_kind = scn.get("mu", "great-circle")
-    if mu_kind == "great-circle":
-        mu = DirectionSet.great_circle(int(scn.get("n_mu", 128)))
-    elif mu_kind == "uniform":
-        mu = DirectionSet.uniform_circle(int(scn.get("n_mu", 256))) if d == 2 else DirectionSet.fibonacci_sphere(int(scn.get("n_mu", 256)))
-    else:
-        raise SchemaError("mu must be 'great-circle' or 'uniform'")
-    est = restricted_xray_constant(mu, p, q, d, n_mc, seed)
-    results = {"value": est.value, "stderr": est.stderr, "n": est.n_samples}
-    if "expected_below" in scn:
-        bound = _parse_number(scn["expected_below"])
-        checks.add("constant below bound", est.value, bound, est.value < bound)
-    return {"mu": mu_kind, "p": p, "q": q, "d": d}, results
-
-
-def _tomography_suite(scn, checks, seed):
-    n_functions = int(scn.get("n_functions", 100))
-    n_dirs = int(scn.get("n_dirs", 120))
-    res = int(scn.get("resolution", 96))
+def _tomography_suite(
+    checks, *, seed, n_functions=100, n_dirs=120, resolution=96, p_values=(0.5, 0.7, 0.9), n_samples_3d=3,
+    n_mc=10**5, l1_tol=1e-3,
+):
+    seed = int(seed)
+    n_functions = int(n_functions)
+    n_dirs = int(n_dirs)
+    res = int(resolution)
     box = ((-4.0, 4.0), (-4.0, 4.0))
     dirs = DirectionSet.uniform_circle(n_dirs)
     half = DirectionSet.from_vectors(dirs.vectors[::2])
     rng = np.random.default_rng(seed)
-    p_values = [_parse_number(x) for x in scn.get("p_values", [0.5, 0.7, 0.9])]
+    p_values = [_parse_number(x) for x in p_values]
     worst_l1 = 0.0
     min_gap = math.inf
     for _ in range(n_functions):
@@ -458,12 +411,11 @@ def _tomography_suite(scn, checks, seed):
             m = lower_bound_margin_from_tomograms(tom, tom_half, f, p, q)
             min_gap = min(min_gap, m.margin + m.quadrature_estimate)
     results = {"l1_worst_dev": worst_l1, "min_margin_plus_estimate": min_gap}
-    checks.at_most("||Xf||_1/||f||_1 = 1 (dev)", worst_l1, checks.tol(scn.get("l1_tol", 1e-3)))
+    checks.at_most("||Xf||_1/||f||_1 = 1 (dev)", worst_l1, checks.tol(l1_tol))
     checks.at_least("lower-bound margins", min_gap, 0.0)
     # monotonicity chain in dimension 3
-    n3 = int(scn.get("n_samples_3d", 3))
     worst_chain = math.inf
-    for t in range(n3):
+    for t in range(int(n_samples_3d)):
         f3 = random_grid_function(((-2.0, 2.0),) * 3, (32,) * 3, seed=seed + 7 * t, smooth=1)
         p = 0.7
         t1 = xray_transform(f3, DirectionSet.fibonacci_sphere(96), method="deposit")
@@ -476,19 +428,56 @@ def _tomography_suite(scn, checks, seed):
     checks.at_least("k-plane norm monotonicity", worst_chain, 0.0)
     gc = DirectionSet.great_circle(128)
     p = 0.5
-    est = restricted_xray_constant(gc, p, scaling_exponent_q(p, 3), 3, int(scn.get("n_mc", 10**5)), seed)
+    est = restricted_xray_constant(gc, p, scaling_exponent_q(p, 3), 3, int(n_mc), seed)
     results["great_circle_constant"] = est.value
     checks.add("great-circle constant < 1e-3", est.value, 1e-3, est.value < 1e-3)
     return {"n_functions": n_functions, "n_dirs": n_dirs, "resolution": res}, results
 
 
-def _task_gowers(scn, checks):
-    seed = int(scn["seed"])
-    n = int(scn.get("N", 64))
-    d = int(scn.get("d", 2))
-    n_functions = int(scn.get("n_functions", 200))
-    tol = checks.tol(scn.get("tol", 1e-12))
-    rng = np.random.default_rng(seed)
+def _tomography_gamma(checks, *, seed, n_mc=10**6, p=2.0, q=0.5, rel_tol=0.02):
+    import scipy.integrate as si  # imported on first use: it is slow to import
+
+    worst = 0.0
+    for moment_q in [round(0.1 * i, 10) for i in range(1, 10)]:
+        target = si.quad(lambda t: math.sin(t) ** (1.0 - moment_q) / math.pi, 0.0, math.pi)[0]
+        worst = max(worst, abs(wedge_moment(2, moment_q) - target))
+    results = {"sin_moment_max_err": worst}
+    checks.at_most("d=2 sin-moment identity", worst, 1e-10)
+    n_mc = int(n_mc)
+    p, q = _parse_number(p), _parse_number(q)
+    for d in (2, 3):
+        c_exact = xx_gamma_constant(d, p, q)
+        mc = xx_constant_via_mc(d, p, q, n_mc, int(seed) + d)
+        rel = abs(c_exact - mc.value) / c_exact
+        results[f"d{d}"] = {"gamma": c_exact, "mc": mc.value, "mc_stderr": mc.stderr, "rel": rel}
+        checks.at_most(f"d={d} Gamma vs MC (rel)", rel, checks.tol(rel_tol))
+    return {"n_mc": n_mc, "p": p, "q": q}, results
+
+
+def _tomography_restricted(checks, *, seed, d=3, p=0.5, n_mc=10**5, mu="great-circle", n_mu=None, expected_below=None):
+    """``n_mu`` defaults to 128 great-circle or 256 uniform directions."""
+    d = int(d)
+    p = _parse_number(p)
+    q = scaling_exponent_q(p, d)
+    if mu == "great-circle":
+        directions = DirectionSet.great_circle(int(n_mu or 128))
+    else:
+        n = int(n_mu or 256)
+        directions = DirectionSet.uniform_circle(n) if d == 2 else DirectionSet.fibonacci_sphere(n)
+    est = restricted_xray_constant(directions, p, q, d, int(n_mc), int(seed))
+    results = {"value": est.value, "stderr": est.stderr, "n": est.n_samples}
+    if expected_below is not None:
+        bound = _parse_number(expected_below)
+        checks.add("constant below bound", est.value, bound, est.value < bound)
+    return {"mu": mu, "p": p, "q": q, "d": d}, results
+
+
+def _task_gowers(checks, *, seed, N=64, d=2, n_functions=200, n_sets=20, N_sets=32, tol=1e-12):
+    n = int(N)
+    d = int(d)
+    n_functions = int(n_functions)
+    tol = checks.tol(tol)
+    rng = np.random.default_rng(int(seed))
     worst = math.inf
     for _ in range(n_functions):
         f = rng.uniform(0.0, 1.0, size=n) * (rng.uniform(size=n) < 0.7)
@@ -499,11 +488,9 @@ def _task_gowers(scn, checks):
     results = {"min_margin": worst, "constant_margin": const_margin}
     checks.add("log-convexity margins >= -1e-12", worst, tol, worst >= -tol)
     checks.at_most("equality at constant functions", const_margin, 1e-12)
-    n_sets = int(scn.get("n_sets", 20))
-    n_small = int(scn.get("N_sets", 32))
     worst_pp = math.inf
-    for _ in range(n_sets):
-        a = (rng.uniform(size=n_small) < rng.uniform(0.2, 0.8)).astype(float)
+    for _ in range(int(n_sets)):
+        a = (rng.uniform(size=int(N_sets)) < rng.uniform(0.2, 0.8)).astype(float)
         size = a.sum()
         if size < 2:
             continue
@@ -514,18 +501,15 @@ def _task_gowers(scn, checks):
     results["parallelepiped_slack"] = worst_pp
     # an infinite slack means no set had two elements: nothing was checked
     checks.add("parallelepiped count >= delta^4 |A|^4", worst_pp, 0.0, 0.0 <= worst_pp < math.inf)
-    if scn.get("profile_csv"):
-        f = rng.uniform(0.0, 1.0, size=n)
-        gowers_profile(f, 3).to_csv(scn["profile_csv"])
     return {"N": n, "d": d, "n_functions": n_functions}, results
 
 
-def _task_entropy(scn, checks):
-    tol = checks.tol(scn.get("tol", 1e-3))
-    datum = _datum_from_spec(scn.get("datum", "loomis_whitney_2"))
+def _task_entropy(checks, *, datum="loomis_whitney_2", resolution=256, tol=1e-3, seed=None):
+    tol = checks.tol(tol)
+    datum = _datum_from_spec(datum)
     bl = bl_gaussian_constant(datum).value
     d = datum.ambient_dim
-    res = int(scn.get("resolution", 256))
+    res = int(resolution)
     grid = (((-8.0, 8.0),) * d, (res,) * d)
     product = gaussian_grid(np.eye(d), *grid)
     densities = {
@@ -562,13 +546,14 @@ def _task_entropy(scn, checks):
     return {"resolution": res, "tol": tol}, results
 
 
-def _task_perturbation(scn, checks):
-    datum = _datum_from_spec(scn.get("datum", "loomis_whitney_2"))
-    theta = scn.get("theta", [0.9, 0.1])
-    p = _parse_number(scn.get("p", "1/2"))
+def _task_perturbation(
+    checks, *, datum="loomis_whitney_2", theta=(0.9, 0.1), p="1/2", resolutions=(512, 1024), stability_tol=0.05,
+    seed=None,
+):
+    datum = _datum_from_spec(datum)
+    p = _parse_number(p)
     params = derive_adjoint_exponents(datum.exponents, theta, p)
     d = datum.ambient_dim
-    resolutions = scn.get("resolutions", [512, 1024])
     coeffs = []
     for n in resolutions:
         spec = GridSpec(box=((-8.0, 8.0),) * d, resolution=(int(n),) * d)
@@ -581,34 +566,67 @@ def _task_perturbation(scn, checks):
         "direct_ratio_delta": coeffs[-1].direct_ratio_delta,
     }
     checks.add("first-order coefficient > 0", coeffs[-1].coefficient, 0.0, coeffs[-1].coefficient > 0)
-    checks.at_most("stability across resolutions", stability, checks.tol(scn.get("stability_tol", 0.05)))
+    checks.at_most("stability across resolutions", stability, checks.tol(stability_tol))
     return {"theta": theta, "p": p, "resolutions": resolutions}, results
 
 
+# task -> handler, or (variant key, {value: handler}) whose first value is
+# the default variant
 _HANDLERS = {
     "gaussian-bl": _task_gaussian_bl,
     "adjoint-gaussian": _task_adjoint_gaussian,
     "identity-ai": _task_identity_ai,
-    "adjoint-verify": _task_adjoint_verify,
+    "adjoint-verify": ("functions", {"random": _verify_random, "equality-cases": _verify_equality_cases}),
     "discrete": _task_discrete,
-    "tomography": _task_tomography,
+    "tomography": ("check", {
+        "lower-bound-suite": _tomography_suite,
+        "gamma-constant": _tomography_gamma,
+        "restricted": _tomography_restricted,
+    }),
     "gowers": _task_gowers,
     "entropy": _task_entropy,
     "perturbation": _task_perturbation,
 }
 
 
+def _scenario_keys(handler):
+    """(every key, required keys) of a handler: its keyword-only parameters."""
+    params = [p for p in inspect.signature(handler).parameters.values() if p.kind is p.KEYWORD_ONLY]
+    return frozenset(p.name for p in params), frozenset(p.name for p in params if p.default is p.empty)
+
+
+_SCENARIO_KEYS = {
+    handler: _scenario_keys(handler)
+    for entry in _HANDLERS.values()
+    for handler in (entry[1].values() if isinstance(entry, tuple) else (entry,))
+}
+
+
+def _route(scn):
+    """A scenario's handler, and the keys and values that chose it: task and variant."""
+    task = scn["task"]
+    entry = _HANDLERS[task]
+    if not isinstance(entry, tuple):
+        return entry, {"task": task}
+    key, variants = entry
+    value = scn[key] if key in scn else next(iter(variants))
+    if value not in variants:
+        raise SchemaError(f"scenario violates the schema at $.{key}: {value!r} is not one of {list(variants)}")
+    return variants[value], {"task": task, key: value}
+
+
 def validate_scenario(scn):
-    if not isinstance(scn, dict):
-        raise SchemaError("scenario must be a JSON object")
-    _conform("scenario", scn)
-    task = scn["task"]  # the schema's task enum is the handler registry
-    keys = _validator("scenario").schema["taskKeys"][task]
-    unknown = [key for key in scn if key not in keys]
+    _conform("scenario", scn)  # the schema's task enum is the handler registry
+    handler, route = _route(scn)
+    keys, required = _SCENARIO_KEYS[handler]
+    label = ", ".join(f"{key} {value!r}" for key, value in route.items())
+    unknown = [key for key in scn if key not in keys and key not in route]
     if unknown:
-        raise SchemaError(f"scenario violates the schema at $: {unknown[0]!r} is not one of {keys} (task {task!r})")
-    if task in _STOCHASTIC_TASKS and "seed" not in scn:
-        raise SchemaError(f"task {task!r} is stochastic: a seed is mandatory")
+        allowed = list(route) + sorted(keys)
+        raise SchemaError(f"scenario violates the schema at $: {unknown[0]!r} is not one of {allowed} ({label})")
+    missing = sorted(required - scn.keys())
+    if missing:
+        raise SchemaError(f"scenario violates the schema at $: {missing[0]!r} is a required property ({label})")
     return scn
 
 
@@ -661,8 +679,10 @@ def run_scenario(scenario, seed_override=None, tol_override=None) -> RunReport:
     t0 = time.perf_counter()
     inputs_echo = dict(scn)
     checks = _Checks(tol_override)
+    handler, route = _route(scn)
+    kwargs = {key: value for key, value in scn.items() if key not in route}
     try:
-        extra_inputs, results = _HANDLERS[scn["task"]](scn, checks)
+        extra_inputs, results = handler(checks, **kwargs)
         inputs_echo.update(extra_inputs)
     except SchemaError:
         raise
@@ -698,7 +718,7 @@ def _cmd_run(args):
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
     dest = out_dir / f"{Path(path).stem}.report.json"
-    emit_report(report, "json", dest)
+    emit_report(report, dest)
     status = "PASS" if report.passed else "FAIL"
     print(f"{status} {path} ({report.wall_time_s:.2f} s) -> {dest}")
     for a in report.assertions:
@@ -717,25 +737,22 @@ def _cmd_suite(args):
         print(f"no scenarios in {directory}", file=sys.stderr)
         return 2
     rows = []
-    all_pass = True
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
     for path in paths:
         try:
             report = run_scenario(path)
-            emit_report(report, "json", out_dir / f"{path.stem}.report.json")
-            ok = report.passed
+            emit_report(report, out_dir / f"{path.stem}.report.json")
             n_pass = sum(a["passed"] for a in report.assertions)
-            rows.append((path.name, report.task, f"{n_pass}/{len(report.assertions)}", f"{report.wall_time_s:.2f}s", "PASS" if ok else "FAIL"))
+            status = "PASS" if report.passed else "FAIL"
+            rows.append((path.name, report.task, f"{n_pass}/{len(report.assertions)}", f"{report.wall_time_s:.2f}s", status))
         except BLQError as exc:
             rows.append((path.name, "-", "-", "-", f"ERROR: {exc}"))
-            ok = False
-        all_pass = all_pass and ok
     header = ("scenario", "task", "asserts", "time", "status")
     widths = [max(len(str(r[i])) for r in rows + [header]) for i in range(5)]
     for r in [header] + rows:
         print("  ".join(str(v).ljust(w) for v, w in zip(r, widths)))
-    return 0 if all_pass else 1
+    return 0 if all(r[-1] == "PASS" for r in rows) else 1
 
 
 def main(argv=None) -> int:

@@ -32,11 +32,7 @@ SCALING_TOL = 1e-9
 
 def _as_fraction(x):
     """Parse 'p/q' strings and ints to Fraction; plain floats return None."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, int):
+    if isinstance(x, (Fraction, str, int)):
         return Fraction(x)
     if isinstance(x, float) and x.is_integer():
         return Fraction(int(x))
@@ -109,14 +105,6 @@ class BLDatum:
             return defect == 0
         return abs(defect) <= SCALING_TOL
 
-    def to_json_dict(self):
-        c = (
-            [str(c) for c in self.exact_exponents]
-            if self.exact_exponents is not None
-            else list(self.exponents)
-        )
-        return {"maps": [b.tolist() for b in self.maps], "c": c}
-
     @classmethod
     def from_json_dict(cls, obj):
         maps = obj["maps"]
@@ -172,10 +160,6 @@ class FeasibilityReport:
     scaling_ok: bool
     tested_subspaces: tuple
     verdict: str
-
-    @property
-    def feasible(self):
-        return self.verdict.startswith("feasible")
 
 
 def _rank(m, tol=RANK_TOL):

@@ -61,9 +61,6 @@ class FiniteAbelianGroup:
     def rank(self):
         return len(self.factors)
 
-    def coords(self, idx):
-        return self._coords[idx]
-
     def encode(self, coords):
         coords = np.asarray(coords) % np.array(self.factors)
         return coords @ np.array(self._strides)
@@ -82,9 +79,6 @@ class FiniteAbelianGroup:
         if self.order <= SUBGROUP_CAP:
             return self._table()[idx, j]
         return self.encode(self._coords[idx] + self._coords[j])
-
-    def to_json_dict(self):
-        return {"factors": list(self.factors)}
 
 
 @dataclass(frozen=True)
@@ -120,18 +114,14 @@ class GroupHom:
         """Index in the target group of the image of every source element."""
         return self._image_index
 
-    def to_json_dict(self):
-        return {"matrix": [list(r) for r in self.matrix], "target_factors": list(self.target.factors)}
-
-
-def hom_from_json(obj, source: FiniteAbelianGroup) -> GroupHom:
-    target = FiniteAbelianGroup(tuple(obj["target_factors"]))
-    return GroupHom(matrix=tuple(tuple(r) for r in obj["matrix"]), source=source, target=target)
-
 
 def group_from_json(obj):
+    """The group of ``obj["factors"]`` and the homomorphisms in ``obj["maps"]``."""
     g = FiniteAbelianGroup(tuple(obj["factors"]))
-    maps = tuple(hom_from_json(m, g) for m in obj.get("maps", []))
+    maps = tuple(
+        GroupHom(tuple(tuple(r) for r in m["matrix"]), g, FiniteAbelianGroup(tuple(m["target_factors"])))
+        for m in obj.get("maps", [])
+    )
     return g, maps
 
 

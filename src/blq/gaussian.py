@@ -94,28 +94,6 @@ class GaussianOptResult:
     diverged: bool = False
     cross_check: Optional[float] = None
 
-    def to_json_dict(self):
-        if isinstance(self.argmax, SpdMatrix):
-            flat = [self.argmax.matrix.flatten().tolist()]
-            dims = [self.argmax.dim]
-        elif self.argmax is None:
-            flat, dims = [], []
-        else:
-            flat = [a.matrix.flatten().tolist() for a in self.argmax]
-            dims = [a.dim for a in self.argmax]
-        out = {
-            "value": self.value,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "residual": self.residual,
-            "diverged": self.diverged,
-            "argmax_dims": dims,
-            "argmax_flat": flat,
-        }
-        if self.cross_check is not None:
-            out["cross_check"] = self.cross_check
-        return out
-
 
 def _logdet_pd(m):
     try:

@@ -13,8 +13,6 @@ admits an independent Fourier route (fourth moment of the DFT).
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -123,33 +121,6 @@ class GowersProfile:
     orders: tuple
     abscissae: tuple
     norms: tuple
-
-    def to_csv(self, path=None) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["d", "abscissa", "norm", "log_norm"])
-        for d, a, v in zip(self.orders, self.abscissae, self.norms):
-            writer.writerow([d, "%.12g" % a, "%.12g" % v, "%.12g" % math.log(v)])
-        text = buf.getvalue()
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
-
-    @classmethod
-    def from_csv(cls, text_or_path):
-        if "\n" in str(text_or_path):
-            text = text_or_path
-        else:
-            with open(text_or_path) as fh:
-                text = fh.read()
-        rows = list(csv.reader(io.StringIO(text)))
-        body = rows[1:]
-        return cls(
-            orders=tuple(int(r[0]) for r in body),
-            abscissae=tuple(float(r[1]) for r in body),
-            norms=tuple(float(r[2]) for r in body),
-        )
 
 
 def gowers_profile(f, max_order, measure_weight=1.0) -> GowersProfile:

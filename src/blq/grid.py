@@ -19,17 +19,11 @@ bin of every source cell (or, for a geometry whose image escapes the target
 box, the mask of the escaping cells).  The cache is a process-wide LRU
 capped at a fixed 4 MiB; nothing about it can be set.  Cached and freshly
 built indices give bit-identical pushforwards.
-
-File format (``save_grid_function``): a single file whose first line is a
-compact JSON header, followed by the payload.  Binary payload is raw
-little-endian float64 ('<f8') in C row-major order; CSV payload is one
-'%.17g' value per line in the same order.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -437,43 +431,3 @@ def rank_one_distance(f: GridFunction) -> float:
         return 0.0
     return math.sqrt(max(0.0, 1.0 - sv[0] ** 2 / total))
 
-
-def save_grid_function(f: GridFunction, path, payload="binary"):
-    """Write header line + payload; see the module docstring for the layout."""
-    header = {
-        "format": "blq-grid",
-        "version": 1,
-        "dim": f.dim,
-        "box": [list(b) for b in f.box],
-        "resolution": list(f.resolution),
-        "payload": payload,
-        "dtype": "<f8",
-        "order": "C",
-    }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        if payload == "binary":
-            fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes(order="C"))
-        elif payload == "csv":
-            lines = "\n".join("%.17g" % v for v in f.values.ravel(order="C"))
-            fh.write(lines.encode("ascii"))
-            fh.write(b"\n")
-        else:
-            raise ValueError("payload must be 'binary' or 'csv'")
-
-
-def load_grid_function(path) -> GridFunction:
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        if header.get("format") != "blq-grid":
-            raise ValueError("not a blq grid file")
-        res = tuple(header["resolution"])
-        count = int(np.prod(res))
-        if header["payload"] == "binary":
-            vals = np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(res)
-        else:
-            text = fh.read().decode("ascii").split()
-            vals = np.array([float(t) for t in text], dtype=float).reshape(res)
-    box = tuple((a, b) for a, b in header["box"])
-    return GridFunction(box, res, vals)

@@ -168,18 +168,6 @@ class TomogramSamples:
             per_dir = self._per_dir(lambda v: np.where(v > 0, -v * np.log(v), 0.0))
         return float(np.sum(self.weights * per_dir))
 
-    def to_csv(self, path):
-        """Columns: direction_index, offset coordinates, value."""
-        coords = mesh_points(self.offsets_axes)
-        with open(path, "w") as fh:
-            cols = ",".join(f"offset_{a}" for a in range(coords.shape[1]))
-            fh.write(f"direction_index,{cols},value\n")
-            for i in range(len(self.weights)):
-                vals = self.values[i].ravel()
-                for row, v in zip(coords, vals):
-                    cs = ",".join("%.12g" % c for c in row)
-                    fh.write(f"{i},{cs},{'%.12g' % v}\n")
-
 
 def _orthonormal_complement(omega):
     """Deterministic orthonormal basis of the hyperplane orthogonal to omega."""

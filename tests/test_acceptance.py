@@ -32,6 +32,10 @@ def _failures(report):
     return [a["name"] for a in report.assertions if not a["passed"]]
 
 
+def _sha256(report):
+    return hashlib.sha256(emit_report(report).encode("utf-8")).hexdigest()
+
+
 def test_criterion_01_gaussian_constants():
     report, _ = _run("01_gaussian_constants")
     # scenario asserts values, convergence and the <5 s per-case runtime
@@ -54,6 +58,7 @@ def test_criterion_03_adjoint_chain():
         ok,
         f"failed: {_failures(report)} wall {wall:.0f}s",
     )
+    assert _sha256(report) == SLOW_REFERENCE_SHA256["03_adjoint_chain"]
 
 
 def test_criterion_04_discrete_consistency():
@@ -81,6 +86,7 @@ def test_criterion_07_tomography_bounds():
         report.passed,
         f"failed: {_failures(report)} wall {wall:.0f}s",
     )
+    assert _sha256(report) == SLOW_REFERENCE_SHA256["07_tomography_lower_bounds"]
 
 
 def test_criterion_08_gamma_constant():
@@ -149,6 +155,14 @@ REFERENCE_SHA256 = {
     "08_gamma_constant": "437719b701d4dd2a6b0cbfe797046bc48d2fd3825c3d473a8f7bf63cd3e5e2b6",
     "09_gowers_logconvexity": "9adfe836032f3b1625ebcd0f057c1942b0b0eea2d3de520b8d7f2df89c559284",
     "10_entropy_margins": "ce8c7324e9db44bd9d77880a379d036aec1221c5a737977ca5b4c4b970ce60a4",
+}
+
+
+# the two slow reports are pinned inside their criterion tests, from the
+# run those tests make anyway
+SLOW_REFERENCE_SHA256 = {
+    "03_adjoint_chain": "495d3065b8157ad527ce9d5e40c0134f4b8efa572763c0745035860cfd7f14b3",
+    "07_tomography_lower_bounds": "0f6930c1cb89ee3c3de8a7f32dedb724df4c98183c0a20bf1e6a73fba0458712",
 }
 
 

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -10,7 +11,9 @@ import pytest
 
 from blq.cli import (
     _HANDLERS,
+    _SCENARIO_KEYS,
     RunReport,
+    _gaussian_bl_case,
     _load_schema,
     canonical_json,
     emit_report,
@@ -148,12 +151,116 @@ def test_keys_of_another_task_rejected(scenario):
     assert "\n" not in str(err.value)
 
 
-def test_every_task_has_one_key_set_of_known_keys():
+def test_handler_parameters_are_the_schema_properties():
     schema = _load_schema("scenario")
-    key_sets = schema["taskKeys"]
-    assert list(key_sets) == list(_HANDLERS)
-    for keys in key_sets.values():
-        assert {"task", "seed"} <= set(keys) <= set(schema["properties"])
+    assert "taskKeys" not in schema
+    properties = set(schema["properties"])
+    routes, params = {"task"}, set()
+    for task, entry in _HANDLERS.items():
+        key, variants = entry if isinstance(entry, tuple) else (None, {None: entry})
+        routes |= {key} - {None}
+        for handler in variants.values():
+            keys, required = _SCENARIO_KEYS[handler]
+            assert "seed" in keys and "task" not in keys and key not in keys, (task, handler)
+            assert keys <= properties and required <= keys
+            params |= keys
+    assert routes == {"task", "check", "functions"}
+    assert routes.isdisjoint(params) and routes | params == properties
+    handlers = [h for e in _HANDLERS.values() for h in (e[1].values() if isinstance(e, tuple) else [e])]
+    assert set(_SCENARIO_KEYS) == set(handlers)
+    case = schema["properties"]["cases"]["items"]
+    case_params = [p for p in inspect.signature(_gaussian_bl_case).parameters.values() if p.kind is p.KEYWORD_ONLY]
+    assert set(case["properties"]) == {p.name for p in case_params}
+    # every case gets a name from its position when it gives none
+    assert set(case["required"]) == {p.name for p in case_params if p.default is p.empty} - {"name"}
+
+
+def test_default_variants():
+    assert next(iter(_HANDLERS["tomography"][1])) == "lower-bound-suite"
+    assert next(iter(_HANDLERS["adjoint-verify"][1])) == "random"
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        {"task": "tomography", "seed": 1, "check": "gamma"},
+        {"task": "adjoint-verify", "seed": 1, "functions": "equality"},
+        {"task": "adjoint-verify", "seed": 1, "theta": [0.9, 0.1], "p": 0.2},
+        {"task": "adjoint-verify", "seed": 1, "functions": "random", "theta": [0.9, 0.1]},
+        {"task": "tomography", "seed": 1, "check": "gamma-constant", "n_dirs": 5},
+        {"task": "tomography", "seed": 1, "check": "gamma-constant", "mu": "nope"},
+        {"task": "tomography", "seed": 1, "check": "gamma-constant", "mu": "uniform"},
+        {"task": "adjoint-verify", "seed": 1, "functions": "equality-cases", "rel_tol": 1e-4},
+        {"task": "gaussian-bl", "datum": "young", "expected": 1.0, "tol": 1e-6},
+        {"task": "gaussian-bl"},
+        {"task": "gaussian-bl", "cases": [{"name": "young", "expected": 1.0}]},
+        {"task": "gowers", "seed": 1, "profile_csv": "profile.csv"},
+    ],
+)
+def test_variant_and_key_probes_rejected(scenario):
+    with pytest.raises(SchemaError) as err:
+        validate_scenario(scenario)
+    assert "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        {"task": "adjoint-verify"},
+        {"task": "adjoint-verify", "functions": "random"},
+        {"task": "adjoint-verify", "functions": "equality-cases"},
+        {"task": "discrete"},
+        {"task": "tomography"},
+        {"task": "tomography", "check": "lower-bound-suite"},
+        {"task": "tomography", "check": "gamma-constant"},
+        {"task": "tomography", "check": "restricted"},
+        {"task": "gowers"},
+    ],
+)
+def test_missing_seed_rejected_for_each_stochastic_variant(scenario):
+    with pytest.raises(SchemaError, match="'seed' is a required property"):
+        validate_scenario(scenario)
+    validate_scenario({**scenario, "seed": 0})
+
+
+def test_unknown_datum_preset_is_a_schema_error(tmp_path, capsys):
+    scenario = {"task": "entropy", "datum": "loomis_whitney_5"}
+    with pytest.raises(SchemaError, match="unknown datum preset 'loomis_whitney_5'") as err:
+        run_scenario(scenario)
+    assert "loomis_whitney_2" in str(err.value) and "young" in str(err.value)
+    path = tmp_path / "bad_preset.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+    assert "unknown datum preset" in capsys.readouterr().err
+    assert not (tmp_path / "bad_preset.report.json").exists()
+
+
+def test_integer_keys_given_as_floats_are_cast():
+    report = run_scenario({**FAST_GOWERS, "N": 16.0, "n_sets": 2.0})
+    assert report.passed
+    assert report.inputs["N"] == 16 and isinstance(report.inputs["N"], int)
+    assert emit_report(report) == emit_report(run_scenario(dict(FAST_GOWERS)))
+
+
+def test_restricted_tomography_variant_runs():
+    scenario = {"task": "tomography", "check": "restricted", "seed": 2, "d": 2, "mu": "uniform", "n_mu": 16}
+    report = run_scenario({**scenario, "n_mc": 2000, "expected_below": 10})
+    assert report.passed and report.results["n"] == 2000
+    assert report.inputs["p"] == 0.5 and report.inputs["d"] == 2
+    great_circle = run_scenario({"task": "tomography", "check": "restricted", "seed": 2, "n_mc": 10})
+    assert great_circle.results["value"] == 0.0 and great_circle.inputs["mu"] == "great-circle"
+
+
+def test_discrete_scenario_group():
+    scenario = {
+        "task": "discrete", "seed": 1, "n_functions": 20, "p_values": ["1/2"],
+        "group": {"factors": [2, 4]},
+        "maps": [{"matrix": [[1, 0]], "target_factors": [2]}, {"matrix": [[0, 1]], "target_factors": [4]}],
+        "c": [1, 1],
+    }
+    report = run_scenario(scenario)
+    assert report.passed, report.results
+    assert report.inputs["n_instances"] == 1 and list(report.results) == ["scenario"]
 
 
 def test_partial_grid_falls_back_to_the_task_grid(monkeypatch):
@@ -219,14 +326,6 @@ def test_emit_report_rejects_a_report_the_schema_rejects():
     with pytest.raises(SchemaError, match=r"at \$\.assertions\[0\]\.value") as err:
         emit_report(report)
     assert "\n" not in str(err.value)
-
-
-def test_csv_report_format():
-    report = run_scenario(dict(FAST_GOWERS))
-    text = emit_report(report, fmt="csv")
-    lines = text.splitlines()
-    assert lines[0] == "name,value,tolerance,passed"
-    assert len(lines) == 1 + len(report.assertions)
 
 
 def test_cli_run_writes_report_and_exits_zero(tmp_path, capsys):

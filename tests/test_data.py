@@ -162,7 +162,8 @@ def test_rational_exponent_roundtrip():
     )
     assert datum.exact_exponents == (Fraction(2, 3),) * 3
     assert datum.scaling_defect() == 0
-    again = BLDatum.from_json_dict(datum.to_json_dict())
+    # the dict the removed ``to_json_dict`` wrote: float maps, exponents as strings
+    again = BLDatum.from_json_dict({"maps": [[[1.0, 0.0]], [[0.0, 1.0]], [[1.0, -1.0]]], "c": ["2/3", "2/3", "2/3"]})
     assert again.exact_exponents == datum.exact_exponents
     assert all(np.array_equal(a, b) for a, b in zip(again.maps, datum.maps))
 

@@ -249,8 +249,8 @@ def test_group_serialization_roundtrip():
     }
     group, maps = group_from_json(obj)
     assert group.order == 8 and len(maps) == 3
-    assert maps[2].to_json_dict() == obj["maps"][2]
-    assert group.to_json_dict() == {"factors": [2, 4]}
+    assert maps[2].matrix == ((2, 1),) and maps[2].target.factors == (4,)
+    assert maps[2].source is group and group.factors == (2, 4)
 
 
 def test_consistency_at_order_512():

@@ -350,14 +350,6 @@ def test_spd_matrix_validation():
         SpdMatrix.from_matrix([[1.0, 2.0], [2.0, 1.0]])
 
 
-def test_result_serialization_shape():
-    res = bl_gaussian_constant(loomis_whitney(2))
-    payload = res.to_json_dict()
-    assert payload["converged"] is True
-    assert payload["argmax_dims"] == [1, 1]
-    assert len(payload["argmax_flat"]) == 2
-
-
 def _reference_cone(datum, j, kappa, radius, box, resolution):
     """Cell centres, |x|^2 and the projector quadratics, built the long way."""
     from blq.grid import grid_centers

@@ -7,7 +7,6 @@ import pytest
 
 from blq.errors import CapExceededError
 from blq.gowers import (
-    GowersProfile,
     gowers_logconvexity_margin,
     gowers_norm,
     gowers_profile,
@@ -161,16 +160,11 @@ def test_parallelepiped_corollary_on_sets():
         assert s3 >= delta**4 * size**4 - 1e-9
 
 
-def test_profile_csv_roundtrip(tmp_path):
+def test_profile_norms_and_abscissae():
     f = np.random.default_rng(31).uniform(size=32)
     prof = gowers_profile(f, 3)
-    text = prof.to_csv()
-    again = GowersProfile.from_csv(text)
-    assert again.to_csv() == text
-    path = tmp_path / "profile.csv"
-    prof.to_csv(path)
-    assert GowersProfile.from_csv(str(path)).to_csv() == text
-    assert prof.abscissae == (1.0, 0.75, 0.5)
+    assert prof.orders == (1, 2, 3) and prof.abscissae == (1.0, 0.75, 0.5)
+    assert prof.norms == tuple(gowers_norm(f, d) for d in (1, 2, 3))
 
 
 def test_real_line_ratio_scan_reports_below_one():

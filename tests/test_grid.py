@@ -17,12 +17,10 @@ from blq.grid import (
     adjoint_margin,
     gaussian_grid,
     grid_pushforward,
-    load_grid_function,
     lp_norm,
     mesh_points,
     random_grid_function,
     rank_one_distance,
-    save_grid_function,
 )
 
 BOX2 = ((-8.0, 8.0), (-8.0, 8.0))
@@ -214,16 +212,6 @@ def test_signed_values_rejected():
 def test_tiny_values_flushed():
     f = GridFunction(((0.0, 1.0),), (4,), np.array([1e-310, 0.5, 0.25, 0.0]))
     assert math.isfinite(lp_norm(f, 0.5))
-
-
-@pytest.mark.parametrize("payload", ["binary", "csv"])
-def test_grid_file_roundtrip(tmp_path, payload):
-    f = random_grid_function(((0, 2), (-1, 1)), (8, 12), seed=2)
-    path = tmp_path / f"grid.{payload}.blq"
-    save_grid_function(f, path, payload=payload)
-    g = load_grid_function(path)
-    assert g.box == f.box and g.resolution == f.resolution
-    assert np.allclose(g.values, f.values, rtol=0, atol=0 if payload == "binary" else 1e-16)
 
 
 def test_conjugated_datum_margins_still_certified():

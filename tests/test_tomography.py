@@ -347,16 +347,6 @@ def test_averaged_projection_inequality_box_unions():
         assert m.margin >= -m.quadrature_estimate
 
 
-def test_tomogram_csv_export(tmp_path):
-    f = random_grid_function(BOX, (16, 16), seed=3)
-    tom = xray_transform(f, DirectionSet.uniform_circle(4), t_resolution=8)
-    path = tmp_path / "tomogram.csv"
-    tom.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "direction_index,offset_0,value"
-    assert len(lines) == 1 + 4 * 8
-
-
 def _reference_deposit(f, projections, n_v):
     """Per-direction cloud-in-cell deposit written out the long way: the
     offset axis, the (N, d) cell centres and one bincount per cell corner."""
