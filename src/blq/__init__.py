@@ -61,7 +61,6 @@ from .tomography import (
     xx_gamma_constant,
 )
 from .entropy import (
-    DiscreteDensity,
     entropic_bl_margin,
     p_entropy_probe,
     renyi_entropy,

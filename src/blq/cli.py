@@ -194,7 +194,7 @@ def _task_gaussian_bl(checks, *, cases, seed=0):
     for i, case in enumerate(cases):
         case = {"name": f"case{i}", **case}
         names.append(case["name"])
-        results[case["name"]] = _gaussian_bl_case(checks, int(seed), **case)
+        results[case["name"]] = _gaussian_bl_case(checks, seed, **case)
     return {"cases": names}, results
 
 
@@ -221,7 +221,7 @@ def _gaussian_bl_case(checks, seed, *, name, datum, expected=None, tol=1e-6, max
 
 def _task_adjoint_gaussian(checks, *, datum, theta, p, rel_tol=1e-4, seed=None):
     datum = _datum_from_spec(datum)
-    params = derive_adjoint_exponents(datum.exponents, theta, _parse_number(p))
+    params = derive_adjoint_exponents(datum.exponents, theta, p)
     res = abl_gaussian_constant(datum, params)
     rel = abs(res.value - res.cross_check) / max(abs(res.cross_check), 1e-300)
     results = {
@@ -232,7 +232,7 @@ def _task_adjoint_gaussian(checks, *, datum, theta, p, rel_tol=1e-4, seed=None):
     }
     checks.at_most("adjoint constant matches prefactor route", rel, checks.tol(rel_tol))
     checks.flag("converged", res.converged)
-    return {"theta": list(theta), "p": _parse_number(p)}, results
+    return {"theta": list(theta), "p": p}, results
 
 
 def _task_identity_ai(checks, *, seed=2024, datum=None, n_data=20, tol=1e-4):
@@ -240,7 +240,7 @@ def _task_identity_ai(checks, *, seed=2024, datum=None, n_data=20, tol=1e-4):
     if datum is not None:
         data = [("datum", _datum_from_spec(datum))]
     else:
-        data = catalog.seeded_feasible_data(int(n_data), seed0=int(seed))
+        data = catalog.seeded_feasible_data(n_data, seed0=seed)
     worst = 0.0
     for label, datum in data:
         res = identity_ai_residual(datum)
@@ -253,14 +253,11 @@ def _task_identity_ai(checks, *, seed=2024, datum=None, n_data=20, tol=1e-4):
 def _verify_random(
     checks, *, seed, datum=None, n_data=20, seed0=2024, n_draws=5, n_functions=200, rel_tol=1e-4, grid=None
 ):
-    seed = int(seed)
     results = {}
     if datum is not None:
         data = [("datum", _datum_from_spec(datum))]
     else:
-        data = catalog.seeded_feasible_data(int(n_data), seed0=int(seed0))
-    n_draws = int(n_draws)
-    n_functions = int(n_functions)
+        data = catalog.seeded_feasible_data(n_data, seed0=seed0)
     res_table = {2: 64, 3: 24, 4: 10}
     grid = grid or {}
     worst_rel = 0.0
@@ -296,18 +293,17 @@ def _verify_random(
     return {"n_data": len(data), "n_draws": n_draws, "n_functions": n_functions}, results
 
 
-def _verify_equality_cases(checks, *, seed, datum="loomis_whitney_2", theta=(0.5, 0.5), p="1/2", n_functions=20):
+def _verify_equality_cases(checks, *, seed, datum="loomis_whitney_2", theta=(0.5, 0.5), p=0.5, n_functions=20):
     datum = _datum_from_spec(datum)
-    params = derive_adjoint_exponents(datum.exponents, theta, _parse_number(p))
+    params = derive_adjoint_exponents(datum.exponents, theta, p)
     bl = bl_gaussian_constant(datum).value
-    n = int(n_functions)
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(seed)
     box = ((-8.0, 8.0), (-8.0, 8.0))
     res = (256, 256)
     worst_eq = 0.0
     worst_ratio = math.inf
     results = {"product": [], "nonproduct": []}
-    for _ in range(n):
+    for _ in range(n_functions):
         w = rng.uniform(0.5, 4.0, size=2)
         lo = rng.uniform(-3.0, 0.0, size=2)
         cells = 16.0 / 256.0
@@ -327,20 +323,19 @@ def _verify_equality_cases(checks, *, seed, datum="loomis_whitney_2", theta=(0.5
         results["nonproduct"].append(m2.margin)
     checks.at_most("product indicators: |margin| <= estimate", worst_eq, 0.0)
     checks.at_least("non-product: margin >= 3x estimate", worst_ratio, 1.0)
-    return {"n_functions": n}, results
+    return {"n_functions": n_functions}, results
 
 
 def _task_discrete(
     checks, *, seed, group=None, maps=None, c=None, max_order=256, p_values=("1/2", "1/3", "3/4"),
     n_functions=1000, tol=1e-12,
 ):
-    n_functions = int(n_functions)
     results = {}
     if group is not None:
         _, homs = group_from_json({**group, "maps": maps})
         instances = [("scenario", homs, tuple(Fraction(str(x)) for x in c))]
     else:
-        instances = catalog.discrete_instances(int(max_order))
+        instances = catalog.discrete_instances(max_order)
     ps = [Fraction(str(x)) for x in p_values]
     worst_cons = 0.0
     worst_margin = math.inf
@@ -360,7 +355,7 @@ def _task_discrete(
             f = subgroup_indicator(arg, group)
             m = discrete_adjoint_margin(f / f.sum(), maps, params, blv)
             worst_margin = min(worst_margin, m.margin)
-        rng = np.random.default_rng(int(seed) + group.order)
+        rng = np.random.default_rng(seed + group.order)
         params = derive_adjoint_exponents(c, theta, float(ps[0]))
         for F in _discrete_draws(rng, group.order, n_functions):
             for m in discrete_adjoint_margins(F, maps, params, blv):
@@ -390,10 +385,6 @@ def _tomography_suite(
     checks, *, seed, n_functions=100, n_dirs=120, resolution=96, p_values=(0.5, 0.7, 0.9), n_samples_3d=3,
     n_mc=10**5, l1_tol=1e-3,
 ):
-    seed = int(seed)
-    n_functions = int(n_functions)
-    n_dirs = int(n_dirs)
-    res = int(resolution)
     box = ((-4.0, 4.0), (-4.0, 4.0))
     dirs = DirectionSet.uniform_circle(n_dirs)
     half = DirectionSet.from_vectors(dirs.vectors[::2])
@@ -402,9 +393,9 @@ def _tomography_suite(
     worst_l1 = 0.0
     min_gap = math.inf
     for _ in range(n_functions):
-        f = random_grid_function(box, (res, res), seed=int(rng.integers(0, 2**31)), smooth=1)
+        f = random_grid_function(box, (resolution,) * 2, seed=int(rng.integers(0, 2**31)), smooth=1)
         tom = xray_transform(f, dirs)
-        tom_half = xray_transform(f, half, t_resolution=res)
+        tom_half = xray_transform(f, half, t_resolution=resolution)
         worst_l1 = max(worst_l1, abs(tom.l1() / f.mass - 1.0))
         for p in p_values:
             q = scaling_exponent_q(p, 2)
@@ -415,7 +406,7 @@ def _tomography_suite(
     checks.at_least("lower-bound margins", min_gap, 0.0)
     # monotonicity chain in dimension 3
     worst_chain = math.inf
-    for t in range(int(n_samples_3d)):
+    for t in range(n_samples_3d):
         f3 = random_grid_function(((-2.0, 2.0),) * 3, (32,) * 3, seed=seed + 7 * t, smooth=1)
         p = 0.7
         t1 = xray_transform(f3, DirectionSet.fibonacci_sphere(96), method="deposit")
@@ -428,10 +419,10 @@ def _tomography_suite(
     checks.at_least("k-plane norm monotonicity", worst_chain, 0.0)
     gc = DirectionSet.great_circle(128)
     p = 0.5
-    est = restricted_xray_constant(gc, p, scaling_exponent_q(p, 3), 3, int(n_mc), seed)
+    est = restricted_xray_constant(gc, p, scaling_exponent_q(p, 3), 3, n_mc, seed)
     results["great_circle_constant"] = est.value
     checks.add("great-circle constant < 1e-3", est.value, 1e-3, est.value < 1e-3)
-    return {"n_functions": n_functions, "n_dirs": n_dirs, "resolution": res}, results
+    return {"n_functions": n_functions, "n_dirs": n_dirs, "resolution": resolution}, results
 
 
 def _tomography_gamma(checks, *, seed, n_mc=10**6, p=2.0, q=0.5, rel_tol=0.02):
@@ -443,11 +434,9 @@ def _tomography_gamma(checks, *, seed, n_mc=10**6, p=2.0, q=0.5, rel_tol=0.02):
         worst = max(worst, abs(wedge_moment(2, moment_q) - target))
     results = {"sin_moment_max_err": worst}
     checks.at_most("d=2 sin-moment identity", worst, 1e-10)
-    n_mc = int(n_mc)
-    p, q = _parse_number(p), _parse_number(q)
     for d in (2, 3):
         c_exact = xx_gamma_constant(d, p, q)
-        mc = xx_constant_via_mc(d, p, q, n_mc, int(seed) + d)
+        mc = xx_constant_via_mc(d, p, q, n_mc, seed + d)
         rel = abs(c_exact - mc.value) / c_exact
         results[f"d{d}"] = {"gamma": c_exact, "mc": mc.value, "mc_stderr": mc.stderr, "rel": rel}
         checks.at_most(f"d={d} Gamma vs MC (rel)", rel, checks.tol(rel_tol))
@@ -455,42 +444,39 @@ def _tomography_gamma(checks, *, seed, n_mc=10**6, p=2.0, q=0.5, rel_tol=0.02):
 
 
 def _tomography_restricted(checks, *, seed, d=3, p=0.5, n_mc=10**5, mu="great-circle", n_mu=None, expected_below=None):
-    """``n_mu`` defaults to 128 great-circle or 256 uniform directions."""
-    d = int(d)
-    p = _parse_number(p)
+    """``n_mu`` defaults to 128 great-circle (d = 3) or 256 uniform (d = 2 or 3) directions."""
+    dims = (3,) if mu == "great-circle" else (2, 3)
+    if d not in dims:
+        raise SchemaError(f"tomography check 'restricted' with mu {mu!r} needs d in {list(dims)}, got d = {d}")
     q = scaling_exponent_q(p, d)
     if mu == "great-circle":
-        directions = DirectionSet.great_circle(int(n_mu or 128))
+        directions = DirectionSet.great_circle(n_mu or 128)
     else:
-        n = int(n_mu or 256)
+        n = n_mu or 256
         directions = DirectionSet.uniform_circle(n) if d == 2 else DirectionSet.fibonacci_sphere(n)
-    est = restricted_xray_constant(directions, p, q, d, int(n_mc), int(seed))
+    est = restricted_xray_constant(directions, p, q, d, n_mc, seed)
     results = {"value": est.value, "stderr": est.stderr, "n": est.n_samples}
     if expected_below is not None:
-        bound = _parse_number(expected_below)
-        checks.add("constant below bound", est.value, bound, est.value < bound)
+        checks.add("constant below bound", est.value, expected_below, est.value < expected_below)
     return {"mu": mu, "p": p, "q": q, "d": d}, results
 
 
 def _task_gowers(checks, *, seed, N=64, d=2, n_functions=200, n_sets=20, N_sets=32, tol=1e-12):
-    n = int(N)
-    d = int(d)
-    n_functions = int(n_functions)
     tol = checks.tol(tol)
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(seed)
     worst = math.inf
     for _ in range(n_functions):
-        f = rng.uniform(0.0, 1.0, size=n) * (rng.uniform(size=n) < 0.7)
+        f = rng.uniform(0.0, 1.0, size=N) * (rng.uniform(size=N) < 0.7)
         if f.sum() == 0:
             continue
         worst = min(worst, gowers_logconvexity_margin(f, d))
-    const_margin = abs(gowers_logconvexity_margin(np.ones(n), d))
+    const_margin = abs(gowers_logconvexity_margin(np.ones(N), d))
     results = {"min_margin": worst, "constant_margin": const_margin}
     checks.add("log-convexity margins >= -1e-12", worst, tol, worst >= -tol)
     checks.at_most("equality at constant functions", const_margin, 1e-12)
     worst_pp = math.inf
-    for _ in range(int(n_sets)):
-        a = (rng.uniform(size=int(N_sets)) < rng.uniform(0.2, 0.8)).astype(float)
+    for _ in range(n_sets):
+        a = (rng.uniform(size=N_sets) < rng.uniform(0.2, 0.8)).astype(float)
         size = a.sum()
         if size < 2:
             continue
@@ -501,7 +487,7 @@ def _task_gowers(checks, *, seed, N=64, d=2, n_functions=200, n_sets=20, N_sets=
     results["parallelepiped_slack"] = worst_pp
     # an infinite slack means no set had two elements: nothing was checked
     checks.add("parallelepiped count >= delta^4 |A|^4", worst_pp, 0.0, 0.0 <= worst_pp < math.inf)
-    return {"N": n, "d": d, "n_functions": n_functions}, results
+    return {"N": N, "d": d, "n_functions": n_functions}, results
 
 
 def _task_entropy(checks, *, datum="loomis_whitney_2", resolution=256, tol=1e-3, seed=None):
@@ -509,8 +495,7 @@ def _task_entropy(checks, *, datum="loomis_whitney_2", resolution=256, tol=1e-3,
     datum = _datum_from_spec(datum)
     bl = bl_gaussian_constant(datum).value
     d = datum.ambient_dim
-    res = int(resolution)
-    grid = (((-8.0, 8.0),) * d, (res,) * d)
+    grid = (((-8.0, 8.0),) * d, (resolution,) * d)
     product = gaussian_grid(np.eye(d), *grid)
     densities = {
         "product_gaussian": product,
@@ -543,15 +528,14 @@ def _task_entropy(checks, *, datum="loomis_whitney_2", resolution=256, tol=1e-3,
     probe = p_entropy_probe(GridFunction.indicator_box(((0.0, 1.5),) * d, *grid), 0.5, datum, bl_value=bl)
     results["indicator_probe"] = probe
     checks.at_most("indicator probe <= tol", probe, tol)
-    return {"resolution": res, "tol": tol}, results
+    return {"resolution": resolution, "tol": tol}, results
 
 
 def _task_perturbation(
-    checks, *, datum="loomis_whitney_2", theta=(0.9, 0.1), p="1/2", resolutions=(512, 1024), stability_tol=0.05,
+    checks, *, datum="loomis_whitney_2", theta=(0.9, 0.1), p=0.5, resolutions=(512, 1024), stability_tol=0.05,
     seed=None,
 ):
     datum = _datum_from_spec(datum)
-    p = _parse_number(p)
     params = derive_adjoint_exponents(datum.exponents, theta, p)
     d = datum.ambient_dim
     coeffs = []
@@ -630,6 +614,19 @@ def validate_scenario(scn):
     return scn
 
 
+@functools.cache
+def _key_casts():
+    """scenario key -> its cast, by the key's type in the scenario schema:
+    ``int`` for an integer (the schema admits 16.0), ``_parse_number`` for a
+    number or a fraction string."""
+    props = _validator("scenario").schema["properties"]
+    return {
+        key: int if prop.get("type") == "integer" else _parse_number
+        for key, prop in props.items()
+        if prop.get("type") in ("integer", ["number", "string"])
+    }
+
+
 def _conform(name, instance):
     """Raise a one-line SchemaError unless ``instance`` matches schema ``name``."""
     import jsonschema  # imported on first use: it is slow to import
@@ -680,7 +677,8 @@ def run_scenario(scenario, seed_override=None, tol_override=None) -> RunReport:
     inputs_echo = dict(scn)
     checks = _Checks(tol_override)
     handler, route = _route(scn)
-    kwargs = {key: value for key, value in scn.items() if key not in route}
+    casts = _key_casts()
+    kwargs = {key: casts[key](value) if key in casts else value for key, value in scn.items() if key not in route}
     try:
         extra_inputs, results = handler(checks, **kwargs)
         inputs_echo.update(extra_inputs)

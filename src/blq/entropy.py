@@ -1,7 +1,7 @@
 """Shannon/Renyi entropy machinery and entropic inequality margins.
 
 Entropies are taken of normalized densities against the natural reference
-measure (cell volume for grids, atom weights for discrete densities) with
+measure (cell volume for a grid, 1 per entry for a non-negative array) with
 the 0 log 0 = 0 convention.  The Renyi entropy of order p is
 (p/(1-p)) log ||f||_p; it tends to the Shannon entropy as p -> 1.
 """
@@ -9,7 +9,6 @@ the 0 log 0 = 0 convention.  The Renyi entropy of order p is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -19,68 +18,34 @@ from .data import AdjointParams, BLDatum, derive_adjoint_exponents
 from .errors import MassError
 from .grid import GridFunction, grid_pushforward, lp_norm
 
-__all__ = [
-    "DiscreteDensity",
-    "shannon_entropy",
-    "renyi_entropy",
-    "entropy_power",
-    "entropic_bl_margin",
-    "renyi_bl_margin",
-    "p_entropy_probe",
-    "log_lambda",
-    "default_theta",
-    "power_curvature_fd",
-    "power_curvature_exact",
-]
-
-
-@dataclass(frozen=True)
-class DiscreteDensity:
-    """Non-negative weights on a finite index set with a reference measure."""
-
-    values: np.ndarray
-    weights: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        v = np.array(self.values, dtype=float)
-        if np.any(v < 0) or not np.all(np.isfinite(v)):
-            raise ValueError("values must be finite and non-negative")
-        w = (
-            np.ones_like(v)
-            if self.weights is None
-            else np.array(self.weights, dtype=float)
-        )
-        if w.shape != v.shape or np.any(w <= 0):
-            raise ValueError("weights must be positive and match the values")
-        v.flags.writeable = False
-        w.flags.writeable = False
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def mass(self):
-        return float(np.sum(self.values * self.weights))
-
-
 def _values_measure(f):
+    """The values of f and their reference measure: the cell volume of a
+    grid, or 1 per entry of an array, which must be finite and non-negative."""
     if isinstance(f, GridFunction):
         return f.values.ravel(), np.full(f.values.size, f.cell_volume)
-    if isinstance(f, DiscreteDensity):
-        return f.values.ravel(), f.weights.ravel()
-    arr = np.asarray(f, dtype=float)
-    return arr.ravel(), np.ones(arr.size)
+    v = np.asarray(f, dtype=float).ravel()
+    if np.any(v < 0) or not np.all(np.isfinite(v)):
+        raise ValueError("values must be finite and non-negative")
+    return v, np.ones(v.size)
+
+
+def _normalized(v, w):
+    mass = float(np.sum(v * w))
+    if mass <= 0 or not math.isfinite(mass):
+        raise MassError("entropy needs positive finite mass")
+    return v / mass
+
+
+def _shannon(v, w):
+    g = _normalized(v, w)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(g > 0, -g * np.log(g), 0.0)
+    return float(np.sum(t * w))
 
 
 def shannon_entropy(f) -> float:
     """Entropy of the normalized density: integral of -g log g."""
-    v, w = _values_measure(f)
-    mass = float(np.sum(v * w))
-    if mass <= 0 or not math.isfinite(mass):
-        raise MassError("entropy needs positive finite mass")
-    g = v / mass
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(g > 0, -g * np.log(g), 0.0)
-    return float(np.sum(t * w))
+    return _shannon(*_values_measure(f))
 
 
 def renyi_entropy(f, p) -> float:
@@ -91,18 +56,14 @@ def renyi_entropy(f, p) -> float:
     if p == 1.0:
         return shannon_entropy(f)
     v, w = _values_measure(f)
-    mass = float(np.sum(v * w))
-    if mass <= 0 or not math.isfinite(mass):
-        raise MassError("entropy needs positive finite mass")
-    g = v / mass
-    norm_p = float(np.sum(g**p * w)) ** (1.0 / p)
+    norm_p = float(np.sum(_normalized(v, w) ** p * w)) ** (1.0 / p)
     return (p / (1.0 - p)) * math.log(norm_p)
 
 
 def entropy_power(f, p) -> float:
     """Entropy of the tilted density f^p / ||f||_p^p."""
     v, w = _values_measure(f)
-    return shannon_entropy(DiscreteDensity(v**float(p), w))
+    return _shannon(v ** float(p), w)
 
 
 def default_theta(datum: BLDatum):

@@ -282,9 +282,6 @@ class AiIdentityResult:
     left: GaussianOptResult
     right: GaussianOptResult
 
-    def __float__(self):
-        return self.residual
-
 
 def identity_ai_residual(datum: BLDatum) -> AiIdentityResult:
     """Optimize both sides of the duality identity independently.
@@ -364,9 +361,6 @@ class PerturbationGapResult:
     eps: float
     direct_ratio_delta: Optional[float] = None
 
-    def __float__(self):
-        return self.coefficient
-
 
 def _cone_geometry(datum, j, kappa, radius, box, resolution):
     """Per row block of the grid: its flat cells, and at their centres x |x|^2,
@@ -393,10 +387,7 @@ def _gap_integrand_sum(datum, params, j, kappa, radius, box, resolution):
             part += t * (q ** (di / 2.0)) * np.exp(expo)
         total[n : n + len(part)] = part
         n += len(part)
-    cell_vol = 1.0
-    for (lo, hi), m in zip(box, resolution):
-        cell_vol *= (hi - lo) / m
-    return float(np.sum(total[:n]) * cell_vol)
+    return float(np.sum(total[:n]) * GridSpec(box, resolution).cell_volume)
 
 
 def perturbation_gap(
@@ -430,7 +421,7 @@ def perturbation_gap(
     log_target = math.log(2.0 * p ** (d / 2.0) / (params.theta[j] * p_j ** (d_j / 2.0)))
     radius = math.sqrt(max(0.0, 2.0 * log_target / (math.pi * (p - p_j))))
     if grid is None:
-        grid = GridSpec(box=default_box(d), resolution=default_resolution(d, fine=True))
+        grid = GridSpec(box=default_box(d), resolution=tuple(2 * n for n in default_resolution(d)))
     box, resolution = tuple(grid.box), tuple(grid.resolution)
     coeff = _gap_integrand_sum(datum, params, j, kappa, radius, box, resolution)
     coarse_res = tuple(max(2, n // 2) for n in resolution)

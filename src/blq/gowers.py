@@ -1,14 +1,14 @@
 """Gowers uniformity norms of non-negative functions on Z_N.
 
 ||f||_{U^d} is the 2^d-th root of the average of all multiplicative
-derivatives over (d+1)-tuples, with counting measure by default.  The box
-sum is computed through the lower-order tensor
+derivatives over (d+1)-tuples, with counting measure by default.  The U^2
+box sum is the squared l^2 mass of the correlation
 
-    F(h_1..h_{d-1}) = sum_x D_{h_1}..D_{h_{d-1}} f(x),
+    F(h) = sum_x f(x) f(x + h),
 
-whose squared l^2 mass equals the U^d box sum; F is streamed row by row so
-the memory stays O(N^2) even for U^4.  U^1 equals the l^1 mass, and U^2
-admits an independent Fourier route (fourth moment of the DFT).
+and for d >= 3 the U^d box sum is the sum over h of the U^{d-1} box sums of
+f * f(. + h), so the memory stays O(N^2) per order even for U^4.  U^1 equals
+the l^1 mass, and U^2 admits an independent Fourier route (DFT fourth moment).
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ U_CAPS = {1: 65536, 2: 4096, 3: 256, 4: 64}
 
 
 def _check_cap(n, d, cap):
-    limit = cap if cap is not None else U_CAPS.get(d)
-    if limit is None:
+    if d not in U_CAPS:
         raise CapExceededError(f"uniformity order {d} is out of scope")
+    limit = U_CAPS[d] if cap is None else cap
     if n > limit:
         raise CapExceededError(f"N = {n} exceeds the U^{d} cap {limit}")
 
@@ -39,31 +39,15 @@ def _shift_matrix(f):
 
 
 def _box_sum(f, d):
-    """sum over x, h_1..h_d of the product of f over all 2^d shifts."""
-    n = len(f)
+    """sum over x, h_1..h_d of the product of f over all 2^d shifts; for
+    d >= 3, the sum over h of the U^{d-1} box sums of f * f(. + h)."""
     if d == 1:
         return float(f.sum()) ** 2
     if d == 2:
         corr = f @ _shift_matrix(f)
         return float(np.sum(corr**2))
-    if d == 3:
-        shifts = _shift_matrix(f)
-        total = 0.0
-        for h1 in range(n):
-            g = f * shifts[:, h1]
-            rows = g @ _shift_matrix(g)
-            total += float(np.sum(rows**2))
-        return total
-    if d == 4:
-        total = 0.0
-        for h1 in range(n):
-            g1 = f * np.roll(f, -h1)
-            for h2 in range(n):
-                g12 = g1 * np.roll(g1, -h2)
-                rows = g12 @ _shift_matrix(g12)
-                total += float(np.sum(rows**2))
-        return total
-    raise CapExceededError(f"uniformity order {d} is out of scope")
+    shifts = _shift_matrix(f)
+    return sum(_box_sum(f * shifts[:, h], d - 1) for h in range(len(f)))
 
 
 def gowers_norm(f, d, measure_weight=1.0, cap=None) -> float:

@@ -42,13 +42,11 @@ def default_box(d):
     return tuple((-8.0, 8.0) for _ in range(d))
 
 
-def default_resolution(d, fine=False):
+def default_resolution(d):
     table = {1: 1024, 2: 256, 3: 64, 4: 16}
     n = table.get(d)
     if n is None:
         raise ValueError(f"no default resolution for dimension {d}")
-    if fine:
-        n *= 2
     return (n,) * d
 
 
@@ -76,6 +74,11 @@ class GridSpec:
     def __post_init__(self):
         object.__setattr__(self, "box", tuple((float(a), float(b)) for a, b in self.box))
         object.__setattr__(self, "resolution", tuple(int(n) for n in self.resolution))
+
+    @property
+    def cell_volume(self):
+        """The product of the cell sizes, taken axis by axis."""
+        return math.prod((hi - lo) / n for (lo, hi), n in zip(self.box, self.resolution))
 
 
 @dataclass(frozen=True)
@@ -350,10 +353,7 @@ def grid_pushforward(f: GridFunction, B, target: Optional[GridSpec] = None) -> G
             escaping_fraction=frac,
         )
     acc = np.bincount(flat, weights=masses, minlength=int(np.prod(t_res)))
-    t_cell_vol = 1.0
-    for (lo, hi), n in zip(t_box, t_res):
-        t_cell_vol *= (hi - lo) / n
-    vals = (acc / t_cell_vol).reshape(t_res)
+    vals = (acc / target.cell_volume).reshape(t_res)
     return GridFunction(t_box, t_res, vals)
 
 

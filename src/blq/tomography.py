@@ -328,8 +328,8 @@ def kplane_transform(
 ) -> TomogramSamples:
     """Averages over affine k-planes; d <= 3 by scope.
 
-    ``plane_samples``: an integer count of Haar frames (seeded), an explicit
-    sequence of d x k frame matrices, or a DirectionSet when k = 1.
+    ``plane_samples``: an integer count of Haar frames (seeded) or an
+    explicit sequence of d x k frame matrices.
     Codimension-one planes use exact mass-deposit binning onto the offset
     axis; k = 1 delegates to the line transform.
     """
@@ -338,10 +338,6 @@ def kplane_transform(
         raise ValueError("k-plane transforms are implemented for d <= 3")
     if not (1 <= k <= d - 1):
         raise ValueError("need 1 <= k <= d-1")
-    if isinstance(plane_samples, DirectionSet):
-        if k != 1:
-            raise ValueError("a DirectionSet parametrizes lines (k = 1)")
-        return xray_transform(f, plane_samples, t_resolution=t_resolution)
     if isinstance(plane_samples, (int, np.integer)):
         frames = haar_planes(d, k, int(plane_samples), seed)
     else:
@@ -435,8 +431,12 @@ class MonteCarloEstimate:
     mean: float
     mean_stderr: float
 
-    def __float__(self):
-        return self.value
+
+def _power_estimate(mean, mean_stderr, expo, n_mc) -> MonteCarloEstimate:
+    """mean**expo with its delta-method standard error; 0 and 0 when mean is 0."""
+    value = mean**expo if mean > 0 else 0.0
+    stderr = mean_stderr * expo * mean ** (expo - 1.0) if mean > 0 else 0.0
+    return MonteCarloEstimate(value=value, stderr=stderr, n_samples=n_mc, mean=mean, mean_stderr=mean_stderr)
 
 
 def restricted_xray_constant(
@@ -455,22 +455,14 @@ def restricted_xray_constant(
     if mu_samples.dim != d:
         raise ValueError("direction dimension mismatch")
     a = d * q * (1.0 / p - 1.0) / (d - 1)
+    expo = 1.0 / (d * q)
     if a > 0 and np.linalg.matrix_rank(mu_samples.vectors[mu_samples.weights > 0]) < d:
-        return MonteCarloEstimate(value=0.0, stderr=0.0, n_samples=n_mc, mean=0.0, mean_stderr=0.0)
+        return _power_estimate(0.0, 0.0, expo, n_mc)
     rng = np.random.default_rng(seed)
     idx = rng.choice(len(mu_samples), size=(n_mc, d), p=mu_samples.weights)
-    mats = mu_samples.vectors[idx]
-    dets = np.abs(np.linalg.det(mats))
-    if a == 0.0:
-        vals = np.ones(n_mc)
-    else:
-        vals = dets**a
-    mean = float(vals.mean())
+    vals = np.abs(np.linalg.det(mu_samples.vectors[idx])) ** a  # a = 0 gives exact ones
     se = float(vals.std(ddof=1) / math.sqrt(n_mc)) if n_mc > 1 else 0.0
-    expo = 1.0 / (d * q)
-    value = mean**expo if mean > 0 else 0.0
-    stderr = se * expo * mean ** (expo - 1.0) if mean > 0 else 0.0
-    return MonteCarloEstimate(value=value, stderr=stderr, n_samples=n_mc, mean=mean, mean_stderr=se)
+    return _power_estimate(float(vals.mean()), se, expo, n_mc)
 
 
 def wedge_moment(d, q) -> float:
@@ -518,13 +510,8 @@ def xx_constant_via_mc(d, p, q, n_mc, seed) -> MonteCarloEstimate:
     a = 1.0 - q
     est = gauss_wedge_integral_mc(d, a, n_mc, seed)
     factor = radial_moment_factor(d, a) ** d
-    moment = est.mean / factor
     expo = (1.0 - 1.0 / p) / ((d - 1) * q)
-    value = moment**expo
-    stderr = (est.mean_stderr / factor) * expo * moment ** (expo - 1.0) if moment > 0 else 0.0
-    return MonteCarloEstimate(
-        value=value, stderr=stderr, n_samples=n_mc, mean=moment, mean_stderr=est.mean_stderr / factor
-    )
+    return _power_estimate(est.mean / factor, est.mean_stderr / factor, expo, n_mc)
 
 
 def xx_r_exponent(d, p, q) -> float:

@@ -14,7 +14,9 @@ from blq.cli import (
     _SCENARIO_KEYS,
     RunReport,
     _gaussian_bl_case,
+    _key_casts,
     _load_schema,
+    _parse_number,
     canonical_json,
     emit_report,
     main,
@@ -249,6 +251,62 @@ def test_restricted_tomography_variant_runs():
     assert report.inputs["p"] == 0.5 and report.inputs["d"] == 2
     great_circle = run_scenario({"task": "tomography", "check": "restricted", "seed": 2, "n_mc": 10})
     assert great_circle.results["value"] == 0.0 and great_circle.inputs["mu"] == "great-circle"
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        {"task": "tomography", "check": "restricted", "seed": 1, "d": 2, "n_mc": 10},
+        {"task": "tomography", "check": "restricted", "seed": 1, "d": 4, "n_mc": 10, "mu": "uniform"},
+        {"task": "tomography", "check": "restricted", "seed": 1, "d": 1, "n_mc": 10, "mu": "uniform"},
+    ],
+)
+def test_restricted_dimension_its_directions_cannot_serve_is_a_schema_error(scenario, monkeypatch, tmp_path, capsys):
+    import blq.cli
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("restricted_xray_constant ran")
+
+    monkeypatch.setattr(blq.cli, "restricted_xray_constant", no_draws)
+    with pytest.raises(SchemaError, match=f"mu '{scenario.get('mu', 'great-circle')}' needs d in") as err:
+        run_scenario(scenario)
+    assert "\n" not in str(err.value)
+    path = tmp_path / "restricted.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+    assert "needs d in" in capsys.readouterr().err
+    assert not (tmp_path / "restricted.report.json").exists()
+
+
+def test_every_integer_and_number_key_has_its_cast():
+    validate_scenario(FAST_GOWERS)
+    props = _load_schema("scenario")["properties"]
+    casts = _key_casts()
+    integers = {key for key, prop in props.items() if prop.get("type") == "integer"}
+    numbers = {key for key, prop in props.items() if prop.get("type") == ["number", "string"]}
+    assert integers and numbers
+    assert set(casts) == integers | numbers
+    assert all(casts[key] is int for key in integers)
+    assert all(casts[key] is _parse_number for key in numbers)
+
+
+def test_fraction_p_reaches_the_equality_cases_handler_as_a_float(monkeypatch):
+    import blq.cli
+
+    seen = []
+
+    def recording(exponents, theta, p):
+        seen.append(p)
+        raise RuntimeError("stop after the exponents")
+
+    monkeypatch.setattr(blq.cli, "derive_adjoint_exponents", recording)
+    scenario = {"task": "adjoint-verify", "functions": "equality-cases", "seed": 23, "p": "1/2"}
+    report = run_scenario(scenario)
+    assert seen == [0.5] and type(seen[0]) is float
+    assert report.inputs["p"] == "1/2"  # the raw key is echoed
+    seen.clear()
+    run_scenario({**scenario, "p": "1/3", "n_functions": 2.0})
+    assert seen == [1 / 3]
 
 
 def test_discrete_scenario_group():

@@ -7,7 +7,6 @@ import pytest
 from blq.catalog import holder_identity, loomis_whitney
 from blq.data import derive_adjoint_exponents
 from blq.entropy import (
-    DiscreteDensity,
     default_theta,
     entropic_bl_margin,
     entropy_power,
@@ -25,13 +24,13 @@ BOX2 = ((-8.0, 8.0), (-8.0, 8.0))
 
 
 def test_uniform_density_entropy_is_log_m():
-    f = DiscreteDensity(np.full(7, 1.0))
+    f = np.full(7, 1.0)
     for p in (0.3, 1.0, 2.5):
         assert renyi_entropy(f, p) == pytest.approx(math.log(7), rel=1e-12)
 
 
 def test_two_point_density():
-    f = DiscreteDensity(np.array([0.5, 0.5]))
+    f = np.array([0.5, 0.5])
     for p in (0.5, 1.0, 4.0):
         assert renyi_entropy(f, p) == pytest.approx(math.log(2), rel=1e-12)
 
@@ -56,7 +55,7 @@ def test_renyi_tends_to_shannon():
 
 def test_zero_mass_rejected():
     with pytest.raises(MassError):
-        shannon_entropy(DiscreteDensity(np.zeros(4)))
+        shannon_entropy(np.zeros(4))
 
 
 def test_entropic_margin_product_gaussian_is_zero():
@@ -126,3 +125,72 @@ def test_default_theta_sums_to_one():
     assert sum(theta) == pytest.approx(1.0, abs=1e-14)
     params = derive_adjoint_exponents(lw.exponents, theta, 0.5)
     assert params.mode == "forward"
+
+
+def _reference_values_measure(f):
+    """The entropy inputs as the parent computed them: a grid's values with its
+    cell volume, an array through a DiscreteDensity with unit weights."""
+    if isinstance(f, GridFunction):
+        return f.values.ravel(), np.full(f.values.size, f.cell_volume)
+    v = np.array(f, dtype=float)
+    if np.any(v < 0) or not np.all(np.isfinite(v)):
+        raise ValueError("values must be finite and non-negative")
+    return v.ravel(), np.ones_like(v).ravel()
+
+
+def _reference_shannon(f):
+    v, w = _reference_values_measure(f)
+    mass = float(np.sum(v * w))
+    if mass <= 0 or not math.isfinite(mass):
+        raise MassError("entropy needs positive finite mass")
+    g = v / mass
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(g > 0, -g * np.log(g), 0.0)
+    return float(np.sum(t * w))
+
+
+def _reference_renyi(f, p):
+    v, w = _reference_values_measure(f)
+    mass = float(np.sum(v * w))
+    g = v / mass
+    norm_p = float(np.sum(g**p * w)) ** (1.0 / p)
+    return (p / (1.0 - p)) * math.log(norm_p)
+
+
+def _reference_entropy_power(f, p):
+    v, w = _reference_values_measure(f)
+    tilted = np.array(v ** float(p), dtype=float)
+    mass = float(np.sum(tilted * w))
+    g = tilted / mass
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(g > 0, -g * np.log(g), 0.0)
+    return float(np.sum(t * w))
+
+
+def _entropy_inputs():
+    rng = np.random.default_rng(8)
+    grid = gaussian_grid(np.array([[1.3, 0.2], [0.2, 0.9]]), ((-6.0, 6.0),) * 2, (96, 80))
+    values = rng.uniform(size=(40, 30)) * (rng.uniform(size=(40, 30)) < 0.7)
+    return [
+        grid,
+        GridFunction(BOX2, (40, 30), values),
+        values,
+        rng.exponential(size=500) * (rng.uniform(size=500) < 0.5),
+        [0.0, 3.0, 1e-300, 2.5],
+    ]
+
+
+def test_entropies_are_bitwise_the_density_path():
+    for f in _entropy_inputs():
+        assert shannon_entropy(f) == _reference_shannon(f)
+        for p in (0.3, 2.5):
+            assert renyi_entropy(f, p) == _reference_renyi(f, p)
+            assert entropy_power(f, p) == _reference_entropy_power(f, p)
+
+
+@pytest.mark.parametrize("bad", [-1e-3, math.nan])
+def test_negative_or_nan_array_rejected(bad):
+    values = np.array([0.5, bad, 1.0])
+    for call in (shannon_entropy, lambda v: renyi_entropy(v, 0.3), lambda v: entropy_power(v, 2.5)):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            call(values)

@@ -7,6 +7,7 @@ import pytest
 
 from blq.errors import CapExceededError
 from blq.gowers import (
+    _box_sum,
     gowers_logconvexity_margin,
     gowers_norm,
     gowers_profile,
@@ -73,6 +74,60 @@ def test_caps_enforced():
         gowers_norm(np.ones(65), 4)
     with pytest.raises(CapExceededError):
         gowers_norm(np.ones(4), 5)
+
+
+def test_orders_outside_the_scope_raise_with_or_without_a_cap():
+    for cap in (None, 100):
+        with pytest.raises(CapExceededError, match="order 5 is out of scope"):
+            gowers_norm(np.ones(4), 5, cap=cap)
+        with pytest.raises(CapExceededError, match="order 7 is out of scope"):
+            gowers_norm(np.ones(4), 7, cap=cap)
+    assert gowers_norm(np.ones(4), 4, cap=100) == pytest.approx(4 ** (5 / 16), rel=1e-14)
+
+
+def _reference_shift_matrix(f):
+    n = len(f)
+    return f[(np.arange(n)[:, None] + np.arange(n)[None, :]) % n]
+
+
+def _reference_box_sum(f, d):
+    """The unrolled U^2, U^3 and U^4 box sums, one loop per order."""
+    n = len(f)
+    if d == 2:
+        return float(np.sum((f @ _reference_shift_matrix(f)) ** 2))
+    total = 0.0
+    if d == 3:
+        shifts = _reference_shift_matrix(f)
+        for h1 in range(n):
+            g = f * shifts[:, h1]
+            total += float(np.sum((g @ _reference_shift_matrix(g)) ** 2))
+        return total
+    for h1 in range(n):
+        g1 = f * np.roll(f, -h1)
+        for h2 in range(n):
+            g12 = g1 * np.roll(g1, -h2)
+            total += float(np.sum((g12 @ _reference_shift_matrix(g12)) ** 2))
+    return total
+
+
+def _box_sum_inputs(sizes):
+    rng = np.random.default_rng(31)
+    for n in sizes:
+        yield rng.uniform(size=n)
+        yield rng.uniform(size=n) * (rng.uniform(size=n) < 0.5)
+        yield (rng.uniform(size=n) < 0.4).astype(float)
+
+
+def test_box_sums_are_bitwise_the_unrolled_loops():
+    for f in _box_sum_inputs((2, 3, 7, 16, 33, 64)):
+        for d in (2, 3):
+            assert _box_sum(f, d) == _reference_box_sum(f, d)
+
+
+def test_u4_box_sum_matches_the_unrolled_loop():
+    for f in _box_sum_inputs((2, 5, 12, 24)):
+        ref = _reference_box_sum(f, 4)
+        assert abs(_box_sum(f, 4) - ref) <= 1e-13 * ref
 
 
 def test_negative_values_rejected():
