@@ -10,6 +10,10 @@ Line integrals use equispaced sampling with trapezoid weights at step half
 the grid cell (multilinear interpolation of the cell-center samples).  Only
 the samples inside the zero-padded grid are evaluated, with arithmetic
 bit-exact to scipy's order-1 ``map_coordinates``; the others add exactly 0.
+``xray_transform_batch`` samples several functions on one grid: the geometry
+of each block of samples (coordinates, in-grid mask, corner indices and
+weights) is built once and serves every function, and each tomogram is bit
+for bit the one-function ``xray_transform``, which is the batch of one.
 Codimension-one plane averages use exact mass-deposit binning instead, since
 a full quadrature grid over 2-planes is an order of magnitude more work for
 no accuracy gain.  That deposit and the x-ray ``method="deposit"`` share one
@@ -32,6 +36,7 @@ from .errors import MassError, ParameterDomainError
 from .grid import GridFunction, InequalityMargin, grid_centers, lp_norm, mesh_points
 
 _MC_BLOCK = 1 << 15  # matrices per block of the gaussian wedge Monte Carlo
+_LINE_BLOCK = 1 << 15  # line samples per interpolation block of the sampled x-ray transform
 
 
 @dataclass(frozen=True)
@@ -44,6 +49,8 @@ class DirectionSet:
     def __post_init__(self):
         v = np.array(self.vectors, dtype=float)
         w = np.array(self.weights, dtype=float)
+        if len(v) == 0:
+            raise ValueError("direction set is empty")
         if v.ndim != 2 or len(w) != len(v):
             raise ValueError("need (n, d) vectors and n weights")
         norms = np.linalg.norm(v, axis=1)
@@ -70,8 +77,7 @@ class DirectionSet:
     @classmethod
     def uniform_circle(cls, n, offset=0.0):
         angles = offset + 2.0 * math.pi * np.arange(n) / n
-        v = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        return cls(v, np.full(n, 1.0 / n))
+        return cls.from_vectors(np.stack([np.cos(angles), np.sin(angles)], axis=1))
 
     @classmethod
     def fibonacci_sphere(cls, n):
@@ -81,7 +87,7 @@ class DirectionSet:
         r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
         v = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
         v /= np.linalg.norm(v, axis=1, keepdims=True)
-        return cls(v, np.full(n, 1.0 / n))
+        return cls.from_vectors(v)
 
     @classmethod
     def great_circle(cls, n, normal=(0.0, 0.0, 1.0)):
@@ -89,43 +95,90 @@ class DirectionSet:
         normal = np.asarray(normal, dtype=float)
         u, w = _orthonormal_complement(normal / np.linalg.norm(normal)).T
         angles = 2.0 * math.pi * np.arange(n) / n
-        v = np.outer(np.cos(angles), u) + np.outer(np.sin(angles), w)
-        return cls(v, np.full(n, 1.0 / n))
+        return cls.from_vectors(np.outer(np.cos(angles), u) + np.outer(np.sin(angles), w))
 
     @classmethod
     def from_vectors(cls, vectors, weights=None):
+        """Directions with the given weights, equal weights by default."""
         vectors = np.asarray(vectors, dtype=float)
         if weights is None:
-            weights = np.full(len(vectors), 1.0 / len(vectors))
+            weights = np.ones(len(vectors)) / len(vectors)  # empty, not 1/0, for no vectors
         return cls(vectors, weights)
 
 
+class _LinearInterp:
+    """Order-1 interpolation on a zero-ringed grid of ``shape``, up to ``n`` points a call.
+
+    ``locate(u)`` keeps the geometry of per-axis coordinates ``u``: in-grid
+    points, lower-corner flat indices and axis weights w0 = 1 - frac, w1 = 1 - w0.
+    ``values(src, out)`` interpolates a flat source there, so sources share it.
+    Points off [0, n_a - 1) on any axis are 0 unevaluated; the others repeat
+    scipy's arithmetic (corners last axis fastest, value times axis weights
+    summed from 0.0), bit for bit ``map_coordinates(order=1, prefilter=False)``.
+    The arrays are made once, so blocks never return heap pages to the system
+    (each would cost a page fault on the next block).
+    """
+
+    def __init__(self, shape, n):
+        d = len(shape)
+        self.limits = [k - 1 for k in shape]
+        self.strides = [math.prod(shape[a + 1 :]) for a in range(d)]
+        self.corners = [
+            (sum(bit * s for bit, s in zip(bits, self.strides)), bits) for bits in np.ndindex((2,) * d)
+        ]
+        self.inside = np.empty(n, dtype=bool)
+        self.test = np.empty(n, dtype=bool)
+        self.points = np.arange(n)
+        self.pos = np.empty(n, dtype=np.intp)
+        self.weights = np.empty((d, 2, n))
+        self.flat = np.empty(n, dtype=np.intp)
+        self.index = np.empty(n, dtype=np.intp)
+        self.acc = np.empty(n)
+        self.coeff = np.empty(n)
+
+    def locate(self, u):
+        inside, test = self.inside[: len(u[0])], self.test[: len(u[0])]
+        inside.fill(True)
+        for ua, limit in zip(u, self.limits):
+            inside &= np.greater_equal(ua, 0.0, out=test)
+            inside &= np.less(ua, limit, out=test)
+        m = self.m = int(np.count_nonzero(inside))
+        pos, flat, index = self.pos[:m], self.flat[:m], self.index[:m]
+        np.compress(inside, self.points[: len(inside)], out=pos)
+        for a, (ua, stride) in enumerate(zip(u, self.strides)):
+            w0, w1 = self.weights[a, :, :m]
+            ua.take(pos, out=w0, mode="clip")
+            ia = np.floor(w0, out=w1)
+            index[...] = ia
+            index *= stride
+            if a == 0:
+                flat[...] = index
+            else:
+                flat += index
+            w0 -= ia
+            np.subtract(1.0, w0, out=w0)
+            np.subtract(1.0, w0, out=w1)
+
+    def values(self, src, out):
+        m = self.m
+        acc, coeff, flat = self.acc[:m], self.coeff[:m], self.flat[:m]
+        acc.fill(0.0)
+        for offset, bits in self.corners:
+            src[offset:].take(flat, out=coeff, mode="clip")  # src[flat + offset]; every index is in range
+            for a, bit in enumerate(bits):
+                coeff *= self.weights[a, bit, :m]
+            acc += coeff
+        out.fill(0.0)
+        out[self.pos[:m]] = acc
+
+
 def _interp_linear(padded, u):
-    """Order-1 interpolation of ``padded``, which has a zero ring, at per-axis
-    coordinates ``u``.  Points off [0, n_a - 1) on any axis are 0 unevaluated;
-    the others repeat scipy's arithmetic (w0 = 1 - frac, w1 = 1 - w0, corners
-    last axis fastest, value times axis weights summed from 0.0), so the result
-    is ``map_coordinates(padded, u, order=1, prefilter=False)`` bit for bit."""
-    inside = np.logical_and.reduce([(ua >= 0.0) & (ua < n - 1) for ua, n in zip(u, padded.shape)])
-    strides = [math.prod(padded.shape[a + 1 :]) for a in range(padded.ndim)]
-    flat = 0
-    weights = []
-    for ua, stride in zip(u, strides):
-        ua = ua[inside]
-        ia = np.floor(ua)
-        ua -= ia
-        w0 = np.subtract(1.0, ua, out=ua)
-        weights.append((w0, 1.0 - w0))
-        flat = flat + ia.astype(np.intp) * stride
-    src = padded.ravel()
-    acc = np.zeros(np.count_nonzero(inside))
-    for corner in np.ndindex((2,) * len(u)):
-        coeff = src.take(flat + sum(bit * s for bit, s in zip(corner, strides)))
-        for w, bit in zip(weights, corner):
-            coeff *= w[bit]
-        acc += coeff
-    out = np.zeros(u[0].shape)
-    out[inside] = acc
+    """``map_coordinates(padded, u, order=1, prefilter=False)`` of a grid with
+    a zero ring, for one source (see ``_LinearInterp``)."""
+    interp = _LinearInterp(padded.shape, len(u[0]))
+    interp.locate(u)
+    out = np.empty(len(u[0]))
+    interp.values(padded.ravel(), out)
     return out
 
 
@@ -184,10 +237,12 @@ def _orthonormal_complement(omega):
 
 
 def _offset_count(t_resolution, default):
-    """``t_resolution`` offsets per axis, at least 1; ``default`` when it is None."""
-    if t_resolution is not None and not t_resolution >= 1:
-        raise ValueError(f"t_resolution must be at least 1, got {t_resolution!r}")
-    return default if t_resolution is None else t_resolution
+    """``t_resolution`` offsets per axis, an integer >= 1; ``default`` when it is None."""
+    if t_resolution is None:
+        return default
+    if isinstance(t_resolution, bool) or not isinstance(t_resolution, (int, np.integer)) or t_resolution < 1:
+        raise ValueError(f"t_resolution must be an integer >= 1, got {t_resolution!r}")
+    return int(t_resolution)
 
 
 def _offset_grid(f: GridFunction, n_v, m):
@@ -234,6 +289,33 @@ def _deposit_tomogram(f: GridFunction, projections, n_v):
     return values
 
 
+def _line_setup(f: GridFunction, dirs, t_resolution, line_step, n_v_default):
+    """Checked directions, offset count and offset frames of a line transform of f."""
+    d = f.dim
+    if d < 2:
+        raise ValueError("the line transform needs dimension >= 2")
+    if dirs is None:
+        dirs = DirectionSet.uniform_circle(360) if d == 2 else DirectionSet.fibonacci_sphere(128)
+    if dirs.dim != d:
+        raise ValueError("direction dimension does not match the grid")
+    if line_step is not None and not line_step > 0:
+        raise ValueError(f"line_step must be positive, got {line_step!r}")
+    n_v = _offset_count(t_resolution, n_v_default)
+    return dirs, n_v, np.stack([_orthonormal_complement(omega) for omega in dirs.vectors])
+
+
+def _line_tomogram(dirs, frames, offsets_axes, values, cell):
+    return TomogramSamples(
+        k=1,
+        directions=dirs.vectors.copy(),
+        weights=dirs.weights.copy(),
+        frames=frames.copy(),
+        offsets_axes=offsets_axes,
+        values=values,
+        offset_cell_volume=float(cell ** len(offsets_axes)),
+    )
+
+
 def xray_transform(
     f: GridFunction,
     dirs: Optional[DirectionSet] = None,
@@ -246,65 +328,84 @@ def xray_transform(
     ``method="sample"`` (default) integrates along equispaced line samples
     with trapezoid weights at step half the smallest grid cell (override with
     ``line_step`` > 0), evaluating only the samples inside the grid,
-    bit-exact to scipy's order-1 interpolation.  ``method="deposit"`` bins each
-    cell's mass onto the offset grid instead, which preserves ||Xf||_1 = ||f||_1
-    exactly and is preferred for entropy work.  ``t_resolution`` >= 1 is the
+    bit-exact to scipy's order-1 interpolation; it is the batch of one of
+    ``xray_transform_batch``.  ``method="deposit"`` bins each cell's mass onto
+    the offset grid instead, which preserves ||Xf||_1 = ||f||_1 exactly and is
+    preferred for entropy work.  ``t_resolution``, an integer >= 1, is the
     tomogram resolution per offset axis.
     """
-    d = f.dim
-    if d < 2:
-        raise ValueError("the line transform needs dimension >= 2")
-    if dirs is None:
-        dirs = DirectionSet.uniform_circle(360) if d == 2 else DirectionSet.fibonacci_sphere(128)
-    if len(dirs) == 0:
-        raise ValueError("direction set is empty")
-    if dirs.dim != d:
-        raise ValueError("direction dimension does not match the grid")
-    if line_step is not None and not line_step > 0:
-        raise ValueError(f"line_step must be positive, got {line_step!r}")
-    n_v = _offset_count(t_resolution, 2 * max(f.resolution) if (d == 2 or method == "deposit") else max(f.resolution))
-    radius, cell, offsets_axes = _offset_grid(f, n_v, d - 1)
-    frames = np.stack([_orthonormal_complement(omega) for omega in dirs.vectors])
-    if method == "deposit":
-        values = _deposit_tomogram(f, frames, n_v)
-    elif method == "sample":
-        step = line_step or min(f.cell_sizes) / 2.0
-        n_t = int(math.ceil(2.0 * radius / step))
-        t_nodes = np.linspace(-radius, radius, n_t + 1)
-        t_w = np.full(n_t + 1, t_nodes[1] - t_nodes[0])
-        t_w[0] *= 0.5
-        t_w[-1] *= 0.5
-        offs = mesh_points(offsets_axes)
-        padded, cells = np.pad(f.values, 1), f.cell_sizes
-        values = np.zeros((len(dirs),) + (n_v,) * (d - 1))
-        # trapezoid sums over chunks of offsets; interpolation in blocks of about
-        # 2^13 samples, whose 64 KiB temporaries stay in cache and in the heap
-        chunk = max(1, int(4_000_000 // max(1, n_t + 1)))
-        block = max(1, 8192 // (n_t + 1))
-        vals = np.empty((min(chunk, len(offs)), n_t + 1))
-        for i, (omega, frame) in enumerate(zip(dirs.vectors, frames)):
-            base = offs @ frame.T
-            steps = [t_nodes * w for w in omega]
-            acc = values[i].reshape(-1)
-            for s in range(0, len(offs), chunk):
-                blk = base[s : s + chunk]
-                for r in range(0, len(blk), block):
-                    rows = blk[r : r + block]
-                    # grid coordinate on each axis of sample (offset, t), an outer sum
-                    u = [((rows[:, a, None] + steps[a]) - f.box[a][0]) / cells[a] + 0.5 for a in range(d)]
-                    vals[r : r + len(rows)] = _interp_linear(padded, u)
-                acc[s : s + chunk] = vals[: len(blk)] @ t_w
-    else:
+    if method == "sample":
+        return xray_transform_batch([f], dirs, t_resolution, line_step)[0]
+    if method != "deposit":
         raise ValueError("method must be 'sample' or 'deposit'")
-    return TomogramSamples(
-        k=1,
-        directions=dirs.vectors.copy(),
-        weights=dirs.weights.copy(),
-        frames=frames,
-        offsets_axes=offsets_axes,
-        values=values,
-        offset_cell_volume=float(cell ** (d - 1)),
-    )
+    dirs, n_v, frames = _line_setup(f, dirs, t_resolution, line_step, 2 * max(f.resolution))
+    _, cell, offsets_axes = _offset_grid(f, n_v, f.dim - 1)
+    return _line_tomogram(dirs, frames, offsets_axes, _deposit_tomogram(f, frames, n_v), cell)
+
+
+def xray_transform_batch(
+    fs,
+    dirs: Optional[DirectionSet] = None,
+    t_resolution: Optional[int] = None,
+    line_step: Optional[float] = None,
+) -> list:
+    """``xray_transform(f, dirs, t_resolution, line_step)`` for every f in
+    ``fs``, one ``TomogramSamples`` each, bit for bit.
+
+    The functions share one box and resolution, so each block of line samples
+    gets its geometry (grid coordinates, in-grid mask, corner indices and
+    weights) once, and then the values of every function.  Each function keeps
+    one (offsets, samples per line) buffer alive, so pass a few at a time.
+    """
+    fs = list(fs)
+    if not fs:
+        raise ValueError("need at least one function")
+    f = fs[0]
+    if any(g.box != f.box or g.resolution != f.resolution for g in fs):
+        raise ValueError("the functions of a batch must share box and resolution")
+    d = f.dim
+    n_v_default = 2 * max(f.resolution) if d == 2 else max(f.resolution)
+    dirs, n_v, frames = _line_setup(f, dirs, t_resolution, line_step, n_v_default)
+    radius, cell, offsets_axes = _offset_grid(f, n_v, d - 1)
+    step = line_step or min(f.cell_sizes) / 2.0
+    n_t = int(math.ceil(2.0 * radius / step))
+    t_nodes = np.linspace(-radius, radius, n_t + 1)
+    t_w = np.full(n_t + 1, t_nodes[1] - t_nodes[0])
+    t_w[0] *= 0.5
+    t_w[-1] *= 0.5
+    offs = mesh_points(offsets_axes)
+    lows, cells = [lo for lo, _ in f.box], f.cell_sizes
+    srcs = [np.pad(g.values, 1).ravel() for g in fs]
+    values = [np.zeros((len(dirs), len(offs))) for _ in fs]
+    # trapezoid sums, one gemv per function over chunks of offsets; interpolation
+    # in blocks of whole lines, about _LINE_BLOCK samples, whose arrays stay in cache
+    chunk = max(1, int(4_000_000 // max(1, n_t + 1)))
+    block = max(1, _LINE_BLOCK // (n_t + 1))
+    bufs = [np.empty((min(chunk, len(offs)), n_t + 1)) for _ in fs]
+    interp = _LinearInterp(tuple(n + 2 for n in f.resolution), block * (n_t + 1))
+    coords = np.empty((d, block, n_t + 1))
+    for i, (omega, frame) in enumerate(zip(dirs.vectors, frames)):
+        base = offs @ frame.T
+        steps = [t_nodes * w for w in omega]
+        for s in range(0, len(offs), chunk):
+            blk = base[s : s + chunk]
+            for r in range(0, len(blk), block):
+                rows = blk[r : r + block]
+                # grid coordinate on each axis of sample (offset, t), an outer sum:
+                # ((row + step) - lo) / cell + 0.5
+                u = coords[:, : len(rows)]
+                for a in range(d):
+                    np.add(rows[:, a, None], steps[a], out=u[a])
+                    u[a] -= lows[a]
+                    u[a] /= cells[a]
+                    u[a] += 0.5
+                interp.locate(u.reshape(d, -1))
+                for src, buf in zip(srcs, bufs):
+                    interp.values(src, buf[r : r + len(rows)].reshape(-1))
+            for buf, acc in zip(bufs, values):
+                acc[i, s : s + chunk] = buf[: len(blk)] @ t_w
+    grid = (len(dirs),) + (n_v,) * (d - 1)
+    return [_line_tomogram(dirs, frames, offsets_axes, v.reshape(grid), cell) for v in values]
 
 
 def haar_planes(d, k, n, seed):

@@ -278,6 +278,82 @@ def test_restricted_dimension_its_directions_cannot_serve_is_a_schema_error(scen
     assert not (tmp_path / "restricted.report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "scenario, engine",
+    [
+        ({"task": "tomography", "seed": 1, "n_functions": 1, "p_values": []}, "xray_transform_batch"),
+        ({"task": "discrete", "seed": 1, "max_order": 8, "p_values": []}, "bls_constant"),
+    ],
+    ids=["tomography", "discrete"],
+)
+def test_empty_p_values_is_a_schema_error(scenario, engine, monkeypatch, tmp_path, capsys):
+    """No vacuous 'lower-bound margins' pass and no IndexError on ps[0]."""
+    import blq.cli
+
+    def never(*args, **kwargs):
+        raise AssertionError(f"{engine} ran")
+
+    monkeypatch.setattr(blq.cli, engine, never)
+    with pytest.raises(SchemaError, match=r"at \$\.p_values: \[\] should be non-empty") as err:
+        run_scenario(scenario)
+    assert "\n" not in str(err.value)
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+    assert "p_values" in capsys.readouterr().err
+    assert not (tmp_path / "empty.report.json").exists()
+
+
+def test_lower_bound_suite_transforms_every_function_once_in_chunks(monkeypatch):
+    """The chunked suite: each seeded function once, in order, in batches of
+    _XRAY_CHUNK; its results are bitwise those of one function at a time."""
+    import numpy as np
+
+    import blq.cli
+    from blq.grid import random_grid_function
+    from blq.tomography import (
+        DirectionSet,
+        lower_bound_margin_from_tomograms,
+        scaling_exponent_q,
+        xray_transform,
+        xray_transform_batch,
+    )
+
+    batches, halves = [], []
+
+    def batch(fs, *args, **kwargs):
+        batches.append([f.values.tobytes() for f in fs])
+        return xray_transform_batch(fs, *args, **kwargs)
+
+    def single(f, *args, **kwargs):
+        halves.append(f.values.tobytes())
+        return xray_transform(f, *args, **kwargs)
+
+    monkeypatch.setattr(blq.cli, "xray_transform_batch", batch)
+    monkeypatch.setattr(blq.cli, "xray_transform", single)
+    scenario = {"task": "tomography", "seed": 4, "n_functions": 19, "n_dirs": 8, "resolution": 12, "n_samples_3d": 0}
+    report = run_scenario({**scenario, "n_mc": 10})
+    assert report.passed
+    assert [len(b) for b in batches] == [8, 8, 3] and blq.cli._XRAY_CHUNK == 8
+
+    box = ((-4.0, 4.0), (-4.0, 4.0))
+    dirs = DirectionSet.uniform_circle(8)
+    half = DirectionSet.from_vectors(dirs.vectors[::2])
+    rng = np.random.default_rng(4)
+    worst_l1, min_gap, seen = 0.0, math.inf, []
+    for _ in range(19):  # the suite before chunking: draw, transform and check one function at a time
+        f = random_grid_function(box, (12, 12), seed=int(rng.integers(0, 2**31)), smooth=1)
+        seen.append(f.values.tobytes())
+        tom, tom_half = xray_transform(f, dirs), xray_transform(f, half, t_resolution=12)
+        worst_l1 = max(worst_l1, abs(tom.l1() / f.mass - 1.0))
+        for p in (0.5, 0.7, 0.9):
+            m = lower_bound_margin_from_tomograms(tom, tom_half, f, p, scaling_exponent_q(p, 2))
+            min_gap = min(min_gap, m.margin + m.quadrature_estimate)
+    assert sum(batches, []) == seen == halves
+    assert report.results["l1_worst_dev"] == worst_l1
+    assert report.results["min_margin_plus_estimate"] == min_gap
+
+
 def test_every_integer_and_number_key_has_its_cast():
     validate_scenario(FAST_GOWERS)
     props = _load_schema("scenario")["properties"]
