@@ -13,6 +13,8 @@ Modules by concern:
 * :mod:`blq.cli`        the ``blq`` scenario runner
 """
 
+__version__ = "0.1.0"
+
 from .data import (
     AdjointParams,
     BLDatum,
@@ -67,5 +69,3 @@ from .entropy import (
     shannon_entropy,
 )
 from .gowers import GowersProfile, gowers_logconvexity_margin, gowers_norm, gowers_profile
-
-__version__ = "0.1.0"

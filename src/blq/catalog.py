@@ -42,13 +42,11 @@ def holder_identity(d, k=1):
     )
 
 
-def young(c=None):
-    """Convolution triple x, y, x - y on the plane; default exponents 2/3."""
+def young():
+    """Convolution triple x, y, x - y on the plane, exponents 2/3."""
     maps = (np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), np.array([[1.0, -1.0]]))
-    if c is None:
-        frac = Fraction(2, 3)
-        return BLDatum(maps, (float(frac),) * 3, 2, exact_exponents=(frac,) * 3)
-    return BLDatum(maps, tuple(float(x) for x in c), 2)
+    frac = Fraction(2, 3)
+    return BLDatum(maps, (float(frac),) * 3, 2, exact_exponents=(frac,) * 3)
 
 
 def finner_split():

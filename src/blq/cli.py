@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import catalog
+from . import __version__, catalog
 from .data import BLDatum, derive_adjoint_exponents, validate_datum, adjoint_gaussian_prefactor
 from .errors import BLQError, SchemaError
 from .gaussian import (
@@ -60,13 +60,6 @@ from .tomography import (
     xx_gamma_constant,
 )
 
-try:
-    from importlib.metadata import version as _pkg_version
-
-    LIBRARY_VERSION = _pkg_version("blq")
-except Exception:  # pragma: no cover
-    LIBRARY_VERSION = "0.1.0"
-
 _XRAY_CHUNK = 8  # functions per sampled x-ray batch of the lower-bound suite; one chunk's tomograms are alive
 
 
@@ -101,7 +94,7 @@ class RunReport:
     inputs: dict
     results: dict
     assertions: list
-    library_version: str = LIBRARY_VERSION
+    library_version: str = __version__
     wall_time_s: float = 0.0
     # seconds of each runtime gate by assertion name; volatile like wall_time_s
     measured_s: dict = field(default_factory=dict)
@@ -144,6 +137,13 @@ def _datum_from_spec(spec) -> BLDatum:
     if "maps" in spec:
         return BLDatum.from_json_dict(spec)
     raise SchemaError("datum description needs 'preset' or 'maps'")
+
+
+def _data(datum, n_data, seed0):
+    """[("datum", the given datum)], or ``n_data`` seeded feasible data when none is given."""
+    if datum is not None:
+        return [("datum", _datum_from_spec(datum))]
+    return catalog.seeded_feasible_data(n_data, seed0=seed0)
 
 
 def _parse_number(x):
@@ -240,10 +240,7 @@ def _task_adjoint_gaussian(checks, *, datum, theta, p, rel_tol=1e-4, seed=None):
 
 def _task_identity_ai(checks, *, seed=2024, datum=None, n_data=20, tol=1e-4):
     results = {}
-    if datum is not None:
-        data = [("datum", _datum_from_spec(datum))]
-    else:
-        data = catalog.seeded_feasible_data(n_data, seed0=seed)
+    data = _data(datum, n_data, seed)
     worst = 0.0
     for label, datum in data:
         res = identity_ai_residual(datum)
@@ -257,10 +254,7 @@ def _verify_random(
     checks, *, seed, datum=None, n_data=20, seed0=2024, n_draws=5, n_functions=200, rel_tol=1e-4, grid=None
 ):
     results = {}
-    if datum is not None:
-        data = [("datum", _datum_from_spec(datum))]
-    else:
-        data = catalog.seeded_feasible_data(n_data, seed0=seed0)
+    data = _data(datum, n_data, seed0)
     res_table = {2: 64, 3: 24, 4: 10}
     grid = grid or {}
     worst_rel = 0.0
@@ -334,6 +328,9 @@ def _task_discrete(
     n_functions=1000, tol=1e-12,
 ):
     results = {}
+    given = [key for key, value in (("group", group), ("maps", maps), ("c", c)) if value is not None]
+    if 0 < len(given) < 3:
+        raise SchemaError(f"scenario violates the schema at $: 'group', 'maps' and 'c' go together, got only {given}")
     if group is not None:
         _, homs = group_from_json({**group, "maps": maps})
         instances = [("scenario", homs, tuple(Fraction(str(x)) for x in c))]

@@ -74,12 +74,6 @@ class FiniteAbelianGroup:
             object.__setattr__(self, "_add_table", table)
         return table
 
-    def add(self, idx, j):
-        """Element-wise idx + j (j a single element index)."""
-        if self.order <= SUBGROUP_CAP:
-            return self._table()[idx, j]
-        return self.encode(self._coords[idx] + self._coords[j])
-
 
 @dataclass(frozen=True)
 class GroupHom:

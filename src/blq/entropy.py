@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Sequence
 
 import numpy as np
 
 from .data import AdjointParams, BLDatum, derive_adjoint_exponents
 from .errors import MassError
-from .grid import GridFunction, grid_pushforward, lp_norm
+from .grid import GridFunction, adjoint_log_rhs, grid_pushforward, lp_norm
 
 def _values_measure(f):
     """The values of f and their reference measure: the cell volume of a
@@ -95,25 +94,14 @@ def renyi_bl_margin(f: GridFunction, datum: BLDatum, params: AdjointParams, bl_v
     return margin
 
 
-def p_entropy_probe(
-    f: GridFunction,
-    p: float,
-    datum: BLDatum,
-    theta: Optional[Sequence] = None,
-    bl_value: Optional[float] = None,
-) -> float:
-    """H(f^p/||f||_p^p) - sum c_i H(f_i^{p_i}/||f_i||_{p_i}^{p_i}) - log(bl).
+def p_entropy_probe(f: GridFunction, p: float, datum: BLDatum, bl_value: float) -> float:
+    """H(f^p/||f||_p^p) - sum c_i H(f_i^{p_i}/||f_i||_{p_i}^{p_i}) - log(bl),
+    with theta_i proportional to c_i d_i (``default_theta``).
 
     Guaranteed non-positive for indicator inputs; sign-indefinite in general
     (the value is returned unasserted).
     """
-    if bl_value is None:
-        from .gaussian import bl_gaussian_constant
-
-        bl_value = bl_gaussian_constant(datum).value
-    if theta is None:
-        theta = default_theta(datum)
-    params = derive_adjoint_exponents(datum.exponents, theta, p)
+    params = derive_adjoint_exponents(datum.exponents, default_theta(datum), p)
     probe = entropy_power(f, p) - math.log(bl_value)
     for c, b, q in zip(datum.exponents, datum.maps, params.p_i):
         probe -= c * entropy_power(grid_pushforward(f, b), q)
@@ -126,8 +114,7 @@ def log_lambda(f: GridFunction, datum: BLDatum, params: AdjointParams, bl_value:
     Its p-derivative scaled by p^2 matches
     log(bl) - H(f^p/||f||_p^p) + sum c_i H(f_i^{p_i}/||f_i||_{p_i}^{p_i}).
     """
-    norms = (lp_norm(grid_pushforward(f, b), q) for b, q in zip(datum.maps, params.p_i))
-    return math.log(lp_norm(f, params.p)) - params.log_rhs(norms, bl_value)
+    return math.log(lp_norm(f, params.p)) - adjoint_log_rhs(f, datum, params, bl_value)
 
 
 def _phi(q: Fraction) -> Fraction:

@@ -29,7 +29,7 @@ from scipy.linalg import cho_factor, cho_solve
 from .data import AdjointParams, BLDatum, adjoint_gaussian_prefactor
 from .entropy import log_lambda
 from .errors import ConditioningError, ParameterDomainError, ResolutionError, ScalingConditionError
-from .grid import GridFunction, GridSpec, default_box, default_resolution, grid_centers, mesh_points, row_blocks
+from .grid import GridFunction, GridSpec, mesh_points, row_blocks
 
 OVERFLOW_GUARD = 1e100
 _LOG_OVERFLOW = math.log(OVERFLOW_GUARD)
@@ -362,40 +362,35 @@ class PerturbationGapResult:
     direct_ratio_delta: Optional[float] = None
 
 
-def _cone_geometry(datum, j, kappa, radius, box, resolution):
+def _cone_geometry(datum, j, kappa, radius, grid):
     """Per row block of the grid: its flat cells, and at their centres x |x|^2,
     <P_i x, x> for the projector P_i onto the row space of each map B_i, and the
     mask of the cone {<P_j x, x> >= kappa |x|^2} outside the ball of the given radius."""
-    axes = grid_centers(box, resolution)
+    axes = grid.centers()
     projectors = [b.T @ np.linalg.solve(b @ b.T, b) for b in datum.maps]
-    for rows, cells in row_blocks(resolution):
+    for rows, cells in row_blocks(grid.resolution):
         pts = mesh_points([axes[0][rows]] + axes[1:])
         norm_sq = np.sum(pts * pts, axis=1)
         proj = [np.sum(pts * (pts @ P.T), axis=1) for P in projectors]
         yield cells, norm_sq, proj, (proj[j] >= kappa * norm_sq) & (norm_sq >= radius**2)
 
 
-def _gap_integrand_sum(datum, params, j, kappa, radius, box, resolution):
+def _gap_integrand_sum(datum, params, j, kappa, radius, grid):
     d = datum.ambient_dim
     p = params.p
-    total = np.empty(math.prod(resolution))  # the masked integrand, filled block by block
+    total = np.empty(math.prod(grid.resolution))  # the masked integrand, filled block by block
     n = 0
-    for _, norm_sq, proj, mask in _cone_geometry(datum, j, kappa, radius, box, resolution):
+    for _, norm_sq, proj, mask in _cone_geometry(datum, j, kappa, radius, grid):
         part = -(p ** (d / 2.0)) * np.exp(-math.pi * p * norm_sq[mask])
         for t, q, di, quad in zip(params.theta, params.p_i, datum.dims, proj):
             expo = -math.pi * (norm_sq[mask] - (1.0 - q) * quad[mask])
             part += t * (q ** (di / 2.0)) * np.exp(expo)
         total[n : n + len(part)] = part
         n += len(part)
-    return float(np.sum(total[:n]) * GridSpec(box, resolution).cell_volume)
+    return float(np.sum(total[:n]) * grid.cell_volume)
 
 
-def perturbation_gap(
-    datum: BLDatum,
-    params: AdjointParams,
-    eps: Optional[float] = 1e-3,
-    grid=None,
-):
+def perturbation_gap(datum: BLDatum, params: AdjointParams, grid: GridSpec, eps: Optional[float] = 1e-3):
     """First-order coefficient of the gaussian perturbation that beats ABLg.
 
     Takes the standard gaussian f, the index j with the largest c_j/theta_j
@@ -404,7 +399,7 @@ def perturbation_gap(
     p^{-d/2} theta_j p_j^{d_j/2} e^{(pi/2)(p-p_j) R^2} = 2; the perturbation
     h = -f restricted to the cone outside radius R then has a positive
     first-order effect on the adjoint quotient.  Evaluated by grid
-    quadrature with a dyadic-coarsening self-estimate.
+    quadrature on ``grid`` with a dyadic-coarsening self-estimate.
     """
     if params.mode != "forward" or params.p >= 1.0:
         raise ParameterDomainError("perturbation gap needs forward mode with p < 1")
@@ -420,12 +415,9 @@ def perturbation_gap(
     kappa = (1.0 - 0.5 * (p + p_j)) / (1.0 - p_j)
     log_target = math.log(2.0 * p ** (d / 2.0) / (params.theta[j] * p_j ** (d_j / 2.0)))
     radius = math.sqrt(max(0.0, 2.0 * log_target / (math.pi * (p - p_j))))
-    if grid is None:
-        grid = GridSpec(box=default_box(d), resolution=tuple(2 * n for n in default_resolution(d)))
-    box, resolution = tuple(grid.box), tuple(grid.resolution)
-    coeff = _gap_integrand_sum(datum, params, j, kappa, radius, box, resolution)
-    coarse_res = tuple(max(2, n // 2) for n in resolution)
-    coeff_coarse = _gap_integrand_sum(datum, params, j, kappa, radius, box, coarse_res)
+    coeff = _gap_integrand_sum(datum, params, j, kappa, radius, grid)
+    coarse = GridSpec(grid.box, tuple(max(2, n // 2) for n in grid.resolution))
+    coeff_coarse = _gap_integrand_sum(datum, params, j, kappa, radius, coarse)
     estimate = abs(coeff - coeff_coarse)
     if abs(coeff) > 0 and estimate > MAX_SELF_ESTIMATE * abs(coeff):
         raise ResolutionError(
@@ -434,7 +426,7 @@ def perturbation_gap(
         )
     direct = None
     if eps is not None:
-        direct = _direct_ratio_delta(datum, params, j, kappa, radius, box, resolution, eps)
+        direct = _direct_ratio_delta(datum, params, j, kappa, radius, grid, eps)
     return PerturbationGapResult(
         coefficient=coeff,
         quadrature_estimate=estimate,
@@ -445,19 +437,19 @@ def perturbation_gap(
     )
 
 
-def _direct_ratio_delta(datum, params, j, kappa, radius, box, resolution, eps):
-    f_vals = np.empty(math.prod(resolution))
+def _direct_ratio_delta(datum, params, j, kappa, radius, grid, eps):
+    f_vals = np.empty(math.prod(grid.resolution))
     mask = np.empty(f_vals.size, dtype=bool)
-    for cells, norm_sq, _, cone in _cone_geometry(datum, j, kappa, radius, box, resolution):
+    for cells, norm_sq, _, cone in _cone_geometry(datum, j, kappa, radius, grid):
         f_vals[cells] = np.exp(-math.pi * norm_sq)
         mask[cells] = cone
-    f = GridFunction(box=box, resolution=resolution, values=f_vals.reshape(resolution))
+    f = GridFunction(grid.box, grid.resolution, f_vals.reshape(grid.resolution))
     del f_vals  # only f, later only g, is alive while log_lambda runs
     # with bl = 1 the bl factor drops out of the ratio
     log_f = log_lambda(f, datum, params, 1.0)
     g_vals = f.values.ravel().copy()
     del f
     g_vals[mask] -= eps * g_vals[mask]  # g = f + eps * h with h = -f on the cone
-    g = GridFunction(box=box, resolution=resolution, values=g_vals.reshape(resolution))
+    g = GridFunction(grid.box, grid.resolution, g_vals.reshape(grid.resolution))
     del g_vals
     return math.exp(log_lambda(g, datum, params, 1.0) - log_f) - 1.0

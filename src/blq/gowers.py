@@ -87,14 +87,14 @@ def logconvexity_theta(d) -> Fraction:
     return Fraction(d, 3 * d - 2)
 
 
-def gowers_logconvexity_margin(f, d, measure_weight=1.0) -> float:
+def gowers_logconvexity_margin(f, d) -> float:
     """||f||_{U^{d-1}}^theta ||f||_{U^{d+1}}^{1-theta} - ||f||_{U^d} >= 0."""
     if d < 2:
         raise ValueError("log-convexity needs d >= 2")
     theta = float(logconvexity_theta(d))
-    lo = gowers_norm(f, d - 1, measure_weight)
-    mid = gowers_norm(f, d, measure_weight)
-    hi = gowers_norm(f, d + 1, measure_weight)
+    lo = gowers_norm(f, d - 1)
+    mid = gowers_norm(f, d)
+    hi = gowers_norm(f, d + 1)
     return lo**theta * hi ** (1.0 - theta) - mid
 
 
@@ -107,9 +107,9 @@ class GowersProfile:
     norms: tuple
 
 
-def gowers_profile(f, max_order, measure_weight=1.0) -> GowersProfile:
+def gowers_profile(f, max_order) -> GowersProfile:
     orders = tuple(range(1, max_order + 1))
-    norms = tuple(gowers_norm(f, d, measure_weight) for d in orders)
+    norms = tuple(gowers_norm(f, d) for d in orders)
     abscissae = tuple((d + 1) / (1 << d) for d in orders)
     return GowersProfile(orders=orders, abscissae=abscissae, norms=norms)
 

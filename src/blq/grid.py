@@ -1,13 +1,18 @@
 """Discretized non-negative functions on box grids.
 
-A :class:`GridFunction` stores cell-center samples on a uniform box grid and
-is interpreted as the piecewise-constant function taking those values on the
+A :class:`GridSpec` is the geometry of a uniform box grid: it checks that the
+box and the resolution have the same axes and that every axis has positive
+extent, and it owns the cell sizes, the cell volume and the cell centres.  A
+:class:`GridFunction` is a GridSpec with non-negative cell-center samples,
+interpreted as the piecewise-constant function taking those values on the
 cells.  Pushforwards use mass-deposit binning (each source cell drops its
 entire mass f * cell_volume into the target cell containing the image of its
 center), which preserves total mass exactly and respects the duality that
 defines marginals.  Quadrature error for the inequality margins is estimated
 with one exact dyadic refinement step: splitting cells leaves the function
-unchanged, so any drift isolates the binning sensitivity.
+and its L^p norms unchanged, so only the marginals are recomputed and any
+drift isolates the binning sensitivity.  ``adjoint_log_rhs`` is the one
+loop over the marginal norms of the adjoint inequality.
 ``InequalityMargin.from_sides`` is the one place the margin convention (sign
 by mode, scale, relative margin, drift + 1e-12 * scale estimate) is applied;
 every margin in blq is built through it.  ``mesh_points`` is the one place
@@ -38,18 +43,6 @@ BOUNDARY_TOL = 1e-12
 ROW_BLOCK_CELLS = 1 << 16  # cells per row block of a whole-grid pass: 512 KiB float64 temporaries
 
 
-def default_box(d):
-    return tuple((-8.0, 8.0) for _ in range(d))
-
-
-def default_resolution(d):
-    table = {1: 1024, 2: 256, 3: 64, 4: 16}
-    n = table.get(d)
-    if n is None:
-        raise ValueError(f"no default resolution for dimension {d}")
-    return (n,) * d
-
-
 def grid_centers(box, resolution):
     """Per-axis arrays of cell-center coordinates."""
     axes = []
@@ -68,43 +61,20 @@ def mesh_points(axes):
 
 @dataclass(frozen=True)
 class GridSpec:
-    box: tuple
-    resolution: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "box", tuple((float(a), float(b)) for a, b in self.box))
-        object.__setattr__(self, "resolution", tuple(int(n) for n in self.resolution))
-
-    @property
-    def cell_volume(self):
-        """The product of the cell sizes, taken axis by axis."""
-        return math.prod((hi - lo) / n for (lo, hi), n in zip(self.box, self.resolution))
-
-
-@dataclass(frozen=True)
-class GridFunction:
-    """Non-negative cell-center samples on a uniform box grid."""
+    """A uniform box grid: one (lo, hi) pair and one cell count per axis."""
 
     box: tuple
     resolution: tuple
-    values: np.ndarray
 
     def __post_init__(self):
         box = tuple((float(a), float(b)) for a, b in self.box)
         res = tuple(int(n) for n in self.resolution)
-        vals = np.array(self.values, dtype=float)
-        if vals.shape != res:
-            raise ValueError(f"values shape {vals.shape} does not match resolution {res}")
+        if len(box) != len(res):
+            raise ValueError(f"box has {len(box)} axes but resolution {res} has {len(res)}")
         if any(hi <= lo for lo, hi in box):
             raise ValueError("box must have positive extent on every axis")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("values must be finite")
-        if np.any(vals < 0):
-            raise ValueError("signed inputs are rejected: values must be non-negative")
-        vals.flags.writeable = False
         object.__setattr__(self, "box", box)
         object.__setattr__(self, "resolution", res)
-        object.__setattr__(self, "values", vals)
 
     @property
     def dim(self):
@@ -116,14 +86,34 @@ class GridFunction:
 
     @property
     def cell_volume(self):
-        return float(np.prod(self.cell_sizes))
+        """The product of the cell sizes, taken axis by axis."""
+        return math.prod(self.cell_sizes)
+
+    def centers(self):
+        return grid_centers(self.box, self.resolution)
+
+
+@dataclass(frozen=True)
+class GridFunction(GridSpec):
+    """Non-negative cell-center samples on a uniform box grid."""
+
+    values: np.ndarray
+
+    def __post_init__(self):
+        super().__post_init__()
+        vals = np.array(self.values, dtype=float)
+        if vals.shape != self.resolution:
+            raise ValueError(f"values shape {vals.shape} does not match resolution {self.resolution}")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("values must be finite")
+        if np.any(vals < 0):
+            raise ValueError("signed inputs are rejected: values must be non-negative")
+        vals.flags.writeable = False
+        object.__setattr__(self, "values", vals)
 
     @property
     def mass(self):
         return float(self.values.sum() * self.cell_volume)
-
-    def centers(self):
-        return grid_centers(self.box, self.resolution)
 
     def refine(self, factor=2):
         """Split every cell into factor^d subcells with the same value (exact)."""
@@ -131,18 +121,6 @@ class GridFunction:
         for ax in range(self.dim):
             vals = np.repeat(vals, factor, axis=ax)
         return GridFunction(self.box, tuple(n * factor for n in self.resolution), vals)
-
-    def coarsen(self, factor=2):
-        """Average factor^d blocks; requires resolutions divisible by factor."""
-        if any(n % factor for n in self.resolution):
-            raise ValueError("resolution not divisible by the coarsening factor")
-        vals = self.values
-        for ax in range(self.dim):
-            n = vals.shape[ax] // factor
-            vals = vals.reshape(
-                vals.shape[:ax] + (n, factor) + vals.shape[ax + 1 :]
-            ).mean(axis=ax + 1)
-        return GridFunction(self.box, tuple(n // factor for n in self.resolution), vals)
 
     def normalized(self):
         m = self.mass
@@ -174,16 +152,11 @@ class GridFunction:
         return cls(box, tuple(resolution), vals)
 
 
-def gaussian_grid(quad_form, box=None, resolution=None, amplitude=1.0):
-    """Sample amplitude * e^{-pi <Qx, x>} at cell centers."""
+def gaussian_grid(quad_form, box, resolution):
+    """Sample e^{-pi <Qx, x>} at cell centers."""
     Q = np.atleast_2d(np.asarray(quad_form, dtype=float))
-    d = Q.shape[0]
-    if box is None:
-        box = default_box(d)
-    if resolution is None:
-        resolution = default_resolution(d)
     pts = mesh_points(grid_centers(box, resolution))
-    vals = amplitude * np.exp(-math.pi * np.sum(pts * (pts @ Q.T), axis=1))
+    vals = np.exp(-math.pi * np.sum(pts * (pts @ Q.T), axis=1))
     return GridFunction(box, tuple(resolution), vals.reshape(tuple(resolution)))
 
 
@@ -395,30 +368,28 @@ class InequalityMargin:
         )
 
 
-def adjoint_margin(
-    f: GridFunction, datum, params, bl_value: float, mode: Optional[str] = None
-) -> InequalityMargin:
-    """Margin of ||f||_p against bl^{1/p-1} prod ||(B_i)_* f||_{p_i}^{theta_i}.
+def adjoint_log_rhs(f: GridFunction, datum, params, bl_value: float) -> float:
+    """log of bl^{1/p-1} prod ||(B_i)_* f||_{p_i}^{theta_i}, the right-hand
+    side of the adjoint inequality, from the binned marginals of f."""
+    norms = (lp_norm(grid_pushforward(f, b), q) for b, q in zip(datum.maps, params.p_i))
+    return params.log_rhs(norms, bl_value)
 
-    Forward mode certifies rhs >= lhs, reverse mode lhs >= rhs.  The
-    quadrature estimate compares against one exact dyadic refinement of f,
-    which reruns every binned pushforward at doubled resolution.
+
+def adjoint_margin(f: GridFunction, datum, params, bl_value: float) -> InequalityMargin:
+    """Margin of ||f||_p against bl^{1/p-1} prod ||(B_i)_* f||_{p_i}^{theta_i}
+    in the mode of ``params``: forward certifies rhs >= lhs, reverse lhs >= rhs.
+
+    The quadrature estimate compares against one exact dyadic refinement of f.
+    Refinement leaves ||f||_p unchanged, so only the binned pushforwards rerun
+    at doubled resolution.
     """
-    mode = mode or params.mode
-    if mode != params.mode:
-        raise ValueError(f"parameters are {params.mode}-mode but margin mode is {mode}")
     if f.mass <= 0:
         raise MassError("margin undefined for the zero function")
-
-    def sides(g):
-        lhs = lp_norm(g, params.p)
-        norms = (lp_norm(grid_pushforward(g, b), q) for b, q in zip(datum.maps, params.p_i))
-        return lhs, math.exp(params.log_rhs(norms, bl_value))
-
-    lhs, rhs = sides(f)
-    lhs_fine, rhs_fine = sides(f.refine(2))
-    drift = abs((rhs - lhs) - (rhs_fine - lhs_fine))
-    return InequalityMargin.from_sides(lhs, rhs, mode, drift)
+    lhs = lp_norm(f, params.p)
+    rhs = math.exp(adjoint_log_rhs(f, datum, params, bl_value))
+    rhs_fine = math.exp(adjoint_log_rhs(f.refine(2), datum, params, bl_value))
+    drift = abs((rhs - lhs) - (rhs_fine - lhs))
+    return InequalityMargin.from_sides(lhs, rhs, params.mode, drift)
 
 
 def rank_one_distance(f: GridFunction) -> float:

@@ -17,9 +17,13 @@ for bit the one-function ``xray_transform``, which is the batch of one.
 Codimension-one plane averages use exact mass-deposit binning instead, since
 a full quadrature grid over 2-planes is an order of magnitude more work for
 no accuracy gain.  That deposit and the x-ray ``method="deposit"`` share one
-cloud-in-cell loop, ``_deposit_tomogram``.  Directions are deterministic
+cloud-in-cell loop, ``_deposit_tomogram``, and every transform builds its
+``TomogramSamples`` through ``_tomogram``.  A margin's quadrature estimate
+is the drift to the same transform on every other direction at half the
+offset resolution (``_with_half`` for lines).  Directions are deterministic
 quadratures (uniform angles in the plane, Fibonacci points on the sphere);
-Haar frames come from QR factors of seeded gaussian matrices.
+Haar frames come from QR factors of seeded gaussian matrices.  An empty
+direction or plane set raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -98,12 +102,10 @@ class DirectionSet:
         return cls.from_vectors(np.outer(np.cos(angles), u) + np.outer(np.sin(angles), w))
 
     @classmethod
-    def from_vectors(cls, vectors, weights=None):
-        """Directions with the given weights, equal weights by default."""
+    def from_vectors(cls, vectors):
+        """Directions with equal weights."""
         vectors = np.asarray(vectors, dtype=float)
-        if weights is None:
-            weights = np.ones(len(vectors)) / len(vectors)  # empty, not 1/0, for no vectors
-        return cls(vectors, weights)
+        return cls(vectors, np.ones(len(vectors)) / len(vectors))  # empty, not 1/0, for no vectors
 
 
 class _LinearInterp:
@@ -172,21 +174,10 @@ class _LinearInterp:
         out[self.pos[:m]] = acc
 
 
-def _interp_linear(padded, u):
-    """``map_coordinates(padded, u, order=1, prefilter=False)`` of a grid with
-    a zero ring, for one source (see ``_LinearInterp``)."""
-    interp = _LinearInterp(padded.shape, len(u[0]))
-    interp.locate(u)
-    out = np.empty(len(u[0]))
-    interp.values(padded.ravel(), out)
-    return out
-
-
 @dataclass(frozen=True)
 class TomogramSamples:
     """Transform values on a product grid of directions/frames and offsets."""
 
-    k: int
     directions: np.ndarray
     weights: np.ndarray
     frames: np.ndarray
@@ -304,11 +295,10 @@ def _line_setup(f: GridFunction, dirs, t_resolution, line_step, n_v_default):
     return dirs, n_v, np.stack([_orthonormal_complement(omega) for omega in dirs.vectors])
 
 
-def _line_tomogram(dirs, frames, offsets_axes, values, cell):
+def _tomogram(directions, weights, frames, offsets_axes, values, cell):
     return TomogramSamples(
-        k=1,
-        directions=dirs.vectors.copy(),
-        weights=dirs.weights.copy(),
+        directions=directions.copy(),
+        weights=weights.copy(),
         frames=frames.copy(),
         offsets_axes=offsets_axes,
         values=values,
@@ -340,7 +330,7 @@ def xray_transform(
         raise ValueError("method must be 'sample' or 'deposit'")
     dirs, n_v, frames = _line_setup(f, dirs, t_resolution, line_step, 2 * max(f.resolution))
     _, cell, offsets_axes = _offset_grid(f, n_v, f.dim - 1)
-    return _line_tomogram(dirs, frames, offsets_axes, _deposit_tomogram(f, frames, n_v), cell)
+    return _tomogram(dirs.vectors, dirs.weights, frames, offsets_axes, _deposit_tomogram(f, frames, n_v), cell)
 
 
 def xray_transform_batch(
@@ -405,7 +395,15 @@ def xray_transform_batch(
             for buf, acc in zip(bufs, values):
                 acc[i, s : s + chunk] = buf[: len(blk)] @ t_w
     grid = (len(dirs),) + (n_v,) * (d - 1)
-    return [_line_tomogram(dirs, frames, offsets_axes, v.reshape(grid), cell) for v in values]
+    return [_tomogram(dirs.vectors, dirs.weights, frames, offsets_axes, v.reshape(grid), cell) for v in values]
+
+
+def _with_half(f: GridFunction, dirs, n_v):
+    """The line transform of f with ``n_v`` offsets per axis, and its
+    halved-quadrature check: every other direction, with max(2, n_v // 2)."""
+    tom = xray_transform(f, dirs, t_resolution=n_v)
+    half = DirectionSet.from_vectors(tom.directions[::2])
+    return tom, xray_transform(f, half, t_resolution=max(2, n_v // 2))
 
 
 def haar_planes(d, k, n, seed):
@@ -430,7 +428,8 @@ def kplane_transform(
     """Averages over affine k-planes; d <= 3 by scope.
 
     ``plane_samples``: an integer count of Haar frames (seeded) or an
-    explicit sequence of d x k frame matrices.
+    explicit sequence of d x k frame matrices; an empty plane set raises
+    ``ValueError``.
     Codimension-one planes use exact mass-deposit binning onto the offset
     axis; k = 1 delegates to the line transform.
     """
@@ -443,6 +442,8 @@ def kplane_transform(
         frames = haar_planes(d, k, int(plane_samples), seed)
     else:
         frames = [np.asarray(q, dtype=float) for q in plane_samples]
+    if not frames:
+        raise ValueError("the plane set is empty")
     if k == 1:
         dirs = DirectionSet.from_vectors(np.stack([q[:, 0] for q in frames]))
         return xray_transform(f, dirs, t_resolution=t_resolution)
@@ -453,15 +454,8 @@ def kplane_transform(
     for i, q in enumerate(frames):
         normal = np.cross(q[:, 0], q[:, 1])
         normals[i] = normal / np.linalg.norm(normal)
-    return TomogramSamples(
-        k=k,
-        directions=normals,
-        weights=np.full(len(frames), 1.0 / len(frames)),
-        frames=normals[:, :, None],
-        offsets_axes=offsets_axes,
-        values=_deposit_tomogram(f, normals, n_v),
-        offset_cell_volume=cell,
-    )
+    weights = np.full(len(frames), 1.0 / len(frames))
+    return _tomogram(normals, weights, normals[:, :, None], offsets_axes, _deposit_tomogram(f, normals, n_v), cell)
 
 
 def scaling_exponent_q(p, d, k=1):
@@ -507,18 +501,19 @@ def tomography_lower_bound_margin(
 ) -> InequalityMargin:
     """Margin of ||T_k f||_q >= ||f||_p on the scaling line (constant 1).
 
-    The quadrature estimate halves both the direction count and the offset
-    resolution and takes the drift.
+    ``dirs`` is a ``DirectionSet`` (or None) for k = 1, and a plane count
+    (or None, for 64 planes) for k = 2.  The quadrature estimate halves both
+    the direction count and the offset resolution and takes the drift.
     """
     d = f.dim
     _check_scaling_line(p, q, d, k)
     n_v = 2 * max(f.resolution) if d == 2 else max(f.resolution)
     if k == 1:
-        tom = xray_transform(f, dirs, t_resolution=n_v)
-        half = DirectionSet.from_vectors(tom.directions[::2])
-        tom_half = xray_transform(f, half, t_resolution=max(2, n_v // 2))
+        tom, tom_half = _with_half(f, dirs, n_v)
     else:
-        n_planes = dirs if isinstance(dirs, int) else 64
+        if dirs is not None and (isinstance(dirs, bool) or not isinstance(dirs, (int, np.integer))):
+            raise ValueError(f"k = {k} planes are given by their count, an integer, got {dirs!r}")
+        n_planes = 64 if dirs is None else int(dirs)
         tom = kplane_transform(f, k, n_planes, seed=seed, t_resolution=n_v)
         tom_half = kplane_transform(f, k, max(2, n_planes // 2), seed=seed + 1, t_resolution=max(2, n_v // 2))
     return lower_bound_margin_from_tomograms(tom, tom_half, f, p, q, k)
@@ -631,28 +626,25 @@ def xx_inequality_margin(f: GridFunction, p, q, dirs: Optional[DirectionSet] = N
     d = f.dim
     r = xx_r_exponent(d, p, q)
     C = xx_gamma_constant(d, p, q)
+
+    norm_f = lp_norm(f, p) ** (1.0 / q - 1.0)
+
+    def both(tom):
+        return C * tom.sup_dirs_lq(r) ** (1.0 / q - 1.0 / p), norm_f * tom.lq(q) ** (1.0 - 1.0 / p)
+
     if dirs is None:
         dirs = DirectionSet.uniform_circle(180)
-
-    def both(dirset, t_res):
-        tom = xray_transform(f, dirset, t_resolution=t_res)
-        lhs = C * tom.sup_dirs_lq(r) ** (1.0 / q - 1.0 / p)
-        rhs = lp_norm(f, p) ** (1.0 / q - 1.0) * tom.lq(q) ** (1.0 - 1.0 / p)
-        return lhs, rhs
-
-    n_v = 2 * max(f.resolution)
-    lhs, rhs = both(dirs, n_v)
-    lhs2, rhs2 = both(DirectionSet.from_vectors(dirs.vectors[::2]), max(2, n_v // 2))
+    tom, tom_half = _with_half(f, dirs, 2 * max(f.resolution))
+    lhs, rhs = both(tom)
+    lhs2, rhs2 = both(tom_half)
     return InequalityMargin.from_sides(lhs, rhs, "forward", abs((rhs - lhs) - (rhs2 - lhs2)))
 
 
-def kplane_entropy_sequence(
-    f: GridFunction, n_planes: int = 64, seed: int = 0, dirs=None, method: str = "deposit"
-):
+def kplane_entropy_sequence(f: GridFunction, n_planes: int = 64, seed: int = 0, dirs=None):
     """Normalized entropies H(T_k f)/(d-k) for k = 0..d-1 (k = 0 is f itself).
 
-    Uses the mass-exact deposit transform by default so the entropies carry
-    only offset-binning error.
+    Uses the mass-exact deposit transform so the entropies carry only
+    offset-binning error.
     """
     d = f.dim
     if d > 3:
@@ -664,7 +656,7 @@ def kplane_entropy_sequence(
     if d >= 2:
         if dirs is None:
             dirs = DirectionSet.uniform_circle(180) if d == 2 else DirectionSet.fibonacci_sphere(96)
-        tom = xray_transform(f, dirs, method=method)
+        tom = xray_transform(f, dirs, method="deposit")
         out.append(tom.entropy() / (d - 1))
     if d == 3:
         tom2 = kplane_transform(f, 2, n_planes, seed=seed)

@@ -197,6 +197,7 @@ def test_default_variants():
         {"task": "gaussian-bl"},
         {"task": "gaussian-bl", "cases": [{"name": "young", "expected": 1.0}]},
         {"task": "gowers", "seed": 1, "profile_csv": "profile.csv"},
+        {"task": "discrete", "seed": 1, "group": {}, "maps": [], "c": []},
     ],
 )
 def test_variant_and_key_probes_rejected(scenario):
@@ -395,6 +396,33 @@ def test_discrete_scenario_group():
     report = run_scenario(scenario)
     assert report.passed, report.results
     assert report.inputs["n_instances"] == 1 and list(report.results) == ["scenario"]
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        {"task": "discrete", "seed": 1, "group": {"factors": [2, 2]}},
+        {"task": "discrete", "seed": 1, "maps": [{"matrix": [[1, 0]], "target_factors": [2]}], "c": [1]},
+        {"task": "discrete", "seed": 1, "group": {"factors": [2, 2]}, "c": [1, 1]},
+    ],
+    ids=["group-only", "maps-and-c", "group-and-c"],
+)
+def test_custom_group_needs_group_maps_and_c_together(scenario, monkeypatch, tmp_path, capsys):
+    """No failed report with a TypeError, and no silent run of the catalog instances."""
+    import blq.cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("bls_constant ran")
+
+    monkeypatch.setattr(blq.cli, "bls_constant", never)
+    with pytest.raises(SchemaError, match="'group', 'maps' and 'c' go together") as err:
+        run_scenario(scenario)
+    assert "\n" not in str(err.value)
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+    assert "go together" in capsys.readouterr().err
+    assert not (tmp_path / "partial.report.json").exists()
 
 
 def test_partial_grid_falls_back_to_the_task_grid(monkeypatch):

@@ -28,7 +28,8 @@ from blq.grid import InequalityMargin
 def brute_force_subgroups(group):
     """All subsets containing 0 and closed under addition, as bitmask set."""
     order = group.order
-    table = [[int(group.add(np.array([a]), b)[0]) for b in range(order)] for a in range(order)]
+    coords = np.array(list(itertools.product(*map(range, group.factors))))  # mixed radix, last axis fastest
+    table = group.encode(coords[:, None, :] + coords[None, :, :]).tolist()
     found = set()
     for bits in range(1, 1 << order):
         if not bits & 1:

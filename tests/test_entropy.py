@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from blq.catalog import holder_identity, loomis_whitney
+from blq.catalog import conjugate_datum, holder_identity, loomis_whitney, young
 from blq.data import derive_adjoint_exponents
 from blq.entropy import (
     default_theta,
@@ -18,7 +18,7 @@ from blq.entropy import (
     shannon_entropy,
 )
 from blq.errors import MassError
-from blq.grid import GridFunction, gaussian_grid, grid_pushforward
+from blq.grid import GridFunction, gaussian_grid, grid_pushforward, lp_norm, random_grid_function
 
 BOX2 = ((-8.0, 8.0), (-8.0, 8.0))
 
@@ -98,6 +98,20 @@ def test_counterexample_curvature_to_1e12():
     # curvature is positive below 1/2 (the convexity failure window)
     assert power_curvature_fd(Fraction(1, 3)) > 0
     assert power_curvature_fd(Fraction(3, 4)) < 0
+
+
+@pytest.mark.parametrize(
+    "datum, theta, p",
+    [(loomis_whitney(2), (0.4, 0.6), 0.7), (conjugate_datum(young(), seed=3), (0.2, 0.5, 0.3), 0.45)],
+    ids=["lw2", "young-conjugated"],
+)
+def test_log_lambda_is_the_marginal_norm_loop_bitwise(datum, theta, p):
+    params = derive_adjoint_exponents(datum.exponents, theta, p)
+    for seed in range(3):
+        f = random_grid_function(((-1.0, 1.0),) * 2, (40, 36), seed=seed, smooth=seed)
+        norms = (lp_norm(grid_pushforward(f, b), q) for b, q in zip(datum.maps, params.p_i))
+        want = math.log(lp_norm(f, params.p)) - params.log_rhs(norms, 1.7)
+        assert log_lambda(f, datum, params, 1.7) == want
 
 
 def test_derivative_identity_of_the_quotient():

@@ -27,6 +27,7 @@ from blq.gaussian import (
     quotient_log_objective,
     quotient_supremum,
 )
+from blq.grid import GridSpec
 
 
 def young_closed_form():
@@ -312,12 +313,10 @@ def test_perturbation_rejects_theta_equals_c():
     hold = holder_identity(2, k=2)
     params = derive_adjoint_exponents(hold.exponents, hold.exponents, 0.5)
     with pytest.raises(ParameterDomainError):
-        perturbation_gap(hold, params)
+        perturbation_gap(hold, params, GridSpec(box=((-8, 8), (-8, 8)), resolution=(64, 64)))
 
 
 def test_perturbation_vanishes_near_p_one():
-    from blq.grid import GridSpec
-
     datum = loomis_whitney(2)
     params = derive_adjoint_exponents(datum.exponents, (0.9, 0.1), 0.999)
     res = perturbation_gap(
@@ -327,8 +326,6 @@ def test_perturbation_vanishes_near_p_one():
 
 
 def test_perturbation_positive_and_stable():
-    from blq.grid import GridSpec
-
     datum = loomis_whitney(2)
     params = derive_adjoint_exponents(datum.exponents, (0.9, 0.1), 0.5)
     res_lo = perturbation_gap(

@@ -192,9 +192,7 @@ def test_rank_deficient_restricted_constant_is_exactly_zero_without_draws(monkey
     # the draws give exactly 0 too, since every det has a zero column
     assert _reference_restricted_mean(circle, a, 3, 5000, seed=3) == 0.0
     pole = np.array([[0.0, 0.0, 1.0]])
-    weightless_pole = DirectionSet.from_vectors(
-        np.concatenate([circle.vectors, pole]), np.append(circle.weights, 0.0)
-    )
+    weightless_pole = DirectionSet(np.concatenate([circle.vectors, pole]), np.append(circle.weights, 0.0))
 
     def no_draws(*args, **kwargs):
         raise AssertionError("a rank-deficient support needs no draws")
@@ -325,9 +323,8 @@ def test_entropy_sequence_shape_and_mixture_monotone_d3():
     seq = kplane_entropy_sequence(f, n_planes=96, dirs=DirectionSet.fibonacci_sphere(96))
     assert len(seq) == 3
     assert all(math.isfinite(s) for s in seq)
-    coarse = kplane_entropy_sequence(
-        f.coarsen(2), n_planes=48, dirs=DirectionSet.fibonacci_sphere(48)
-    )
+    halved = GridFunction(f.box, (24,) * 3, f.values.reshape(24, 2, 24, 2, 24, 2).mean(axis=(1, 3, 5)))
+    coarse = kplane_entropy_sequence(halved, n_planes=48, dirs=DirectionSet.fibonacci_sphere(48))
     tol = [abs(a - b) + 1e-4 for a, b in zip(seq, coarse)]
     assert seq[1] >= seq[0] - (tol[0] + tol[1])
     assert seq[2] >= seq[1] - (tol[1] + tol[2])
@@ -492,7 +489,7 @@ def test_interp_linear_is_scipy_order_one_bitwise(shape):
     """A scipy whose order-1 arithmetic changes fails here, not in a digest."""
     from scipy import ndimage
 
-    from blq.tomography import _interp_linear
+    from blq.tomography import _LinearInterp
 
     rng = np.random.default_rng(sum(shape))
     padded = np.pad(rng.random(shape), 1)
@@ -503,7 +500,10 @@ def test_interp_linear_is_scipy_order_one_bitwise(shape):
     edges = np.where(rng.random((300, len(shape))) < 0.5, 0.0, n - 1.0)  # exactly on u = 0 or n - 1
     edges[:, 0] = rng.uniform(0.0, n[0] - 1.0, size=300)
     coords = np.concatenate([scattered, lattice, halves, edges])
-    got = _interp_linear(padded, [c.copy() for c in coords.T])
+    interp = _LinearInterp(padded.shape, len(coords))
+    interp.locate([c.copy() for c in coords.T])
+    got = np.empty(len(coords))
+    interp.values(padded.ravel(), got)
     want = ndimage.map_coordinates(padded, coords.T, order=1, mode="constant", cval=0.0, prefilter=False)
     assert np.array_equal(got, want)
     assert len(coords) // 5 < np.count_nonzero(got) < len(coords)
@@ -636,3 +636,38 @@ def test_batch_memory_peak():
     # per function: the (192, 273) line-sample buffer 0.40 MiB, the tomogram 0.18 MiB and
     # the padded values 0.07 MiB; shared: the 3.4 MiB geometry of one block of 2^15 samples
     assert peak <= 10 * 2**20
+
+
+@pytest.mark.parametrize(
+    "k, planes",
+    [(1, 0), (1, -1), (2, 0), (2, -1), (1, []), (2, []), (2, np.zeros((0, 3, 2)))],
+    ids=["k1-zero", "k1-negative", "k2-zero", "k2-negative", "k1-empty-frames", "k2-empty-frames", "k2-empty-array"],
+)
+def test_empty_plane_sets_are_rejected(k, planes):
+    f = random_grid_function(((-1.0, 1.0),) * 3, (8, 8, 8), seed=2)
+    with pytest.raises(ValueError, match="plane set is empty"):
+        kplane_transform(f, k, planes)
+
+
+@pytest.mark.parametrize("dirs", [DirectionSet.fibonacci_sphere(32), 32.0, "32", True, [32]])
+def test_plane_margin_takes_a_plane_count(dirs):
+    f = random_grid_function(((-1.0, 1.0),) * 3, (8, 8, 8), seed=2)
+    with pytest.raises(ValueError, match="plane"):
+        tomography_lower_bound_margin(f, 0.7, scaling_exponent_q(0.7, 3, 2), k=2, dirs=dirs)
+
+
+@pytest.mark.parametrize("p", [0.5, 0.7, 0.9])
+def test_plane_lower_bound_margins_on_a_16_cube(p):
+    box = ((-2.0, 2.0),) * 3
+    functions = [
+        GridFunction.indicator_box(((-1.0, 0.5), (-0.5, 1.0), (-1.25, 1.25)), box, (16,) * 3),
+        gaussian_grid(np.diag([1.0, 0.7, 1.4]), box, (16,) * 3),
+        random_grid_function(box, (16,) * 3, seed=7, smooth=1),
+    ]
+    q = scaling_exponent_q(p, 3, 2)
+    for f in functions:
+        m = tomography_lower_bound_margin(f, p, q, k=2, dirs=32, seed=3)
+        assert m.margin > 0
+        assert tomography_lower_bound_margin(f, p, q, k=2, dirs=np.int64(32), seed=3) == m
+    default = tomography_lower_bound_margin(functions[0], p, q, k=2)
+    assert default == tomography_lower_bound_margin(functions[0], p, q, k=2, dirs=64)
