@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .data import AdjointParams, BLDatum, adjoint_gaussian_prefactor
 from .entropy import log_lambda
@@ -42,6 +42,25 @@ ASCENT_MAX_ITER = 20_000
 _ARMIJO = 1e-4
 # largest quadrature self-estimate of perturbation_gap, relative to its coefficient
 MAX_SELF_ESTIMATE = 0.1
+
+
+def _cho_factor(a):
+    """Lower Cholesky factor, upper triangle left as is: the LAPACK call of
+    scipy's ``cho_factor(a, lower=True)`` without its Python wrapper."""
+    c, info = dpotrf(np.asarray_chkfinite(a), lower=1, clean=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of potrf")
+    return c
+
+
+def _cho_solve(c, b):
+    """A^{-1} b from the lower factor c of A, as scipy's ``cho_solve((c, True), b)``."""
+    x, info = dpotrs(np.asarray_chkfinite(c), np.asarray_chkfinite(b), lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of potrs")
+    return x
 
 
 @dataclass(frozen=True)
@@ -76,10 +95,10 @@ class SpdMatrix:
         return 2.0 * float(np.sum(np.log(np.diag(self.chol))))
 
     def inv(self):
-        return cho_solve((self.chol, True), np.eye(self.dim))
+        return _cho_solve(self.chol, np.eye(self.dim))
 
     def solve(self, b):
-        return cho_solve((self.chol, True), b)
+        return _cho_solve(self.chol, b)
 
 
 @dataclass(frozen=True)
@@ -134,10 +153,10 @@ def _tuple_log_value(datum, A_list):
 
 def _derived_tuple(datum, A):
     """A_i = (B_i A^{-1} B_i^T)^{-1} for the current ambient matrix A."""
-    cho = cho_factor(A, lower=True)
+    cho = _cho_factor(A)
     out = []
     for b in datum.maps:
-        m = b @ cho_solve(cho, b.T)
+        m = b @ _cho_solve(cho, b.T)
         m = 0.5 * (m + m.T)
         inv = np.linalg.inv(m)
         out.append(0.5 * (inv + inv.T))
@@ -212,11 +231,11 @@ def quotient_log_objective(datum: BLDatum, S) -> float:
 def quotient_log_gradient(datum: BLDatum, S):
     """Analytic gradient S^{-1} - sum c_i B_i^T (B_i S B_i^T)^{-1} B_i."""
     S = np.asarray(S, dtype=float)
-    cho = cho_factor(S, lower=True)
-    g = cho_solve(cho, np.eye(S.shape[0]))
+    cho = _cho_factor(S)
+    g = _cho_solve(cho, np.eye(S.shape[0]))
     for c, b in zip(datum.exponents, datum.maps):
         m = b @ S @ b.T
-        g -= c * (b.T @ cho_solve(cho_factor(0.5 * (m + m.T), lower=True), b))
+        g -= c * (b.T @ _cho_solve(_cho_factor(0.5 * (m + m.T)), b))
     return 0.5 * (g + g.T)
 
 

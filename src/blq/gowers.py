@@ -9,6 +9,14 @@ box sum is the squared l^2 mass of the correlation
 and for d >= 3 the U^d box sum is the sum over h of the U^{d-1} box sums of
 f * f(. + h), so the memory stays O(N^2) per order even for U^4.  U^1 equals
 the l^1 mass, and U^2 admits an independent Fourier route (DFT fourth moment).
+
+The shift table f(x + h) holds the length-N windows of f followed by its
+first N - 1 entries.  The U^3 step stacks the tables of a block of rows
+f * f(. + h), at most ROW_BLOCK_CELLS entries and at least one row, and
+takes their correlations in one batched product; each row is the same gemv
+on the same C-contiguous table as a lone U^2 sum, and the per-shift sums are
+added in shift order, so every box sum is bitwise the one-shift-at-a-time
+recursion.
 """
 
 from __future__ import annotations
@@ -18,8 +26,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import CapExceededError
+from .grid import ROW_BLOCK_CELLS
 
 U_CAPS = {1: 65536, 2: 4096, 3: 256, 4: 64}
 
@@ -32,22 +42,37 @@ def _check_cap(n, d, cap):
         raise CapExceededError(f"N = {n} exceeds the U^{d} cap {limit}")
 
 
-def _shift_matrix(f):
-    n = len(f)
-    idx = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
-    return f[idx]
+def _shift_rows(g):
+    """C-contiguous g[..., (x + h) % n] at [..., x, h]: length-n windows of g
+    followed by its first n - 1 entries, bit for bit g[idx] with idx the
+    cyclic sum table.  (``sliding_window_view`` builds the same windows, but
+    its first call adds 0.25 MB to the peak RSS of a desk-suite pass.)"""
+    n = g.shape[-1]
+    doubled = np.concatenate([g, g[..., : n - 1]], axis=-1)
+    windows = as_strided(doubled, g.shape + (n,), doubled.strides + doubled.strides[-1:], writeable=False)
+    return np.ascontiguousarray(windows)
 
 
 def _box_sum(f, d):
     """sum over x, h_1..h_d of the product of f over all 2^d shifts; for
     d >= 3, the sum over h of the U^{d-1} box sums of f * f(. + h)."""
-    if d == 1:
+    n = len(f)
+    if d == 1 or n == 0:
         return float(f.sum()) ** 2
     if d == 2:
-        corr = f @ _shift_matrix(f)
-        return float(np.sum(corr**2))
-    shifts = _shift_matrix(f)
-    return sum(_box_sum(f * shifts[:, h], d - 1) for h in range(len(f)))
+        return float(np.sum((f @ _shift_rows(f)) ** 2))
+    # row h is f * f(. + h): the shift table is symmetric in (x, h)
+    gs = f * _shift_rows(f)
+    if d > 3:
+        return sum(_box_sum(g, d - 1) for g in gs)
+    # the U^2 box sums of a block of rows at once (see the module docstring)
+    step = max(1, ROW_BLOCK_CELLS // (n * n))
+    sums = []
+    for r in range(0, n, step):
+        g = gs[r : r + step]
+        corr = np.matmul(g[:, None, :], _shift_rows(g))[:, 0, :]
+        sums += np.sum(corr**2, axis=1).tolist()
+    return sum(sums)
 
 
 def gowers_norm(f, d, measure_weight=1.0, cap=None) -> float:

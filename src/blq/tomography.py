@@ -502,8 +502,9 @@ def tomography_lower_bound_margin(
     """Margin of ||T_k f||_q >= ||f||_p on the scaling line (constant 1).
 
     ``dirs`` is a ``DirectionSet`` (or None) for k = 1, and a plane count
-    (or None, for 64 planes) for k = 2.  The quadrature estimate halves both
-    the direction count and the offset resolution and takes the drift.
+    (or None, for 64 planes) for k = 2.  The quadrature estimate keeps every
+    other direction or plane of the same draw, halves the offset resolution
+    and takes the drift.
     """
     d = f.dim
     _check_scaling_line(p, q, d, k)
@@ -513,9 +514,9 @@ def tomography_lower_bound_margin(
     else:
         if dirs is not None and (isinstance(dirs, bool) or not isinstance(dirs, (int, np.integer))):
             raise ValueError(f"k = {k} planes are given by their count, an integer, got {dirs!r}")
-        n_planes = 64 if dirs is None else int(dirs)
-        tom = kplane_transform(f, k, n_planes, seed=seed, t_resolution=n_v)
-        tom_half = kplane_transform(f, k, max(2, n_planes // 2), seed=seed + 1, t_resolution=max(2, n_v // 2))
+        frames = haar_planes(d, k, 64 if dirs is None else int(dirs), seed)
+        tom = kplane_transform(f, k, frames, t_resolution=n_v)
+        tom_half = kplane_transform(f, k, frames[::2], t_resolution=max(2, n_v // 2))
     return lower_bound_margin_from_tomograms(tom, tom_half, f, p, q, k)
 
 

@@ -18,6 +18,8 @@ from blq.data import BLDatum, derive_adjoint_exponents
 from blq.errors import ParameterDomainError, ScalingConditionError
 from blq.gaussian import (
     SpdMatrix,
+    _cho_factor,
+    _cho_solve,
     abl_gaussian_constant,
     bl_gaussian_constant,
     gaussian_pushforward,
@@ -433,3 +435,30 @@ def test_perturbation_gap_memory_peak_on_the_scenario_grid():
     # the (N, 2) cell centres alone are 16 MiB; what is whole is one function's
     # 8 MiB of values with its L^p temporaries, and one map's 4 MiB bin index
     assert peak <= 48 * 2**20
+
+
+def test_cholesky_helpers_are_bitwise_scipy():
+    from scipy.linalg import cho_factor, cho_solve
+
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        n = int(rng.integers(1, 5))
+        g = rng.standard_normal((n, n))
+        a = g @ g.T + 0.1 * np.eye(n)
+        b = rng.standard_normal((n, int(rng.integers(1, 4))))
+        c = _cho_factor(a)
+        assert np.array_equal(c, cho_factor(a, lower=True)[0])
+        assert np.array_equal(_cho_solve(c, b), cho_solve((c, True), b))
+        assert np.array_equal(_cho_solve(c, b[:, 0]), cho_solve((c, True), b[:, 0]))
+
+
+def test_cholesky_helpers_raise_as_scipy_did():
+    with pytest.raises(np.linalg.LinAlgError):
+        _cho_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(ValueError):
+        _cho_factor(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+    c = _cho_factor(np.eye(2))
+    with pytest.raises(ValueError):
+        _cho_solve(c, np.array([1.0, np.nan]))
+    with pytest.raises(ValueError):
+        _cho_solve(np.array([[1.0, 0.0], [np.inf, 1.0]]), np.ones(2))

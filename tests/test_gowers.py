@@ -5,8 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from blq import gowers
 from blq.errors import CapExceededError
 from blq.gowers import (
+    U_CAPS,
     _box_sum,
     gowers_logconvexity_margin,
     gowers_norm,
@@ -14,6 +16,7 @@ from blq.gowers import (
     logconvexity_theta,
     parallelepiped_count,
     parallelogram_count,
+    real_line_u2_ratio,
     u2_via_fourier,
 )
 
@@ -110,6 +113,16 @@ def _reference_box_sum(f, d):
     return total
 
 
+def _per_shift_box_sum(f, d):
+    """The per-shift recursion: one gathered shift table and one gemv per h."""
+    if d == 1:
+        return float(f.sum()) ** 2
+    if d == 2:
+        return float(np.sum((f @ _reference_shift_matrix(f)) ** 2))
+    shifts = _reference_shift_matrix(f)
+    return sum(_per_shift_box_sum(f * shifts[:, h], d - 1) for h in range(len(f)))
+
+
 def _box_sum_inputs(sizes):
     rng = np.random.default_rng(31)
     for n in sizes:
@@ -122,6 +135,21 @@ def test_box_sums_are_bitwise_the_unrolled_loops():
     for f in _box_sum_inputs((2, 3, 7, 16, 33, 64)):
         for d in (2, 3):
             assert _box_sum(f, d) == _reference_box_sum(f, d)
+
+
+def test_stacked_box_sums_are_bitwise_the_per_shift_recursion():
+    # 65 and 100 leave a partial last block of shifts at U^3
+    for f in _box_sum_inputs((1, 2, 7, 31, 64, 65, 100)):
+        for d in (1, 2, 3, 4):
+            if len(f) <= U_CAPS[d]:
+                assert _box_sum(f, d) == _per_shift_box_sum(f, d)
+
+
+def test_real_line_ratio_is_bitwise_the_per_shift_recursion(monkeypatch):
+    samples = np.exp(-math.pi * (np.arange(48) / 16.0 - 1.5) ** 2)
+    ratio = real_line_u2_ratio(samples, 1.0 / 16.0)
+    monkeypatch.setattr(gowers, "_box_sum", _per_shift_box_sum)
+    assert ratio == real_line_u2_ratio(samples, 1.0 / 16.0)
 
 
 def test_u4_box_sum_matches_the_unrolled_loop():
@@ -223,7 +251,7 @@ def test_profile_norms_and_abscissae():
 
 
 def test_real_line_ratio_scan_reports_below_one():
-    from blq.gowers import real_line_u2_ratio, u2_ratio_scan
+    from blq.gowers import u2_ratio_scan
 
     spacing = 1.0 / 32.0
     xs = np.arange(64) * spacing

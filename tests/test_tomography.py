@@ -13,6 +13,7 @@ from blq.tomography import (
     haar_planes,
     kplane_entropy_sequence,
     kplane_transform,
+    lower_bound_margin_from_tomograms,
     projection_shadow_measure,
     radial_moment_factor,
     restricted_xray_constant,
@@ -671,3 +672,15 @@ def test_plane_lower_bound_margins_on_a_16_cube(p):
         assert tomography_lower_bound_margin(f, p, q, k=2, dirs=np.int64(32), seed=3) == m
     default = tomography_lower_bound_margin(functions[0], p, q, k=2)
     assert default == tomography_lower_bound_margin(functions[0], p, q, k=2, dirs=64)
+
+
+def test_plane_margin_halves_the_same_draw():
+    """The halved check keeps every other plane of the one Haar draw, as the
+    line margin keeps every other direction, with half the offsets."""
+    f = GridFunction.indicator_box(((-1.0, 0.5), (-0.5, 1.0), (-1.25, 1.25)), ((-2.0, 2.0),) * 3, (16,) * 3)
+    q = scaling_exponent_q(0.5, 3, 2)
+    frames = haar_planes(3, 2, 32, 3)
+    tom = kplane_transform(f, 2, frames, t_resolution=16)
+    half = kplane_transform(f, 2, frames[::2], t_resolution=8)
+    expected = lower_bound_margin_from_tomograms(tom, half, f, 0.5, q, 2)
+    assert tomography_lower_bound_margin(f, 0.5, q, k=2, dirs=32, seed=3) == expected
