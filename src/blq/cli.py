@@ -331,6 +331,8 @@ def _task_discrete(
     given = [key for key, value in (("group", group), ("maps", maps), ("c", c)) if value is not None]
     if 0 < len(given) < 3:
         raise SchemaError(f"scenario violates the schema at $: 'group', 'maps' and 'c' go together, got only {given}")
+    if group is not None and len(c) != len(maps):
+        raise SchemaError(f"scenario violates the schema at $.c: {len(c)} exponents for {len(maps)} maps")
     if group is not None:
         _, homs = group_from_json({**group, "maps": maps})
         instances = [("scenario", homs, tuple(Fraction(str(x)) for x in c))]

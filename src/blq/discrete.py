@@ -1,9 +1,10 @@
 """Brascamp-Lieb theory on finite abelian groups.
 
 Groups are products of cyclic factors; elements are indexed 0..order-1 in
-mixed radix.  Subgroup enumeration is exhaustive (closure of generator
-extensions with bitmask dedup), which is exact at desk scale and feeds the
-two suprema:
+mixed radix.  Subgroup enumeration is exhaustive (every extension of a
+subgroup by one generator read from tables of sums and multiples, with
+bitmask dedup), which is exact at desk scale and feeds the two suprema, each
+taken over integer tables of intersection counts and image sizes:
 
 * subgroup constant     BLs  = max over tuples H_i <= G_i of
                         #(intersect B_i^{-1} H_i) / prod (#H_i)^{c_i}
@@ -26,7 +27,7 @@ import numpy as np
 
 from .data import AdjointParams
 from .errors import CapExceededError, DatumError
-from .grid import InequalityMargin
+from .grid import ROW_BLOCK_CELLS, InequalityMargin
 
 SUBGROUP_CAP = 4096
 TUPLE_CAP = 200_000
@@ -45,12 +46,7 @@ class FiniteAbelianGroup:
             raise ValueError("factors must be positive integers")
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "order", math.prod(factors))
-        strides = []
-        s = 1
-        for n in reversed(factors):
-            strides.append(s)
-            s *= n
-        object.__setattr__(self, "_strides", tuple(reversed(strides)))
+        object.__setattr__(self, "_strides", tuple(math.prod(factors[i + 1 :]) for i in range(len(factors))))
         coords = np.stack(
             np.meshgrid(*[np.arange(n) for n in factors], indexing="ij"), axis=-1
         ).reshape(-1, len(factors))
@@ -125,43 +121,22 @@ class Subgroup:
     indices: np.ndarray
     mask: int
 
+    def __post_init__(self):
+        self.indices.flags.writeable = False
+
     @property
     def order(self):
         return len(self.indices)
 
 
-def _mask_of(indices, order):
-    bits = np.zeros(order, dtype=bool)
-    bits[indices] = True
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-
-
-def _element_orbit(group, g):
-    """Cyclic subgroup generated by one element, via its algebraic order."""
-    coords = group._coords[g]
-    ord_g = 1
-    for a, n in zip(coords, group.factors):
-        if a:
-            ord_g = math.lcm(ord_g, n // math.gcd(n, int(a)))
-    return group.encode(np.outer(np.arange(ord_g), coords))
-
-
-def _close_under(group, base_indices, g):
-    """Subgroup generated by a subgroup and one extra element: the sumset
-    base + <g>, computed as one vectorized table lookup."""
-    orbit = _element_orbit(group, g)
-    prod = group._table()[np.ix_(base_indices, orbit)]
-    return np.unique(prod).astype(np.int64)
-
-
 def enumerate_subgroups(group: FiniteAbelianGroup, cap: int = SUBGROUP_CAP):
     """All subgroups, canonically ordered by (order, bitmask), as a tuple.
 
-    Breadth-first closure over single-generator extensions with bitmask
-    dedup; only one candidate generator per coset of the current subgroup is
-    tried, since g and g + h generate the same extension for h in the base.
-    The lattice is built once per group instance and cached on it, like the
-    addition table; ``cap`` is checked on every call.
+    Depth-first closure over single-generator extensions with bitmask dedup;
+    the extensions of one subgroup by the least element of each of its
+    cosets (g and g + h give the same extension for h in the base) are
+    tabulated together.  The lattice is built once per group instance and
+    cached on it, like the addition table; ``cap`` is checked on every call.
     """
     if group.order > cap:
         raise CapExceededError(f"group order {group.order} exceeds the cap {cap}")
@@ -172,33 +147,49 @@ def enumerate_subgroups(group: FiniteAbelianGroup, cap: int = SUBGROUP_CAP):
     return lattice
 
 
-def _subgroup(generators, indices, order):
-    indices.flags.writeable = False
-    return Subgroup(generators=generators, indices=indices, mask=_mask_of(indices, order))
-
-
 def _subgroup_lattice(group):
+    """Extends each popped subgroup h by all its coset representatives g at
+    once: h + <g> = h + {k g : k < m}, m the order of g modulo h.  Per block of
+    representatives, their multiples give each m, one gather into the addition
+    table (#h m <= order entries each) the extensions, and one ``packbits``
+    their masks; unseen masks are pushed in representative order."""
+    order = group.order
     table = group._table()
-    trivial = _subgroup((), np.array([0], dtype=np.int64), group.order)
+    # k = 0..lcm(factors): the last multiple is 0, in h, for every g
+    ks = np.arange(math.lcm(*group.factors) + 1)[:, None, None]
+    every = np.arange(order)
+    trivial = Subgroup((), np.zeros(1, dtype=np.int64), 1)
     found = {trivial.mask: trivial}
     queue = [trivial]
-    every = np.arange(group.order)
+    step = max(1, ROW_BLOCK_CELLS // order)
     while queue:
         h = queue.pop()
-        if h.order > 1:
-            coset_id = table[np.ix_(every, h.indices)].min(axis=1)
-            reps = np.unique(coset_id)
-        else:
-            reps = every
-        for g in reps:
-            g = int(g)
-            if (h.mask >> g) & 1:
-                continue
-            sub = _subgroup(h.generators + (g,), _close_under(group, h.indices, g), group.order)
-            if sub.mask not in found:
-                found[sub.mask] = sub
-                queue.append(sub)
+        inside = np.zeros(order, dtype=bool)
+        inside[h.indices] = True
+        # least element of each coset; 0 leads h's own coset
+        reps = np.flatnonzero(table[:, h.indices].min(axis=1) == every)[1:]
+        for start in range(0, len(reps), step):
+            block = reps[start : start + step]
+            mult = group.encode(ks * group._coords[block])
+            m = 1 + np.argmax(inside[mult[1:]], axis=0)
+            sums = table[h.indices[:, None, None], mult[None, : m.max()]]
+            hits = np.zeros((len(block), order), dtype=bool)
+            hits[np.arange(len(block)), sums] = True
+            masks = np.packbits(hits, axis=1, bitorder="little")
+            for g, row, packed in zip(block.tolist(), hits, masks):
+                mask = int.from_bytes(packed.tobytes(), "little")
+                if mask not in found:
+                    sub = Subgroup(h.generators + (g,), np.flatnonzero(row), mask)
+                    found[mask] = sub
+                    queue.append(sub)
     return tuple(sorted(found.values(), key=lambda s: (s.order, s.mask)))
+
+
+def _members(subs, order):
+    """Indicator rows of ``subs`` as one boolean (subgroups, order) table."""
+    rows = np.zeros((len(subs), order), dtype=bool)
+    rows[np.repeat(np.arange(len(subs)), [s.order for s in subs]), np.concatenate([s.indices for s in subs])] = True
+    return rows
 
 
 def subgroup_indicator(sub: Subgroup, group: FiniteAbelianGroup):
@@ -228,32 +219,33 @@ def _check_maps(maps):
     return src
 
 
+def _exponents(maps, c):
+    if len(c) != len(maps):
+        raise DatumError(f"{len(c)} exponents for {len(maps)} homomorphisms")
+    return [float(x) for x in c]
+
+
 def bls_constant(maps: Sequence[GroupHom], c: Sequence, cap: int = SUBGROUP_CAP):
     """Exhaustive subgroup-tuple supremum of the discrete constant.
 
     Returns (value, argmax) where argmax is the maximizing tuple of
-    subgroups H_i <= G_i.
+    subgroups H_i <= G_i.  The intersection counts of every tuple are one
+    int64 contraction of the preimage indicator rows.
     """
-    src = _check_maps(maps)
-    c = [float(x) for x in c]
+    _check_maps(maps)
+    c = _exponents(maps, c)
     sub_lists = [enumerate_subgroups(m.target, cap=cap) for m in maps]
     n_tuples = int(np.prod([len(s) for s in sub_lists]))
     if n_tuples > TUPLE_CAP:
         raise CapExceededError(f"{n_tuples} subgroup tuples exceed the cap {TUPLE_CAP}")
-    images = [m.image_indices() for m in maps]
-    members = []
-    for subs, m in zip(sub_lists, maps):
-        rows = np.zeros((len(subs), m.target.order), dtype=bool)
-        for r, s in enumerate(subs):
-            rows[r, s.indices] = True
-        members.append(rows)
+    operands = []
+    for i, (subs, m) in enumerate(zip(sub_lists, maps)):
+        operands += [_members(subs, m.target.order)[:, m.image_indices()].astype(np.int64), [i, len(maps)]]
+    counts = np.einsum(*operands, list(range(len(maps))))
     best_log = -math.inf
     best = None
-    for combo in itertools.product(*[range(len(s)) for s in sub_lists]):
-        inter = np.ones(src.order, dtype=bool)
-        for i, (row, img) in enumerate(zip(combo, images)):
-            inter &= members[i][row][img]
-        count = int(np.count_nonzero(inter))
+    combos = itertools.product(*[range(len(s)) for s in sub_lists])
+    for combo, count in zip(combos, counts.ravel().tolist()):
         if count == 0:
             continue
         log_ratio = math.log(count) - sum(
@@ -268,10 +260,11 @@ def bls_constant(maps: Sequence[GroupHom], c: Sequence, cap: int = SUBGROUP_CAP)
 def abls_constant(maps: Sequence[GroupHom], c: Sequence, p, cap: int = SUBGROUP_CAP):
     """(sup over H <= G of #H / prod #(B_i H)^{c_i})^{(1-p)/p}.
 
-    The exponent (1-p)/p is formed exactly when p is rational.
+    The exponent (1-p)/p is formed exactly when p is rational.  The image
+    sizes #(B_i H) of every subgroup come from one scatter per map.
     """
     src = _check_maps(maps)
-    c = [float(x) for x in c]
+    c = _exponents(maps, c)
     if isinstance(p, Fraction):
         if not (0 < p < 1):
             raise ValueError("p must lie in (0,1)")
@@ -282,13 +275,18 @@ def abls_constant(maps: Sequence[GroupHom], c: Sequence, p, cap: int = SUBGROUP_
             raise ValueError("p must lie in (0,1)")
         expo = 1.0 / p - 1.0
     subs = enumerate_subgroups(src, cap=cap)
-    images = [m.image_indices() for m in maps]
+    r, x = np.nonzero(_members(subs, src.order))
+    sizes = []
+    for m in maps:
+        hit = np.zeros((len(subs), m.target.order), dtype=bool)
+        hit[r, m.image_indices()[x]] = True
+        sizes.append(np.count_nonzero(hit, axis=1).tolist())
     best_log = -math.inf
     best = None
-    for s in subs:
+    for s, image_sizes in zip(subs, zip(*sizes)):
         log_ratio = math.log(s.order)
-        for ci, img in zip(c, images):
-            log_ratio -= ci * math.log(len(np.unique(img[s.indices])))
+        for ci, size in zip(c, image_sizes):
+            log_ratio -= ci * math.log(size)
         if log_ratio > best_log:
             best_log = log_ratio
             best = s

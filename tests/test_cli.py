@@ -425,6 +425,27 @@ def test_custom_group_needs_group_maps_and_c_together(scenario, monkeypatch, tmp
     assert not (tmp_path / "partial.report.json").exists()
 
 
+@pytest.mark.parametrize("c", [[1], [1, 1, 1]])
+def test_custom_group_needs_one_exponent_per_map(c, monkeypatch, tmp_path, capsys):
+    """A length mismatch is a schema error, not a failed report from deep in the run."""
+    import blq.cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("bls_constant ran")
+
+    monkeypatch.setattr(blq.cli, "bls_constant", never)
+    maps = [{"matrix": [[1, 0]], "target_factors": [4]}, {"matrix": [[0, 1]], "target_factors": [4]}]
+    scenario = {"task": "discrete", "seed": 1, "group": {"factors": [4, 4]}, "maps": maps, "c": c}
+    with pytest.raises(SchemaError, match=f"at \\$.c: {len(c)} exponents for 2 maps") as err:
+        run_scenario(scenario)
+    assert "\n" not in str(err.value)
+    path = tmp_path / "lengths.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+    assert "exponents for 2 maps" in capsys.readouterr().err
+    assert not (tmp_path / "lengths.report.json").exists()
+
+
 def test_partial_grid_falls_back_to_the_task_grid(monkeypatch):
     import blq.cli
     import blq.grid

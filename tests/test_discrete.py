@@ -255,14 +255,127 @@ def test_group_serialization_roundtrip():
 
 
 def test_consistency_at_order_512():
-    g = FiniteAbelianGroup((8, 64))
-    z8, z64 = FiniteAbelianGroup((8,)), FiniteAbelianGroup((64,))
-    maps = (GroupHom(((1, 0),), g, z8), GroupHom(((0, 1),), g, z64))
-    c = (0.75, 1.25)
+    maps, c = order_512_data()
     blv, _ = bls_constant(maps, c, cap=512)
     for p in (Fraction(1, 2), Fraction(2, 3)):
         ablv, _ = abls_constant(maps, c, p, cap=512)
         assert ablv == pytest.approx(blv ** float(1 / p - 1), rel=1e-12)
+
+
+def reference_lattice(group):
+    """The subgroup lattice by one closure per (subgroup, generator): each
+    coset representative g of a popped subgroup h gives h + <g> from g's
+    algebraic order, one table lookup and one ``np.unique``."""
+    table = group._table()
+
+    def subgroup(generators, indices):
+        bits = np.zeros(group.order, dtype=bool)
+        bits[indices] = True
+        mask = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+        return generators, indices, mask
+
+    def close_under(base, g):
+        coords = group._coords[g]
+        ord_g = 1
+        for a, n in zip(coords, group.factors):
+            if a:
+                ord_g = math.lcm(ord_g, n // math.gcd(n, int(a)))
+        orbit = group.encode(np.outer(np.arange(ord_g), coords))
+        return np.unique(table[np.ix_(base, orbit)]).astype(np.int64)
+
+    trivial = subgroup((), np.array([0], dtype=np.int64))
+    found = {trivial[2]: trivial}
+    queue = [trivial]
+    every = np.arange(group.order)
+    while queue:
+        gens, indices, mask = queue.pop()
+        reps = np.unique(table[np.ix_(every, indices)].min(axis=1)) if len(indices) > 1 else every
+        for g in reps:
+            g = int(g)
+            if (mask >> g) & 1:
+                continue
+            sub = subgroup(gens + (g,), close_under(indices, g))
+            if sub[2] not in found:
+                found[sub[2]] = sub
+                queue.append(sub)
+    return sorted(found.values(), key=lambda s: (len(s[1]), s[2]))
+
+
+def reference_bls(maps, c):
+    """BLs by one boolean intersection per subgroup tuple."""
+    sub_lists = [reference_lattice(m.target) for m in maps]
+    images = [m.image_indices() for m in maps]
+    best_log, best = -math.inf, None
+    for combo in itertools.product(*sub_lists):
+        inter = np.ones(maps[0].source.order, dtype=bool)
+        for (_, indices, _), img, m in zip(combo, images, maps):
+            member = np.zeros(m.target.order, dtype=bool)
+            member[indices] = True
+            inter &= member[img]
+        count = int(np.count_nonzero(inter))
+        if count == 0:
+            continue
+        log_ratio = math.log(count) - sum(ci * math.log(len(s[1])) for ci, s in zip(c, combo))
+        if log_ratio > best_log:
+            best_log, best = log_ratio, combo
+    return math.exp(best_log), [s[2] for s in best]
+
+
+def reference_abls(maps, c, p):
+    """ABLs by one ``np.unique`` per (subgroup, map)."""
+    best_log, best = -math.inf, None
+    for s in reference_lattice(maps[0].source):
+        log_ratio = math.log(len(s[1]))
+        for ci, m in zip(c, maps):
+            log_ratio -= ci * math.log(len(np.unique(m.image_indices()[s[1]])))
+        if log_ratio > best_log:
+            best_log, best = log_ratio, s
+    return math.exp(float(1 / p - 1) * best_log), best[2]
+
+
+def order_512_data():
+    g = FiniteAbelianGroup((8, 64))
+    z8, z64 = FiniteAbelianGroup((8,)), FiniteAbelianGroup((64,))
+    return (GroupHom(((1, 0),), g, z8), GroupHom(((0, 1),), g, z64)), (0.75, 1.25)
+
+
+def catalog_groups():
+    groups = [(8, 64), (2, 2, 2), (2, 4, 8)]
+    for _, maps, _ in discrete_instances(256):
+        groups += [m.source.factors for m in maps[:1]] + [m.target.factors for m in maps]
+    return list(dict.fromkeys(groups))
+
+
+@pytest.mark.parametrize("factors", catalog_groups(), ids=str)
+def test_tabulated_lattice_is_the_per_generator_closure(factors):
+    ours = enumerate_subgroups(FiniteAbelianGroup(factors))
+    expected = reference_lattice(FiniteAbelianGroup(factors))
+    assert [(s.generators, s.order, s.mask) for s in ours] == [(g, len(i), m) for g, i, m in expected]
+    for s, (_, indices, _) in zip(ours, expected):
+        assert s.indices.dtype == np.int64 and not s.indices.flags.writeable
+        assert np.array_equal(s.indices, indices)
+
+
+def test_tabulated_constants_are_the_per_tuple_loops():
+    cases = [(maps, [float(x) for x in c]) for _, maps, c in discrete_instances(256)]
+    for maps, c in cases + [order_512_data()]:
+        value, argmax = bls_constant(maps, c, cap=512)
+        assert (value, [s.mask for s in argmax]) == reference_bls(maps, c)
+        for p in (Fraction(1, 2), Fraction(1, 3), Fraction(3, 4), Fraction(2, 3)):
+            value, argmax = abls_constant(maps, c, p, cap=512)
+            assert (value, argmax.mask) == reference_abls(maps, c, p)
+
+
+def test_exponent_count_must_match_the_maps():
+    g = FiniteAbelianGroup((4, 4))
+    z4 = FiniteAbelianGroup((4,))
+    maps = (GroupHom(((1, 0),), g, z4), GroupHom(((0, 1),), g, z4))
+    assert bls_constant(maps, [1, 1])[0] == 1.0
+    for c in ([1], [1, 1, 1]):
+        with pytest.raises(DatumError, match=f"{len(c)} exponents for 2 homomorphisms"):
+            bls_constant(maps, c)
+        with pytest.raises(DatumError, match=f"{len(c)} exponents for 2 homomorphisms"):
+            abls_constant(maps, c, 0.5)
 
 
 def reference_margin(f, maps, params, bl_value):
