@@ -18,41 +18,25 @@ from .discrete import FiniteAbelianGroup, GroupHom
 
 def loomis_whitney(d):
     """Projections deleting one coordinate, exponents 1/(d-1)."""
-    maps = []
-    for i in range(d):
-        rows = [r for j, r in enumerate(np.eye(d)) if j != i]
-        maps.append(np.array(rows))
-    c = Fraction(1, d - 1)
-    return BLDatum(
-        maps=tuple(maps),
-        exponents=(float(c),) * d,
-        ambient_dim=d,
-        exact_exponents=(c,) * d,
-    )
+    maps = tuple(np.delete(np.eye(d), i, axis=0) for i in range(d))
+    return BLDatum(maps, (Fraction(1, d - 1),) * d)
 
 
 def holder_identity(d, k=1):
     """k copies of the identity with exponents summing to one."""
-    c = Fraction(1, k)
-    return BLDatum(
-        maps=tuple(np.eye(d) for _ in range(k)),
-        exponents=(float(c),) * k,
-        ambient_dim=d,
-        exact_exponents=(c,) * k,
-    )
+    return BLDatum(tuple(np.eye(d) for _ in range(k)), (Fraction(1, k),) * k)
 
 
 def young():
     """Convolution triple x, y, x - y on the plane, exponents 2/3."""
     maps = (np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), np.array([[1.0, -1.0]]))
-    frac = Fraction(2, 3)
-    return BLDatum(maps, (float(frac),) * 3, 2, exact_exponents=(frac,) * 3)
+    return BLDatum(maps, (Fraction(2, 3),) * 3)
 
 
 def finner_split():
     """Product split of R^3 into a plane and a line, exponents (1, 1)."""
     maps = (np.array([[1.0, 0, 0], [0, 1.0, 0]]), np.array([[0, 0, 1.0]]))
-    return BLDatum(maps, (1.0, 1.0), 3, exact_exponents=(Fraction(1), Fraction(1)))
+    return BLDatum(maps, (Fraction(1),) * 2)
 
 
 def finner_mixed():
@@ -64,16 +48,14 @@ def finner_mixed():
         np.array([e[1]]),
         np.array([e[2]]),
     )
-    h = Fraction(1, 2)
-    return BLDatum(maps, (0.5,) * 4, 3, exact_exponents=(h,) * 4)
+    return BLDatum(maps, (Fraction(1, 2),) * 4)
 
 
 def finner_cyclic4():
     """Cyclic pair projections (12), (23), (34), (41) of R^4, exponents 1/2."""
     e = np.eye(4)
     maps = tuple(np.array([e[i], e[(i + 1) % 4]]) for i in range(4))
-    h = Fraction(1, 2)
-    return BLDatum(maps, (0.5,) * 4, 4, exact_exponents=(h,) * 4)
+    return BLDatum(maps, (Fraction(1, 2),) * 4)
 
 
 NAMED_DATA = {
@@ -108,12 +90,7 @@ def conjugate_datum(datum: BLDatum, seed) -> BLDatum:
     rng = np.random.default_rng(seed)
     T = _well_conditioned(rng, datum.ambient_dim)
     maps = [_well_conditioned(rng, b.shape[0]) @ b @ T for b in datum.maps]
-    return BLDatum(
-        maps=tuple(maps),
-        exponents=datum.exponents,
-        ambient_dim=datum.ambient_dim,
-        exact_exponents=datum.exact_exponents,
-    )
+    return BLDatum(tuple(maps), datum.exact_exponents or datum.exponents)
 
 
 _BASE_CYCLE = (

@@ -164,7 +164,7 @@ class _Checks:
         self.measured_s = {}
 
     def tol(self, default):
-        return _parse_number(default) if self.tol_override is None else float(self.tol_override)
+        return default if self.tol_override is None else float(self.tol_override)
 
     def add(self, name, value, tolerance, passed):
         self.entries.append(
@@ -208,7 +208,7 @@ def _gaussian_bl_case(checks, seed, *, name, datum, expected=None, tol=1e-6, max
     res = bl_gaussian_constant(datum)
     dt = time.perf_counter() - t0
     if expected is not None:
-        err = abs(res.value - _parse_number(expected))
+        err = abs(res.value - expected)
         checks.at_most(f"{name}: value within tol", err, checks.tol(tol))
     checks.flag(f"{name}: converged", res.converged)
     if max_seconds is not None:
@@ -417,7 +417,7 @@ def _tomography_suite(
         f3 = random_grid_function(((-2.0, 2.0),) * 3, (32,) * 3, seed=seed + 7 * t, smooth=1)
         p = 0.7
         t1 = xray_transform(f3, DirectionSet.fibonacci_sphere(96), method="deposit")
-        t2 = kplane_transform(f3, 2, 96, seed=seed + t)
+        t2 = kplane_transform(f3, 96, seed=seed + t)
         n0 = lp_norm(f3, p)
         n1 = t1.lq(scaling_exponent_q(p, 3, 1))
         n2 = t2.lq(scaling_exponent_q(p, 3, 2))
@@ -622,16 +622,23 @@ def validate_scenario(scn):
 
 
 @functools.cache
-def _key_casts():
-    """scenario key -> its cast, by the key's type in the scenario schema:
-    ``int`` for an integer (the schema admits 16.0), ``_parse_number`` for a
-    number or a fraction string."""
+def _key_casts(array=None):
+    """scenario key (or key of an item of the top-level ``array``) -> its cast,
+    by its schema type: ``int`` for an integer (the schema admits 16.0),
+    ``_parse_number`` for a number or a fraction string (null stays None)."""
     props = _validator("scenario").schema["properties"]
+    if array is not None:
+        props = props[array]["items"]["properties"]
     return {
         key: int if prop.get("type") == "integer" else _parse_number
         for key, prop in props.items()
-        if prop.get("type") in ("integer", ["number", "string"])
+        if prop.get("type") in ("integer", ["number", "string"], ["number", "string", "null"])
     }
+
+
+def _cast(keys, casts):
+    """``keys`` with each non-null value of a key in ``casts`` cast."""
+    return {key: casts[key](value) if key in casts and value is not None else value for key, value in keys.items()}
 
 
 def _conform(name, instance):
@@ -684,8 +691,9 @@ def run_scenario(scenario, seed_override=None, tol_override=None) -> RunReport:
     inputs_echo = dict(scn)
     checks = _Checks(tol_override)
     handler, route = _route(scn)
-    casts = _key_casts()
-    kwargs = {key: casts[key](value) if key in casts else value for key, value in scn.items() if key not in route}
+    kwargs = _cast({key: value for key, value in scn.items() if key not in route}, _key_casts())
+    if "cases" in kwargs:
+        kwargs["cases"] = [_cast(case, _key_casts("cases")) for case in kwargs["cases"]]
     try:
         extra_inputs, results = handler(checks, **kwargs)
         inputs_echo.update(extra_inputs)

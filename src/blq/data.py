@@ -1,8 +1,9 @@
 """Brascamp-Lieb data and adjoint exponent algebra.
 
-A datum is a family of surjective linear maps B_i: R^d -> R^{d_i} together
-with positive exponents c_i.  The adjoint side adds weights theta_i summing
-to one and a Lebesgue exponent p; the coupled exponents p_i solve
+A datum ``BLDatum(maps, c)`` is a family of surjective linear maps
+B_i: R^d -> R^{d_i} with positive exponents c_i; d and the exact (Fraction)
+exponents are derived from them.  The adjoint side adds weights theta_i
+summing to one and a Lebesgue exponent p; the coupled exponents p_i solve
 
     c_i * (1 - 1/p) = theta_i * (1 - 1/p_i).
 
@@ -16,7 +17,7 @@ the grid, discrete, entropic and gaussian-perturbation layers all call it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -31,7 +32,7 @@ SCALING_TOL = 1e-9
 
 
 def _as_fraction(x):
-    """Parse 'p/q' strings and ints to Fraction; plain floats return None."""
+    """Parse 'p/q' strings, ints and integral floats to Fraction; other floats return None."""
     if isinstance(x, (Fraction, str, int)):
         return Fraction(x)
     if isinstance(x, float) and x.is_integer():
@@ -43,44 +44,46 @@ def _as_fraction(x):
 class BLDatum:
     """Surjective maps B_i (shape d_i x d) with exponents c_i > 0.
 
-    ``exact_exponents`` keeps Fraction values when the c_i were given as
-    rationals, so the scaling condition can be checked exactly.
+    The ambient dimension d is the maps' column count.  ``exact_exponents``
+    holds the c_i as Fractions when every c_i is an int, a Fraction, a "p/q"
+    string or an integral float, so the scaling condition can be checked
+    exactly; otherwise it is None.  ``exponents`` holds them as floats.
     """
 
     maps: tuple
     exponents: tuple
-    ambient_dim: int
-    exact_exponents: Optional[tuple] = None
+    exact_exponents: Optional[tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.maps) < 1:
             raise DatumError("a datum needs at least one map")
         if len(self.maps) != len(self.exponents):
             raise DatumError("number of maps and exponents differ")
-        maps = []
-        for i, b in enumerate(self.maps):
-            b = np.array(b, dtype=float)
-            if b.ndim != 2 or b.shape[1] != self.ambient_dim:
-                raise DatumError(f"map {i} is not a d_i x {self.ambient_dim} matrix")
-            if b.shape[0] > self.ambient_dim:
+        maps = tuple(np.array(b, dtype=float) for b in self.maps)
+        d = maps[0].shape[-1] if maps[0].ndim else 0
+        for i, b in enumerate(maps):
+            if b.ndim != 2 or b.shape[1] != d:
+                raise DatumError(f"map {i} is not a d_i x {d} matrix")
+            if b.shape[0] > d:
                 raise DatumError(f"map {i} has more rows than the ambient dimension")
             sv = np.linalg.svd(b, compute_uv=False)
             if sv[-1] <= RANK_TOL * sv[0]:
                 raise DatumError(f"map {i} is not surjective (rank-deficient rows)")
             b.flags.writeable = False
-            maps.append(b)
-        object.__setattr__(self, "maps", tuple(maps))
-        exps = tuple(float(c) for c in self.exponents)
+        object.__setattr__(self, "maps", maps)
+        fracs = tuple(_as_fraction(c) for c in self.exponents)
+        exact = fracs if all(f is not None for f in fracs) else None
+        exps = tuple(float(f) if f is not None else float(c) for f, c in zip(fracs, self.exponents))
         if not all(math.isfinite(c) for c in exps):
             raise DatumError(f"all exponents c_i must be finite, got {exps}")
         if any(c <= 0 for c in exps):
             raise DatumError("all exponents c_i must be positive")
         object.__setattr__(self, "exponents", exps)
-        if self.exact_exponents is not None:
-            ee = tuple(Fraction(c) for c in self.exact_exponents)
-            if len(ee) != len(exps):
-                raise DatumError("exact exponents length mismatch")
-            object.__setattr__(self, "exact_exponents", ee)
+        object.__setattr__(self, "exact_exponents", exact)
+
+    @property
+    def ambient_dim(self):
+        return self.maps[0].shape[1]
 
     @property
     def k(self):
@@ -107,13 +110,7 @@ class BLDatum:
 
     @classmethod
     def from_json_dict(cls, obj):
-        maps = obj["maps"]
-        raw_c = obj["c"]
-        fracs = [_as_fraction(c) for c in raw_c]
-        exact = tuple(fracs) if all(f is not None for f in fracs) else None
-        exponents = tuple(float(f) if f is not None else float(c) for f, c in zip(fracs, raw_c))
-        ambient = len(maps[0][0])
-        return cls(maps=tuple(maps), exponents=exponents, ambient_dim=ambient, exact_exponents=exact)
+        return cls(tuple(obj["maps"]), tuple(obj["c"]))
 
 
 @dataclass(frozen=True)

@@ -62,11 +62,20 @@ class FiniteAbelianGroup:
         return coords @ np.array(self._strides)
 
     def _table(self):
-        """Cached full addition table; affordable up to the subgroup cap."""
+        """Cached full int32 addition table; affordable up to the subgroup cap.
+        Sum over the axes of ((x_a + y_a) mod n_a) * stride_a: the first term
+        becomes the table, and one int32 buffer serves the other axes."""
         table = getattr(self, "_add_table", None)
         if table is None:
-            col = self.encode(self._coords[:, None, :] + self._coords[None, :, :])
-            table = col.astype(np.int32)
+            term = None
+            for x, n, stride in zip(self._coords.T.astype(np.int32), self.factors, self._strides):
+                term = np.add.outer(x, x, out=term)
+                term %= n
+                term *= stride
+                if table is None:
+                    table, term = term, None
+                else:
+                    table += term
             object.__setattr__(self, "_add_table", table)
         return table
 

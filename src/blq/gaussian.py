@@ -14,6 +14,7 @@ log-determinant problems:
 The two sides of the identity are computed by genuinely different routes
 (stationarity fixed point for the tuple side, preconditioned gradient
 ascent for the quotient side) so that they can cross-check each other.
+Every SPD matrix is factored by the one ``_cho_factor`` (LAPACK dpotrf).
 """
 
 from __future__ import annotations
@@ -45,9 +46,10 @@ MAX_SELF_ESTIMATE = 0.1
 
 
 def _cho_factor(a):
-    """Lower Cholesky factor, upper triangle left as is: the LAPACK call of
-    scipy's ``cho_factor(a, lower=True)`` without its Python wrapper."""
-    c, info = dpotrf(np.asarray_chkfinite(a), lower=1, clean=0)
+    """Lower Cholesky factor of the lower triangle of a, upper triangle zeroed:
+    the LAPACK call of scipy's ``cho_factor(a, lower=True)`` without its
+    Python wrapper, and numpy's Cholesky factor bit for bit up to size 4."""
+    c, info = dpotrf(np.asarray_chkfinite(a), lower=1)
     if info > 0:
         raise np.linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
     if info < 0:
@@ -80,7 +82,7 @@ class SpdMatrix:
             raise ValueError("matrix is not symmetric to tolerance")
         m = 0.5 * (m + m.T)
         try:
-            chol = np.linalg.cholesky(m)
+            chol = _cho_factor(m)
         except np.linalg.LinAlgError as exc:
             raise ValueError("matrix is not positive definite") from exc
         m.flags.writeable = False
@@ -115,11 +117,7 @@ class GaussianOptResult:
 
 
 def _logdet_pd(m):
-    try:
-        c = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError("matrix not positive definite") from exc
-    return 2.0 * float(np.sum(np.log(np.diag(c))))
+    return 2.0 * float(np.sum(np.log(np.diag(_cho_factor(m)))))
 
 
 def gaussian_pushforward(A: SpdMatrix, B):
@@ -243,8 +241,9 @@ def quotient_supremum(datum: BLDatum) -> GaussianOptResult:
     """sup over SPD S of det(S) / prod det(B_i S B_i^T)^{c_i} via ascent.
 
     Preconditioned gradient ascent from S = I: direction S G S, Armijo
-    backtracking line search, positive-definiteness of each trial iterate
-    enforced through its Cholesky factorization.  The ascent stops early
+    backtracking line search; a trial iterate whose objective has no
+    Cholesky factor is not positive definite and halves the step, and the
+    gradient is taken only at accepted iterates.  The ascent stops early
     when no step is accepted or 20 accepted steps in a row gain nothing.
     """
     S = np.eye(datum.ambient_dim)
@@ -253,7 +252,7 @@ def quotient_supremum(datum: BLDatum) -> GaussianOptResult:
     stalled = 0
     converged = False
     for it in range(1, ASCENT_MAX_ITER + 1):
-        L = np.linalg.cholesky(S)
+        L = _cho_factor(S)
         m = L.T @ grad @ L
         gnorm_sq = float(np.sum(m * m))
         direction = S @ grad @ S
@@ -266,17 +265,14 @@ def quotient_supremum(datum: BLDatum) -> GaussianOptResult:
         while t > 1e-16:
             trial = S + t * direction
             try:
-                np.linalg.cholesky(trial)
-                new_val, new_grad = quotient_log_objective(datum, trial), quotient_log_gradient(datum, trial)
-            except np.linalg.LinAlgError:
-                t *= 0.5
-                continue
-            if new_val >= val + _ARMIJO * t * gnorm_sq:
-                gain = new_val - val
-                S, val, grad = trial, new_val, new_grad
-                step = t
-                accepted = True
-                stalled = stalled + 1 if gain < 1e-14 * (1.0 + abs(val)) else 0
+                new_val = quotient_log_objective(datum, trial)
+                if new_val >= val + _ARMIJO * t * gnorm_sq:
+                    grad, accepted = quotient_log_gradient(datum, trial), True
+            except (np.linalg.LinAlgError, ValueError):
+                pass
+            if accepted:
+                stalled = stalled + 1 if new_val - val < 1e-14 * (1.0 + abs(new_val)) else 0
+                S, val, step = trial, new_val, t
                 break
             t *= 0.5
         if not accepted or stalled >= 20:

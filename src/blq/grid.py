@@ -2,28 +2,28 @@
 
 A :class:`GridSpec` is the geometry of a uniform box grid: it checks that the
 box and the resolution have the same axes and that every axis has positive
-extent, and it owns the cell sizes, the cell volume and the cell centres.  A
-:class:`GridFunction` is a GridSpec with non-negative cell-center samples,
-interpreted as the piecewise-constant function taking those values on the
-cells.  Pushforwards use mass-deposit binning (each source cell drops its
-entire mass f * cell_volume into the target cell containing the image of its
-center), which preserves total mass exactly and respects the duality that
-defines marginals.  Quadrature error for the inequality margins is estimated
-with one exact dyadic refinement step: splitting cells leaves the function
-and its L^p norms unchanged, so only the marginals are recomputed and any
-drift isolates the binning sensitivity.  ``adjoint_log_rhs`` is the one
-loop over the marginal norms of the adjoint inequality.
-``InequalityMargin.from_sides`` is the one place the margin convention (sign
-by mode, scale, relative margin, drift + 1e-12 * scale estimate) is applied;
-every margin in blq is built through it.  ``mesh_points`` is the one place
-grid points are laid out as an (N, d) array.
+extent and at least one cell, and it owns the cell sizes, the cell volume
+and the cell centres.  A :class:`GridFunction` is a GridSpec with
+non-negative cell-center samples, interpreted as the piecewise-constant
+function taking those values on the cells.  Pushforwards use mass-deposit
+binning (each source cell drops its entire mass f * cell_volume into the
+target cell containing the image of its center), which preserves total mass
+exactly and respects the duality that defines marginals.  Quadrature error
+for the inequality margins is estimated with one exact dyadic refinement
+step: splitting cells leaves the function and its L^p norms unchanged, so
+only the marginals are recomputed and any drift isolates the binning
+sensitivity.  ``adjoint_log_rhs`` is the one loop over the marginal norms of
+the adjoint inequality.  ``InequalityMargin.from_sides`` is the one place
+the margin convention (sign by mode, scale, relative margin, drift + 1e-12 *
+scale estimate) is applied; every margin in blq is built through it.
+``mesh_points`` is the one place grid points are laid out as an (N, d) array.
 
 The binning geometry of a pushforward depends only on the source grid, the
 map and the target grid, so ``grid_pushforward`` caches it: the int32 target
-bin of every source cell (or, for a geometry whose image escapes the target
-box, the mask of the escaping cells).  The cache is a process-wide LRU
-capped at a fixed 4 MiB; nothing about it can be set.  Cached and freshly
-built indices give bit-identical pushforwards.
+bin of every source cell.  Only indices are cached; a geometry whose image
+escapes the target box raises on every call and leaves no entry.  The cache
+is a process-wide LRU capped at a fixed 4 MiB; nothing about it can be set.
+Cached and freshly built indices give bit-identical pushforwards.
 """
 
 from __future__ import annotations
@@ -73,6 +73,8 @@ class GridSpec:
             raise ValueError(f"box has {len(box)} axes but resolution {res} has {len(res)}")
         if any(hi <= lo for lo, hi in box):
             raise ValueError("box must have positive extent on every axis")
+        if any(n < 1 for n in res):
+            raise ValueError(f"resolution {res} needs at least one cell on every axis")
         object.__setattr__(self, "box", box)
         object.__setattr__(self, "resolution", res)
 
@@ -194,33 +196,26 @@ def _auto_target(f: GridFunction, B) -> GridSpec:
     """Bounding box of the image of the source box corners; shared resolution."""
     corners = np.array(list(itertools.product(*f.box)))
     images = corners @ np.asarray(B, dtype=float).T
-    lo = images.min(axis=0)
-    hi = images.max(axis=0)
-    n = max(f.resolution)
-    return GridSpec(
-        box=tuple((float(a), float(b)) for a, b in zip(lo, hi)),
-        resolution=(n,) * images.shape[1],
-    )
+    lo, hi = images.min(axis=0), images.max(axis=0)
+    box = tuple((float(a), float(b)) for a, b in zip(lo, hi))
+    return GridSpec(box, (max(f.resolution),) * images.shape[1])
 
 
 class _BinIndexCache:
     """Byte-capped LRU of pushforward bin indices, keyed on the geometry.
 
-    An entry is ``(flat, outside)``: the int32 flat target-bin index of every
-    source cell, or, when some cell centre escapes the target box, only the
-    boolean mask of the escaping cells (such a geometry always raises).
+    An entry is the flat target-bin index array of every source cell.
     Entries are evicted oldest first once their bytes exceed ``cap_bytes``;
     the newest entry is kept even when it alone is larger than the cap.
     """
 
     def __init__(self, cap_bytes):
         self.cap_bytes = cap_bytes
-        self.nbytes = 0
         self._entries = OrderedDict()
 
-    @staticmethod
-    def _size(entry):
-        return sum(a.nbytes for a in entry if a is not None)
+    @property
+    def nbytes(self):
+        return sum(a.nbytes for a in self._entries.values())
 
     def get(self, key):
         entry = self._entries.get(key)
@@ -228,19 +223,13 @@ class _BinIndexCache:
             self._entries.move_to_end(key)
         return entry
 
-    def put(self, key, entry):
-        old = self._entries.pop(key, None)
-        if old is not None:
-            self.nbytes -= self._size(old)
+    def put(self, key, entry):  # for a key that ``get`` missed
         self._entries[key] = entry
-        self.nbytes += self._size(entry)
         while self.nbytes > self.cap_bytes and len(self._entries) > 1:
-            _, evicted = self._entries.popitem(last=False)
-            self.nbytes -= self._size(evicted)
+            self._entries.popitem(last=False)
 
     def clear(self):
         self._entries.clear()
-        self.nbytes = 0
 
     def __len__(self):
         return len(self._entries)
@@ -260,10 +249,12 @@ def row_blocks(resolution):
 
 
 def _bin_index(f: GridFunction, B, target: GridSpec):
-    """(flat, outside) for the cell centres of f's grid mapped by B.
+    """The flat target bin (int32, or int64 for a target too large for it)
+    of every cell centre of f's grid mapped by B.
 
     Built in row blocks; each target coordinate is an outer sum of per-axis
-    terms, so no (N, d) array of points is formed.
+    terms, so no (N, d) array of points is formed.  Centres escaping the
+    target box raise :class:`CoverageError` with the escaping mass fraction.
     """
     axes = f.centers()
     d = len(axes)
@@ -289,8 +280,14 @@ def _bin_index(f: GridFunction, B, target: GridSpec):
         outside.append(~inside)
     outside = np.concatenate(outside)
     if outside.any():
-        return None, outside
-    return np.concatenate(flat), None  # made last: a preallocated index tripled adjoint-chain page faults
+        masses = f.values.ravel() * f.cell_volume
+        total = float(masses.sum())
+        frac = float(masses[outside].sum()) / total if total > 0 else 1.0
+        raise CoverageError(
+            f"pushforward image escapes the target box (escaping mass fraction {frac:.3e})",
+            escaping_fraction=frac,
+        )
+    return np.concatenate(flat)  # made last: a preallocated index tripled adjoint-chain page faults
 
 
 def grid_pushforward(f: GridFunction, B, target: Optional[GridSpec] = None) -> GridFunction:
@@ -299,7 +296,8 @@ def grid_pushforward(f: GridFunction, B, target: Optional[GridSpec] = None) -> G
     Each source cell contributes f * source_cell_volume to the target cell
     containing the image of its center, then values are divided by the target
     cell volume; total mass is preserved exactly.  Centers escaping the
-    target box raise :class:`CoverageError` with the escaping mass fraction.
+    target box raise :class:`CoverageError` with the escaping mass fraction;
+    the default target, the bounding box of the image, holds every centre.
     The bin index of a geometry (grid, B, target) is cached; see the module
     docstring.
     """
@@ -310,21 +308,11 @@ def grid_pushforward(f: GridFunction, B, target: Optional[GridSpec] = None) -> G
     if B.shape != (len(t_res), f.dim):
         raise ValueError("map shape does not match source/target dimensions")
     key = (f.box, f.resolution, B.shape, B.tobytes(), target)
-    entry = _BIN_INDEX_CACHE.get(key)
-    if entry is None:
-        entry = _bin_index(f, B, target)
-        _BIN_INDEX_CACHE.put(key, entry)
-    flat, outside = entry
+    flat = _BIN_INDEX_CACHE.get(key)
+    if flat is None:
+        flat = _bin_index(f, B, target)
+        _BIN_INDEX_CACHE.put(key, flat)
     masses = f.values.ravel() * f.cell_volume
-    if outside is not None:
-        escaping = float(masses[outside].sum())
-        total = float(masses.sum())
-        frac = escaping / total if total > 0 else 1.0
-        raise CoverageError(
-            f"pushforward image escapes the target box "
-            f"(escaping mass fraction {frac:.3e})",
-            escaping_fraction=frac,
-        )
     acc = np.bincount(flat, weights=masses, minlength=int(np.prod(t_res)))
     vals = (acc / target.cell_volume).reshape(t_res)
     return GridFunction(t_box, t_res, vals)

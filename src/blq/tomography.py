@@ -1,6 +1,7 @@
-"""X-ray and k-plane transforms on grids, with reverse L^p lower bounds.
+"""X-ray transforms and plane transforms of R^3 on grids, with reverse L^p
+lower bounds.
 
-The Grassmannian of lines (or k-planes) is parametrized by a direction (or
+The Grassmannian of lines (or planes) is parametrized by a direction (or
 orthonormal frame) and an offset in its orthogonal complement, carrying the
 product of a probability measure on directions with Lebesgue measure on
 offsets.  With that normalization the transform of an L^1 function keeps its
@@ -14,9 +15,10 @@ bit-exact to scipy's order-1 ``map_coordinates``; the others add exactly 0.
 of each block of samples (coordinates, in-grid mask, corner indices and
 weights) is built once and serves every function, and each tomogram is bit
 for bit the one-function ``xray_transform``, which is the batch of one.
-Codimension-one plane averages use exact mass-deposit binning instead, since
-a full quadrature grid over 2-planes is an order of magnitude more work for
-no accuracy gain.  That deposit and the x-ray ``method="deposit"`` share one
+The plane averages of R^3 (``kplane_transform``, k = 2 only; lines go
+through the x-ray transform) use exact mass-deposit binning instead, since a
+full quadrature grid over 2-planes is an order of magnitude more work for no
+accuracy gain.  That deposit and the x-ray ``method="deposit"`` share one
 cloud-in-cell loop, ``_deposit_tomogram``, and every transform builds its
 ``TomogramSamples`` through ``_tomogram``.  A margin's quadrature estimate
 is the drift to the same transform on every other direction at half the
@@ -420,40 +422,31 @@ def haar_planes(d, k, n, seed):
 
 def kplane_transform(
     f: GridFunction,
-    k: int,
     plane_samples,
     seed: int = 0,
     t_resolution: Optional[int] = None,
 ) -> TomogramSamples:
-    """Averages over affine k-planes; d <= 3 by scope.
+    """Averages over affine planes of R^3 (k = 2; lines are ``xray_transform``).
 
-    ``plane_samples``: an integer count of Haar frames (seeded) or an
-    explicit sequence of d x k frame matrices; an empty plane set raises
-    ``ValueError``.
-    Codimension-one planes use exact mass-deposit binning onto the offset
-    axis; k = 1 delegates to the line transform.
+    ``plane_samples``: an integer count of Haar 2-frames (seeded; a bool is
+    rejected) or an explicit sequence of 3 x 2 frame matrices; an empty plane
+    set raises ``ValueError``.  Each plane's mass is binned exactly onto the
+    offset axis along its unit normal.
     """
-    d = f.dim
-    if d > 3:
-        raise ValueError("k-plane transforms are implemented for d <= 3")
-    if not (1 <= k <= d - 1):
-        raise ValueError("need 1 <= k <= d-1")
+    if f.dim != 3:
+        raise ValueError("the plane transform is implemented for d = 3")
+    if isinstance(plane_samples, bool):
+        raise ValueError(f"planes are a count or a sequence of frames, got {plane_samples!r}")
     if isinstance(plane_samples, (int, np.integer)):
-        frames = haar_planes(d, k, int(plane_samples), seed)
+        frames = haar_planes(3, 2, int(plane_samples), seed)
     else:
         frames = [np.asarray(q, dtype=float) for q in plane_samples]
     if not frames:
         raise ValueError("the plane set is empty")
-    if k == 1:
-        dirs = DirectionSet.from_vectors(np.stack([q[:, 0] for q in frames]))
-        return xray_transform(f, dirs, t_resolution=t_resolution)
-    # k = d-1 = 2, d = 3: bin mass onto the normal coordinate
     n_v = _offset_count(t_resolution, 2 * max(f.resolution))
     _, cell, offsets_axes = _offset_grid(f, n_v, 1)
-    normals = np.zeros((len(frames), d))
-    for i, q in enumerate(frames):
-        normal = np.cross(q[:, 0], q[:, 1])
-        normals[i] = normal / np.linalg.norm(normal)
+    crosses = [np.cross(q[:, 0], q[:, 1]) for q in frames]
+    normals = np.array([c / np.linalg.norm(c) for c in crosses])
     weights = np.full(len(frames), 1.0 / len(frames))
     return _tomogram(normals, weights, normals[:, :, None], offsets_axes, _deposit_tomogram(f, normals, n_v), cell)
 
@@ -515,8 +508,8 @@ def tomography_lower_bound_margin(
         if dirs is not None and (isinstance(dirs, bool) or not isinstance(dirs, (int, np.integer))):
             raise ValueError(f"k = {k} planes are given by their count, an integer, got {dirs!r}")
         frames = haar_planes(d, k, 64 if dirs is None else int(dirs), seed)
-        tom = kplane_transform(f, k, frames, t_resolution=n_v)
-        tom_half = kplane_transform(f, k, frames[::2], t_resolution=max(2, n_v // 2))
+        tom = kplane_transform(f, frames, t_resolution=n_v)
+        tom_half = kplane_transform(f, frames[::2], t_resolution=max(2, n_v // 2))
     return lower_bound_margin_from_tomograms(tom, tom_half, f, p, q, k)
 
 
@@ -660,7 +653,7 @@ def kplane_entropy_sequence(f: GridFunction, n_planes: int = 64, seed: int = 0, 
         tom = xray_transform(f, dirs, method="deposit")
         out.append(tom.entropy() / (d - 1))
     if d == 3:
-        tom2 = kplane_transform(f, 2, n_planes, seed=seed)
+        tom2 = kplane_transform(f, n_planes, seed=seed)
         out.append(tom2.entropy() / (d - 2))
     return out
 

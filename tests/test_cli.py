@@ -367,6 +367,44 @@ def test_every_integer_and_number_key_has_its_cast():
     assert all(casts[key] is _parse_number for key in numbers)
 
 
+def test_case_expected_and_tol_reach_the_handler_as_floats(monkeypatch):
+    import blq.cli
+
+    assert _key_casts("cases") == {"expected": _parse_number, "tol": _parse_number}
+    seen = []
+    original = blq.cli._gaussian_bl_case
+
+    def recording(checks, seed, **case):
+        seen.append((case.get("expected"), case.get("tol")))
+        return original(checks, seed, **case)
+
+    monkeypatch.setattr(blq.cli, "_gaussian_bl_case", recording)
+    cases = [
+        {"name": "holder", "datum": "holder_identity_2", "expected": "1", "tol": "1/1000"},
+        {"name": "unchecked", "datum": "young", "expected": None},
+    ]
+    scenario = {"task": "gaussian-bl", "seed": 0, "cases": cases}
+    report = run_scenario(scenario)
+    assert seen == [(1.0, 0.001), (None, None)] and type(seen[0][0]) is float and type(seen[0][1]) is float
+    assert report.passed and report.assertions[0]["tolerance"] == 0.001
+    assert cases[0] == {"name": "holder", "datum": "holder_identity_2", "expected": "1", "tol": "1/1000"}
+    assert run_scenario(scenario, tol_override=0.0).assertions[0]["tolerance"] == 0.0
+
+
+@pytest.mark.parametrize("resolutions", [[0, 64], [64, -4]])
+def test_resolutions_below_one_are_a_schema_error(resolutions, tmp_path, capsys):
+    """No failed report with a ZeroDivisionError or a reshape error."""
+    scenario = {"task": "perturbation", "resolutions": resolutions}
+    with pytest.raises(SchemaError, match="minimum of 1") as err:
+        run_scenario(scenario)
+    assert "\n" not in str(err.value)
+    path = tmp_path / "cells.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+    assert "minimum of 1" in capsys.readouterr().err
+    assert not (tmp_path / "cells.report.json").exists()
+
+
 def test_fraction_p_reaches_the_equality_cases_handler_as_a_float(monkeypatch):
     import blq.cli
 

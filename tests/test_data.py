@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -24,13 +25,13 @@ def test_loomis_whitney_feasible():
 
 
 def test_identity_datum_feasible():
-    datum = BLDatum(maps=(np.eye(2),), exponents=(1.0,), ambient_dim=2)
+    datum = BLDatum(maps=(np.eye(2),), exponents=(1.0,))
     report = validate_datum(datum)
     assert report.verdict == "feasible(heuristic)"
 
 
 def test_single_projection_scaling_fails():
-    datum = BLDatum(maps=(np.array([[1.0, 0.0]]),), exponents=(1.0,), ambient_dim=2)
+    datum = BLDatum(maps=(np.array([[1.0, 0.0]]),), exponents=(1.0,))
     report = validate_datum(datum)
     assert not report.scaling_ok
     assert report.verdict == "infeasible"
@@ -39,9 +40,7 @@ def test_single_projection_scaling_fails():
 def test_subspace_violation_detected():
     # scaling holds (1/2*2 + 1*1 = 2) but ker of the projection violates the
     # dimension criterion: dim = 1 > 1/2*1 + 1*0
-    datum = BLDatum(
-        maps=(np.eye(2), np.array([[1.0, 0.0]])), exponents=(0.5, 1.0), ambient_dim=2
-    )
+    datum = BLDatum(maps=(np.eye(2), np.array([[1.0, 0.0]])), exponents=(0.5, 1.0))
     report = validate_datum(datum)
     assert report.scaling_ok
     assert report.verdict == "infeasible"
@@ -51,11 +50,7 @@ def test_subspace_violation_detected():
 
 def test_non_surjective_map_rejected():
     with pytest.raises(DatumError, match="map 1"):
-        BLDatum(
-            maps=(np.eye(2), np.array([[1.0, 0.0], [2.0, 0.0]])),
-            exponents=(1.0, 1.0),
-            ambient_dim=2,
-        )
+        BLDatum(maps=(np.eye(2), np.array([[1.0, 0.0], [2.0, 0.0]])), exponents=(1.0, 1.0))
 
 
 def test_validate_deterministic_given_seed():
@@ -168,15 +163,44 @@ def test_rational_exponent_roundtrip():
     assert all(np.array_equal(a, b) for a, b in zip(again.maps, datum.maps))
 
 
+@pytest.mark.parametrize(
+    "c, exact",
+    [
+        ((1, 1), (Fraction(1), Fraction(1))),
+        ((Fraction(1, 2), "1/2"), (Fraction(1, 2),) * 2),
+        ((2.0, "3/4"), (Fraction(2), Fraction(3, 4))),
+        ((0.5, 0.5), None),
+        (("1/2", 0.3), None),
+    ],
+)
+def test_datum_is_built_from_maps_and_exponents(c, exact):
+    """d is the maps' column count; exact exponents are Fractions only when every c_i is rational."""
+    assert [f.name for f in dataclasses.fields(BLDatum) if f.init] == ["maps", "exponents"]
+    datum = BLDatum(([[1.0, 0.0, 0.0]], np.eye(3)[1:]), c)
+    assert datum.ambient_dim == 3 and datum.dims == (1, 2)
+    assert datum.exact_exponents == exact
+    assert datum.exponents == tuple(float(Fraction(x)) for x in c)
+    assert all(type(x) is float for x in datum.exponents)
+    again = BLDatum.from_json_dict({"maps": [[[1.0, 0.0, 0.0]], [[0, 1, 0], [0, 0, 1]]], "c": list(c)})
+    assert again.exact_exponents == exact and again.exponents == datum.exponents
+
+
+def test_maps_must_share_the_ambient_dimension():
+    with pytest.raises(DatumError, match="map 1 is not a d_i x 2 matrix"):
+        BLDatum((np.eye(2), np.eye(3)), (1, 1))
+    with pytest.raises(DatumError, match="map 0"):
+        BLDatum((np.ones(2),), (1,))
+
+
 def test_bad_exponent_rejected():
     with pytest.raises(DatumError):
-        BLDatum(maps=(np.eye(2),), exponents=(-1.0,), ambient_dim=2)
+        BLDatum(maps=(np.eye(2),), exponents=(-1.0,))
 
 
 @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
 def test_non_finite_exponent_rejected(c):
     with pytest.raises(DatumError, match="finite"):
-        BLDatum(maps=(np.eye(2),), exponents=(c,), ambient_dim=2)
+        BLDatum(maps=(np.eye(2),), exponents=(c,))
     with pytest.raises(DatumError, match="finite"):
         BLDatum.from_json_dict({"maps": [[[1.0, 0.0]], [[0.0, 1.0]]], "c": [1.0, c]})
 
@@ -184,9 +208,7 @@ def test_non_finite_exponent_rejected(c):
 def test_verdict_monotone_in_test_family_size():
     # a datum caught as infeasible by the deterministic family stays
     # infeasible no matter how many extra random subspaces are added
-    datum = BLDatum(
-        maps=(np.eye(2), np.array([[1.0, 0.0]])), exponents=(0.5, 1.0), ambient_dim=2
-    )
+    datum = BLDatum(maps=(np.eye(2), np.array([[1.0, 0.0]])), exponents=(0.5, 1.0))
     for n_random in (0, 5, 40):
         assert validate_datum(datum, n_random=n_random).verdict == "infeasible"
 

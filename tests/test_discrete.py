@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -354,6 +355,30 @@ def test_tabulated_lattice_is_the_per_generator_closure(factors):
     for s, (_, indices, _) in zip(ours, expected):
         assert s.indices.dtype == np.int64 and not s.indices.flags.writeable
         assert np.array_equal(s.indices, indices)
+
+
+@pytest.mark.parametrize("factors", catalog_groups(), ids=str)
+def test_addition_table_is_the_coordinate_sum_table(factors):
+    """The axis-by-axis int32 table against the one int64 (order, order, rank)
+    sum of coordinates it replaced."""
+    g = FiniteAbelianGroup(factors)
+    strides = np.array([math.prod(factors[i + 1 :]) for i in range(len(factors))])
+    coords = g._coords
+    expected = (((coords[:, None, :] + coords[None, :, :]) % np.array(factors)) @ strides).astype(np.int32)
+    table = g._table()
+    assert table.dtype == np.int32 and np.array_equal(table, expected)
+
+
+def test_addition_table_peak_is_a_few_tables():
+    g = FiniteAbelianGroup((32, 32))
+    tracemalloc.start()
+    try:
+        table = g._table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the table and one int32 term; the int64 coordinate sum and its copy took 8 tables
+    assert peak <= 3 * table.nbytes
 
 
 def test_tabulated_constants_are_the_per_tuple_loops():

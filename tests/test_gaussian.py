@@ -107,7 +107,7 @@ def test_bl_constant_orthogonal_invariance():
         for b in base.maps:
             q, _ = np.linalg.qr(rng.standard_normal((b.shape[0], b.shape[0])))
             maps.append(q @ b)
-        datum = BLDatum(maps=tuple(maps), exponents=base.exponents, ambient_dim=3)
+        datum = BLDatum(maps=tuple(maps), exponents=base.exponents)
         assert bl_gaussian_constant(datum).value == pytest.approx(v0, rel=1e-6)
 
 
@@ -159,7 +159,7 @@ def test_identity_lw_and_young():
 
 
 def test_identity_rejects_scaling_violation():
-    datum = BLDatum(maps=(np.array([[1.0, 0.0]]),), exponents=(1.0,), ambient_dim=2)
+    datum = BLDatum(maps=(np.array([[1.0, 0.0]]),), exponents=(1.0,))
     with pytest.raises(ScalingConditionError):
         identity_ai_residual(datum)
 
@@ -211,9 +211,7 @@ def test_abl_from_one_solve_pair_is_bitwise_abl_gaussian_constant():
 
 
 def test_divergence_signal_for_infeasible_datum():
-    datum = BLDatum(
-        maps=(np.eye(2), np.array([[1.0, 0.0]])), exponents=(0.5, 1.0), ambient_dim=2
-    )
+    datum = BLDatum(maps=(np.eye(2), np.array([[1.0, 0.0]])), exponents=(0.5, 1.0))
     res = bl_gaussian_constant(datum)
     assert res.diverged or not res.converged
     assert res.value > 1e10
@@ -309,6 +307,21 @@ def test_quotient_supremum_is_bitwise_the_block_ascent(datum):
     assert res.value == (math.inf if val > 700 else math.exp(val))
     assert (res.iterations, res.converged, res.residual) == (it, converged, gnorm)
     assert np.array_equal(res.argmax.matrix, SpdMatrix.from_matrix(blocks[0]).matrix)
+
+
+def test_ascent_takes_the_gradient_at_accepted_iterates_only(monkeypatch):
+    import blq.gaussian
+
+    calls = []
+
+    def counting(datum, S):
+        calls.append(S)
+        return quotient_log_gradient(datum, S)
+
+    monkeypatch.setattr(blq.gaussian, "quotient_log_gradient", counting)
+    res = quotient_supremum(conjugate_datum(loomis_whitney(4), seed=3))  # 84 trials, 34 iterations
+    # S = I, then at most one accepted step per iteration; no rejected trial
+    assert len(calls) <= res.iterations + 1
 
 
 def test_perturbation_rejects_theta_equals_c():
@@ -447,7 +460,8 @@ def test_cholesky_helpers_are_bitwise_scipy():
         a = g @ g.T + 0.1 * np.eye(n)
         b = rng.standard_normal((n, int(rng.integers(1, 4))))
         c = _cho_factor(a)
-        assert np.array_equal(c, cho_factor(a, lower=True)[0])
+        assert np.array_equal(np.tril(c), np.tril(cho_factor(a, lower=True)[0]))
+        assert not np.triu(c, 1).any()
         assert np.array_equal(_cho_solve(c, b), cho_solve((c, True), b))
         assert np.array_equal(_cho_solve(c, b[:, 0]), cho_solve((c, True), b[:, 0]))
 

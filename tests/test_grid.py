@@ -283,7 +283,7 @@ def test_cache_hit_raises_coverage_error_with_that_calls_fraction():
         with pytest.raises(CoverageError) as err:
             grid_pushforward(h, B, small)
         fractions.append(err.value.escaping_fraction)
-    assert len(grid._BIN_INDEX_CACHE) == 1
+    assert len(grid._BIN_INDEX_CACHE) == 0  # an escaping geometry is not cached
     assert fractions[0] == fractions[1] == _reference_pushforward(f, B, small)
     assert fractions[2] == _reference_pushforward(g, B, small) != fractions[0]
 
@@ -368,24 +368,24 @@ def test_row_blocked_bin_index_is_the_whole_grid_index(res):
     f = random_grid_function(((-1.0, 1.5),) * d, res, seed=d, zero_fraction=0.3)
     B = np.random.default_rng(d).standard_normal((2, d))
     target = grid._auto_target(f, B)
-    flat, outside = grid._bin_index(f, B, target)
+    flat = grid._bin_index(f, B, target)
     expected, escaping = _whole_grid_bin_index(f, B, target)
-    assert outside is None and not escaping.any()
+    assert not escaping.any()
     assert flat.dtype == np.int32 and np.array_equal(flat, expected)
     # a target too wide for int32 keeps the index in int64
     wide = GridSpec(box=target.box, resolution=(50_000, 50_000))
-    flat, _ = grid._bin_index(f, B, wide)
+    flat = grid._bin_index(f, B, wide)
     assert flat.dtype == np.int64 and np.array_equal(flat, _whole_grid_bin_index(f, B, wide)[0])
-    # an escaping geometry gives the whole-grid mask and escaping mass fraction
+    # an escaping geometry raises with the escaping mass fraction of the whole-grid mask
     small = GridSpec(box=tuple((0.5 * lo, 0.5 * hi) for lo, hi in target.box), resolution=target.resolution)
-    flat, outside = grid._bin_index(f, B, small)
     escaping = _whole_grid_bin_index(f, B, small)[1]
-    assert flat is None and escaping.any() and np.array_equal(outside, escaping)
     masses = f.values.ravel() * f.cell_volume
-    grid._BIN_INDEX_CACHE.clear()
-    with pytest.raises(CoverageError) as err:
-        grid_pushforward(f, B, small)
-    assert err.value.escaping_fraction == float(masses[escaping].sum()) / float(masses.sum())
+    assert escaping.any()
+    for build in (lambda: grid._bin_index(f, B, small), lambda: grid_pushforward(f, B, small)):
+        grid._BIN_INDEX_CACHE.clear()
+        with pytest.raises(CoverageError) as err:
+            build()
+        assert err.value.escaping_fraction == float(masses[escaping].sum()) / float(masses.sum())
     grid._BIN_INDEX_CACHE.clear()
 
 
@@ -407,6 +407,15 @@ def test_box_and_resolution_must_have_the_same_axes(make):
 def test_grid_spec_rejects_an_empty_axis():
     with pytest.raises(ValueError, match="positive extent"):
         GridSpec(((0.0, 1.0), (2.0, 2.0)), (4, 4))
+
+
+@pytest.mark.parametrize("resolution", [(0, 4), (4, -4), (0,), (-1,)])
+def test_grid_spec_rejects_fewer_than_one_cell(resolution):
+    box = ((0.0, 1.0),) * len(resolution)
+    with pytest.raises(ValueError, match="at least one cell"):
+        GridSpec(box, resolution)
+    with pytest.raises(ValueError, match="at least one cell"):
+        GridFunction(box, resolution, np.zeros(tuple(max(n, 0) for n in resolution)))
 
 
 def test_cell_volume_is_the_numpy_product_bitwise():

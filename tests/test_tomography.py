@@ -105,18 +105,9 @@ def test_empty_direction_sets_are_rejected(make):
         make()
 
 
-def test_kplane_k1_d2_coincides_with_xray():
-    f = random_grid_function(BOX, (48, 48), seed=6)
-    dirs = DirectionSet.uniform_circle(12)
-    frames = [np.array([[v[0]], [v[1]]]) for v in dirs.vectors]
-    tom_x = xray_transform(f, dirs)
-    tom_k = kplane_transform(f, 1, frames)
-    assert np.array_equal(tom_x.values, tom_k.values)
-
-
 def test_kplane_gaussian_profiles_are_gaussian():
     f = gaussian_grid(np.eye(3), ((-4, 4),) * 3, (48,) * 3)
-    tom = kplane_transform(f, 2, 16, seed=3)
+    tom = kplane_transform(f, 16, seed=3)
     ax = tom.offsets_axes[0]
     closed = np.exp(-math.pi * ax**2)
     for i in range(len(tom.weights)):
@@ -125,19 +116,19 @@ def test_kplane_gaussian_profiles_are_gaussian():
 
 
 def test_kplane_scaling_linearity():
-    f = random_grid_function(BOX, (32, 32), seed=9)
+    f = random_grid_function(((-2.0, 2.0),) * 3, (16, 16, 16), seed=9)
     lam = 2.5
     g = GridFunction(f.box, f.resolution, lam * f.values)
-    frames = haar_planes(2, 1, 6, seed=1)
-    a = kplane_transform(f, 1, frames)
-    b = kplane_transform(g, 1, frames)
+    frames = haar_planes(3, 2, 6, seed=1)
+    a = kplane_transform(f, frames)
+    b = kplane_transform(g, frames)
     assert np.allclose(b.values, lam * a.values, rtol=1e-12, atol=1e-12)
 
 
 def test_kplane_scope_errors():
     f = random_grid_function(BOX, (8, 8), seed=0)
-    with pytest.raises(ValueError):
-        kplane_transform(f, 2, 4)  # k must satisfy k <= d-1
+    with pytest.raises(ValueError, match="d = 3"):
+        kplane_transform(f, 4)  # planes of R^3 only
 
 
 def test_scaling_line_solver():
@@ -335,7 +326,7 @@ def test_norm_monotonicity_chain_d3():
     f = random_grid_function(((-2.0, 2.0),) * 3, (32,) * 3, seed=11, smooth=1)
     p = 0.7
     t1 = xray_transform(f, DirectionSet.fibonacci_sphere(96), method="deposit")
-    t2 = kplane_transform(f, 2, 96, seed=5)
+    t2 = kplane_transform(f, 96, seed=5)
     n0 = lp_norm(f, p)
     n1 = t1.lq(scaling_exponent_q(p, 3, 1))
     n2 = t2.lq(scaling_exponent_q(p, 3, 2))
@@ -412,7 +403,7 @@ def test_xray_deposit_matches_reference_loop_bitwise(d):
 
 def test_kplane_deposit_matches_reference_loop_bitwise():
     f = random_grid_function(((-2.0, 2.0),) * 3, (16, 16, 16), seed=12, zero_fraction=0.2)
-    tom = kplane_transform(f, 2, 9, seed=4, t_resolution=20)
+    tom = kplane_transform(f, 9, seed=4, t_resolution=20)
     normals = []
     for q in haar_planes(3, 2, 9, 4):
         normal = np.cross(q[:, 0], q[:, 1])
@@ -540,14 +531,14 @@ def test_xray_none_keeps_the_default_step_and_resolution():
 def test_kplane_rejects_nonpositive_resolution(t_resolution):
     f = random_grid_function(((-1.0, 1.0),) * 3, (8, 8, 8), seed=2)
     with pytest.raises(ValueError, match="t_resolution"):
-        kplane_transform(f, 2, 4, t_resolution=t_resolution)
+        kplane_transform(f, 4, t_resolution=t_resolution)
 
 
 def test_kplane_none_keeps_the_default_resolution():
     f = random_grid_function(((-1.0, 1.0),) * 3, (8, 8, 8), seed=2)
-    default = kplane_transform(f, 2, 4, seed=1)
+    default = kplane_transform(f, 4, seed=1)
     assert default.values.shape == (4, 16)
-    assert np.array_equal(kplane_transform(f, 2, 4, seed=1, t_resolution=16).values, default.values)
+    assert np.array_equal(kplane_transform(f, 4, seed=1, t_resolution=16).values, default.values)
 
 
 @pytest.mark.parametrize("t_resolution", [2.5, 16.0, "16", True])
@@ -559,8 +550,7 @@ def test_t_resolution_must_be_an_integer(t_resolution):
         lambda: xray_transform(f, dirs, t_resolution=t_resolution),
         lambda: xray_transform(f, dirs, t_resolution=t_resolution, method="deposit"),
         lambda: xray_transform_batch([f, f], dirs, t_resolution=t_resolution),
-        lambda: kplane_transform(f3, 2, 4, t_resolution=t_resolution),
-        lambda: kplane_transform(f3, 1, 4, t_resolution=t_resolution),
+        lambda: kplane_transform(f3, 4, t_resolution=t_resolution),
     ):
         with pytest.raises(ValueError, match="t_resolution must be an integer"):
             transform()
@@ -640,14 +630,21 @@ def test_batch_memory_peak():
 
 
 @pytest.mark.parametrize(
-    "k, planes",
-    [(1, 0), (1, -1), (2, 0), (2, -1), (1, []), (2, []), (2, np.zeros((0, 3, 2)))],
-    ids=["k1-zero", "k1-negative", "k2-zero", "k2-negative", "k1-empty-frames", "k2-empty-frames", "k2-empty-array"],
+    "planes",
+    [0, -1, [], np.zeros((0, 3, 2))],
+    ids=["k2-zero", "k2-negative", "k2-empty-frames", "k2-empty-array"],
 )
-def test_empty_plane_sets_are_rejected(k, planes):
+def test_empty_plane_sets_are_rejected(planes):
     f = random_grid_function(((-1.0, 1.0),) * 3, (8, 8, 8), seed=2)
     with pytest.raises(ValueError, match="plane set is empty"):
-        kplane_transform(f, k, planes)
+        kplane_transform(f, planes)
+
+
+@pytest.mark.parametrize("planes", [True, False])
+def test_plane_count_must_not_be_a_bool(planes):
+    f = random_grid_function(((-1.0, 1.0),) * 3, (8, 8, 8), seed=2)
+    with pytest.raises(ValueError, match="planes are a count"):
+        kplane_transform(f, planes)
 
 
 @pytest.mark.parametrize("dirs", [DirectionSet.fibonacci_sphere(32), 32.0, "32", True, [32]])
@@ -680,7 +677,7 @@ def test_plane_margin_halves_the_same_draw():
     f = GridFunction.indicator_box(((-1.0, 0.5), (-0.5, 1.0), (-1.25, 1.25)), ((-2.0, 2.0),) * 3, (16,) * 3)
     q = scaling_exponent_q(0.5, 3, 2)
     frames = haar_planes(3, 2, 32, 3)
-    tom = kplane_transform(f, 2, frames, t_resolution=16)
-    half = kplane_transform(f, 2, frames[::2], t_resolution=8)
+    tom = kplane_transform(f, frames, t_resolution=16)
+    half = kplane_transform(f, frames[::2], t_resolution=8)
     expected = lower_bound_margin_from_tomograms(tom, half, f, 0.5, q, 2)
     assert tomography_lower_bound_margin(f, 0.5, q, k=2, dirs=32, seed=3) == expected
