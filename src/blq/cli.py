@@ -655,17 +655,16 @@ def _conform(name, instance):
 
 @functools.cache
 def _validator(name):
-    """The validator of schema ``name``, checked and built on first use.
+    """The validator of schema ``name``, built on first use.
 
-    Same checks and error as ``jsonschema.validate``, which re-checks the
-    schema itself on every call.
+    Same instance checks and errors as ``jsonschema.validate``, without its
+    check of the schema itself against the metaschema: the shipped schemas
+    are checked once, by ``tests/test_cli.py``.
     """
     import jsonschema
 
     schema = _load_schema(name)
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+    return jsonschema.validators.validator_for(schema)(schema)
 
 
 def _load_schema(name):

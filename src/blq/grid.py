@@ -18,12 +18,21 @@ the margin convention (sign by mode, scale, relative margin, drift + 1e-12 *
 scale estimate) is applied; every margin in blq is built through it.
 ``mesh_points`` is the one place grid points are laid out as an (N, d) array.
 
-The binning geometry of a pushforward depends only on the source grid, the
-map and the target grid, so ``grid_pushforward`` caches it: the int32 target
-bin of every source cell.  Only indices are cached; a geometry whose image
-escapes the target box raises on every call and leaves no entry.  The cache
-is a process-wide LRU capped at a fixed 4 MiB; nothing about it can be set.
-Cached and freshly built indices give bit-identical pushforwards.
+The binning operator of a pushforward depends only on the source grid, the
+map and the target argument, so ``grid_pushforward`` caches it whole: the
+target grid (the default one included) and the int32 target bin of every
+source cell.  A cache hit neither rebuilds the default target nor re-bins; a
+geometry whose image escapes the target box raises on every call and leaves
+no entry.  The cache is a process-wide LRU capped at a fixed 4 MiB; nothing
+about it can be set.  Cached and freshly built operators give bit-identical
+pushforwards.
+
+Grids the library builds from values it has just made (the output of
+``refine``, of ``grid_pushforward`` and of ``random_grid_function``) go
+through the private ``GridFunction._over``, which keeps those values
+read-only without the public constructor's copy and checks.  A refinement
+computes its cell masses once, and ``grid_pushforward`` bins them for every
+map; any other grid's masses are formed per pushforward and not kept.
 """
 
 from __future__ import annotations
@@ -113,16 +122,35 @@ class GridFunction(GridSpec):
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
+    _masses = None  # not a field: the cell masses of a refinement, see ``refine``
+
+    @classmethod
+    def _over(cls, spec: GridSpec, values):
+        """A grid over values the library has just built and checked itself
+        on the checked geometry ``spec``: no copy and no re-check, only made
+        read-only."""
+        grid = cls.__new__(cls)
+        object.__setattr__(grid, "box", spec.box)
+        object.__setattr__(grid, "resolution", spec.resolution)
+        values.flags.writeable = False
+        object.__setattr__(grid, "values", values)
+        return grid
+
     @property
     def mass(self):
         return float(self.values.sum() * self.cell_volume)
 
     def refine(self, factor=2):
-        """Split every cell into factor^d subcells with the same value (exact)."""
+        """Split every cell into factor^d subcells with the same value (exact).
+
+        The refinement's cell masses are computed here, once, and every
+        ``grid_pushforward`` of it bins them."""
         vals = self.values
         for ax in range(self.dim):
             vals = np.repeat(vals, factor, axis=ax)
-        return GridFunction(self.box, tuple(n * factor for n in self.resolution), vals)
+        fine = GridFunction._over(GridSpec(self.box, tuple(n * factor for n in self.resolution)), vals)
+        object.__setattr__(fine, "_masses", _cell_masses(fine))
+        return fine
 
     def normalized(self):
         m = self.mass
@@ -172,21 +200,30 @@ def random_grid_function(box, resolution, seed, zero_fraction=0.0, smooth=0):
         acc = vals.copy()
         for ax in range(vals.ndim):
             acc += np.roll(vals, 1, axis=ax) + np.roll(vals, -1, axis=ax)
-        vals = acc / (1 + 2 * vals.ndim)
-    return GridFunction(tuple(box), tuple(resolution), vals)
+        acc /= 1 + 2 * vals.ndim
+        vals = acc
+    return GridFunction._over(GridSpec(tuple(box), tuple(resolution)), vals)
 
 
 def _flush_tiny(values):
     return np.where(values < TINY_FLUSH, 0.0, values)
 
 
+def _cell_masses(f: GridFunction):
+    """f * cell_volume per cell, flat in C order."""
+    return f.values.ravel() * f.cell_volume
+
+
 def lp_norm(f: GridFunction, p) -> float:
-    """(sum f^p * cell_volume)^{1/p}; p = inf returns the max value."""
+    """(sum f^p * cell_volume)^{1/p}; p = inf returns the max value.  A bool,
+    NaN or non-positive p raises ``ValueError``."""
+    if isinstance(p, (bool, np.bool_)):
+        raise ValueError(f"p must be a positive number, not the bool {p!r}")
     if p == math.inf:
         return float(f.values.max())
     p = float(p)
-    if p <= 0:
-        raise ValueError("p must be positive")
+    if not p > 0:
+        raise ValueError(f"p must be positive, got {p!r}")
     vals = _flush_tiny(f.values)
     total = float(np.sum(vals**p)) * f.cell_volume
     return total ** (1.0 / p)
@@ -202,11 +239,12 @@ def _auto_target(f: GridFunction, B) -> GridSpec:
 
 
 class _BinIndexCache:
-    """Byte-capped LRU of pushforward bin indices, keyed on the geometry.
+    """Byte-capped LRU of pushforward operators, keyed on the geometry.
 
-    An entry is the flat target-bin index array of every source cell.
-    Entries are evicted oldest first once their bytes exceed ``cap_bytes``;
-    the newest entry is kept even when it alone is larger than the cap.
+    An entry is ``(target, index)``: the target grid and the flat target-bin
+    index array of every source cell; its bytes are the index's.  Entries
+    are evicted oldest first once their bytes exceed ``cap_bytes``; the
+    newest entry is kept even when it alone is larger than the cap.
     """
 
     def __init__(self, cap_bytes):
@@ -215,7 +253,7 @@ class _BinIndexCache:
 
     @property
     def nbytes(self):
-        return sum(a.nbytes for a in self._entries.values())
+        return sum(index.nbytes for _, index in self._entries.values())
 
     def get(self, key):
         entry = self._entries.get(key)
@@ -280,7 +318,7 @@ def _bin_index(f: GridFunction, B, target: GridSpec):
         outside.append(~inside)
     outside = np.concatenate(outside)
     if outside.any():
-        masses = f.values.ravel() * f.cell_volume
+        masses = _cell_masses(f)
         total = float(masses.sum())
         frac = float(masses[outside].sum()) / total if total > 0 else 1.0
         raise CoverageError(
@@ -298,24 +336,26 @@ def grid_pushforward(f: GridFunction, B, target: Optional[GridSpec] = None) -> G
     cell volume; total mass is preserved exactly.  Centers escaping the
     target box raise :class:`CoverageError` with the escaping mass fraction;
     the default target, the bounding box of the image, holds every centre.
-    The bin index of a geometry (grid, B, target) is cached; see the module
-    docstring.
+    The operator of a geometry (grid, B, target argument) is cached; see
+    the module docstring.
     """
     B = np.asarray(B, dtype=float)
-    if target is None:
-        target = _auto_target(f, B)
-    t_box, t_res = target.box, target.resolution
-    if B.shape != (len(t_res), f.dim):
-        raise ValueError("map shape does not match source/target dimensions")
     key = (f.box, f.resolution, B.shape, B.tobytes(), target)
-    flat = _BIN_INDEX_CACHE.get(key)
-    if flat is None:
-        flat = _bin_index(f, B, target)
-        _BIN_INDEX_CACHE.put(key, flat)
-    masses = f.values.ravel() * f.cell_volume
-    acc = np.bincount(flat, weights=masses, minlength=int(np.prod(t_res)))
-    vals = (acc / target.cell_volume).reshape(t_res)
-    return GridFunction(t_box, t_res, vals)
+    entry = _BIN_INDEX_CACHE.get(key)
+    if entry is None:
+        if target is None:
+            target = _auto_target(f, B)
+        if B.shape != (target.dim, f.dim):
+            raise ValueError("map shape does not match source/target dimensions")
+        entry = (target, _bin_index(f, B, target))
+        _BIN_INDEX_CACHE.put(key, entry)
+    target, flat = entry
+    masses = _cell_masses(f) if f._masses is None else f._masses
+    acc = np.bincount(flat, weights=masses, minlength=math.prod(target.resolution))
+    vals = (acc / target.cell_volume).reshape(target.resolution)
+    if not math.isfinite(vals.max()):  # finite masses over a cell volume at or near underflow
+        raise ValueError("pushforward values must be finite: the target cells are too small")
+    return GridFunction._over(target, vals)
 
 
 @dataclass(frozen=True)

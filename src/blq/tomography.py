@@ -43,6 +43,7 @@ from .grid import GridFunction, InequalityMargin, grid_centers, lp_norm, mesh_po
 
 _MC_BLOCK = 1 << 15  # matrices per block of the gaussian wedge Monte Carlo
 _LINE_BLOCK = 1 << 15  # line samples per interpolation block of the sampled x-ray transform
+FRAME_TOL = 1e-9  # max |F^T F - I| of an explicit plane frame
 
 
 @dataclass(frozen=True)
@@ -429,8 +430,9 @@ def kplane_transform(
     """Averages over affine planes of R^3 (k = 2; lines are ``xray_transform``).
 
     ``plane_samples``: an integer count of Haar 2-frames (seeded; a bool is
-    rejected) or an explicit sequence of 3 x 2 frame matrices; an empty plane
-    set raises ``ValueError``.  Each plane's mass is binned exactly onto the
+    rejected) or an explicit sequence of 3 x 2 frame matrices with orthonormal
+    columns (max |F^T F - I| <= 1e-9); an empty plane set or any other frame
+    raises ``ValueError``.  Each plane's mass is binned exactly onto the
     offset axis along its unit normal.
     """
     if f.dim != 3:
@@ -443,6 +445,9 @@ def kplane_transform(
         frames = [np.asarray(q, dtype=float) for q in plane_samples]
     if not frames:
         raise ValueError("the plane set is empty")
+    for q in frames:
+        if q.shape != (3, 2) or not np.max(np.abs(q.T @ q - np.eye(2))) <= FRAME_TOL:
+            raise ValueError(f"a plane frame must be 3 x 2 with orthonormal columns, got {q.tolist()!r}")
     n_v = _offset_count(t_resolution, 2 * max(f.resolution))
     _, cell, offsets_axes = _offset_grid(f, n_v, 1)
     crosses = [np.cross(q[:, 0], q[:, 1]) for q in frames]
@@ -451,8 +456,14 @@ def kplane_transform(
     return _tomogram(normals, weights, normals[:, :, None], offsets_axes, _deposit_tomogram(f, normals, n_v), cell)
 
 
+def _check_plane_dim(d, k):
+    if k >= d:
+        raise ParameterDomainError(f"k-plane transforms need k < d, got k = {k} in d = {d}")
+
+
 def scaling_exponent_q(p, d, k=1):
-    """Solve (1/d)(1 - 1/q) = (1/(d-k))(1 - 1/p) for q."""
+    """Solve (1/d)(1 - 1/q) = (1/(d-k))(1 - 1/p) for q (k < d)."""
+    _check_plane_dim(d, k)
     s = 0.0 if math.isinf(p) else 1.0 / p
     denom = 1.0 - (d / (d - k)) * (1.0 - s)
     if denom <= 0:
@@ -461,6 +472,7 @@ def scaling_exponent_q(p, d, k=1):
 
 
 def _check_scaling_line(p, q, d, k):
+    _check_plane_dim(d, k)
     lhs = (1.0 / d) * (1.0 - 1.0 / q)
     rhs = (1.0 / (d - k)) * (1.0 - 1.0 / p)
     if abs(lhs - rhs) > 1e-12 * max(1.0, abs(lhs), abs(rhs)):

@@ -525,6 +525,16 @@ def test_report_validates_against_shipped_schema():
     jsonschema.validate(payload, schema)
 
 
+@pytest.mark.parametrize("name", ["scenario", "report"])
+def test_shipped_schemas_are_valid_under_their_metaschema(name):
+    # the library builds its validators without this check
+    schema = _load_schema(name)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    with pytest.raises(jsonschema.SchemaError):
+        cls.check_schema({**schema, "type": 5})
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_non_finite_values_match_the_report_schema(seed):
     # with one set of two elements every set is skipped: the slack stays inf

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blq.catalog import conjugate_datum, finner_mixed, loomis_whitney, young
+from blq.catalog import conjugate_datum, finner_cyclic4, finner_mixed, loomis_whitney, young
 from blq.data import derive_adjoint_exponents
 from blq import grid
+from blq.entropy import log_lambda
 from blq.errors import CoverageError, MassError
 from blq.gaussian import SpdMatrix, bl_gaussian_constant, gaussian_pushforward
 from blq.grid import (
@@ -297,10 +299,16 @@ def test_bin_index_cache_stays_within_its_cap():
         grid_pushforward(f, rng.standard_normal((2, 3)))
         assert cache.nbytes <= cache.cap_bytes
     assert 1 < len(cache) < 60
+    # an entry is (target, index), and its bytes are the index's
+    assert cache.nbytes == sum(index.nbytes for _, index in cache._entries.values())
+    assert all(isinstance(target, GridSpec) and index.size == 48**3 for target, index in cache._entries.values())
     # an entry larger than the cap is kept alone
     big = GridFunction.constant(1.0, ((-1.0, 1.0),) * 2, (1100, 1100))
-    grid_pushforward(big, np.array([[1.0, 0.5]]))
+    B = np.array([[1.0, 0.5]])
+    g = grid_pushforward(big, B)
     assert len(cache) == 1 and cache.nbytes == 4 * 1100 * 1100 > cache.cap_bytes
+    ((target, index),) = cache._entries.values()
+    assert target == grid._auto_target(big, B) == GridSpec(g.box, g.resolution) and index.dtype == np.int32
     cache.clear()
 
 
@@ -486,3 +494,159 @@ def test_adjoint_margin_takes_the_norm_of_f_once(monkeypatch):
     grid.adjoint_margin(f, datum, params, 1.0)
     assert [c for c in calls if len(c[0]) == f.dim] == [(f.resolution, params.p)]
     assert len(calls) == 1 + 2 * datum.k  # every marginal, of f and of its refinement
+
+
+def _parent_lp_norm(f, p):
+    if p == math.inf:
+        return float(f.values.max())
+    vals = np.where(f.values < 1e-300, 0.0, f.values)
+    return (float(np.sum(vals**p)) * f.cell_volume) ** (1.0 / p)
+
+
+def _parent_auto_target(f, B):
+    corners = np.array(list(itertools.product(*f.box)))
+    images = corners @ B.T
+    box = tuple((float(a), float(b)) for a, b in zip(images.min(axis=0), images.max(axis=0)))
+    return GridSpec(box, (max(f.resolution),) * images.shape[1])
+
+
+def _parent_log_rhs(f, datum, params, bl_value):
+    """The marginal norms of the adjoint inequality with every grid built by
+    the public constructor, each target and bin index rebuilt and each
+    pushforward taking its own masses."""
+    norms = []
+    for b, q in zip(datum.maps, params.p_i):
+        target = _parent_auto_target(f, np.asarray(b, dtype=float))
+        vals = _reference_pushforward(f, b, target)
+        norms.append(_parent_lp_norm(GridFunction(target.box, target.resolution, vals), q))
+    return params.log_rhs(norms, bl_value)
+
+
+def _parent_margin(f, datum, params, bl_value):
+    lhs = _parent_lp_norm(f, params.p)
+    rhs = math.exp(_parent_log_rhs(f, datum, params, bl_value))
+    vals = f.values
+    for ax in range(f.dim):
+        vals = np.repeat(vals, 2, axis=ax)
+    fine = GridFunction(f.box, tuple(2 * n for n in f.resolution), vals)
+    rhs_fine = math.exp(_parent_log_rhs(fine, datum, params, bl_value))
+    return lhs, rhs, abs((rhs - lhs) - (rhs_fine - lhs))
+
+
+MARGIN_CASES = {
+    2: (lambda: conjugate_datum(loomis_whitney(2), seed=5), (44, 38), ((0.4, 0.6), 0.7), ((1.5, -0.5), 2.0)),
+    3: (lambda: conjugate_datum(loomis_whitney(3), seed=6), (14, 12, 10), ((0.2, 0.5, 0.3), 0.6), ((1.6, -0.3, -0.3), 2.0)),
+    4: (
+        lambda: conjugate_datum(finner_cyclic4(), seed=7),
+        (7, 6, 8, 5),
+        ((0.1, 0.2, 0.3, 0.4), 0.8),
+        ((1.6, -0.2, -0.2, -0.2), 2.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("zero_fraction", [0.0, 0.3])
+@pytest.mark.parametrize("mode", ["forward", "reverse"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_margin_is_bitwise_the_uncached_margin(d, mode, zero_fraction):
+    make, res, forward, reverse = MARGIN_CASES[d]
+    datum = make()
+    params = derive_adjoint_exponents(datum.exponents, *(forward if mode == "forward" else reverse))
+    assert params.mode == mode
+    f = random_grid_function(((-1.0, 1.5),) * d, res, seed=d, zero_fraction=zero_fraction)
+    lhs, rhs, drift = _parent_margin(f, datum, params, 1.3)
+    expected = InequalityMargin.from_sides(lhs, rhs, mode, drift)
+    grid._BIN_INDEX_CACHE.clear()
+    cold = adjoint_margin(f, datum, params, 1.3)
+    warm = adjoint_margin(f, datum, params, 1.3)
+    assert cold == warm == expected  # lhs, rhs, margin and estimate, bit for bit
+    grid._BIN_INDEX_CACHE.clear()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_log_lambda_is_bitwise_the_uncached_quotient(d):
+    make, res, forward, _ = MARGIN_CASES[d]
+    datum = make()
+    params = derive_adjoint_exponents(datum.exponents, *forward)
+    f = random_grid_function(((-1.0, 1.5),) * d, res, seed=d + 10, zero_fraction=0.3)
+    expected = math.log(_parent_lp_norm(f, params.p)) - _parent_log_rhs(f, datum, params, 1.3)
+    grid._BIN_INDEX_CACHE.clear()
+    assert log_lambda(f, datum, params, 1.3) == expected  # cold
+    assert log_lambda(f, datum, params, 1.3) == expected  # warm
+    grid._BIN_INDEX_CACHE.clear()
+
+
+def test_a_cache_hit_skips_the_default_target(monkeypatch):
+    f = random_grid_function(BOX2, (24, 20), seed=2)
+    g = random_grid_function(BOX2, (24, 20), seed=3)
+    B = np.array([[1.0, 0.4], [-0.3, 0.8]])
+    grid._BIN_INDEX_CACHE.clear()
+    cold = grid_pushforward(f, B)
+    calls = []
+    original = grid._auto_target
+    monkeypatch.setattr(grid, "_auto_target", lambda *args: calls.append(args) or original(*args))
+    warm = grid_pushforward(f, B)
+    other = grid_pushforward(g, B)  # same geometry, other values
+    assert calls == []
+    assert (warm.box, warm.resolution) == (cold.box, cold.resolution) == (other.box, other.resolution)
+    assert np.array_equal(warm.values, cold.values)
+    assert np.array_equal(other.values, _reference_pushforward(g, B, original(g, B)))
+    grid._BIN_INDEX_CACHE.clear()
+    grid_pushforward(f, B)  # a miss builds the default target once
+    assert len(calls) == 1
+    grid._BIN_INDEX_CACHE.clear()
+
+
+def test_a_margin_computes_the_refined_masses_once(monkeypatch):
+    datum = finner_mixed()  # 4 maps of R^3
+    params = derive_adjoint_exponents(datum.exponents, (0.1, 0.2, 0.3, 0.4), 0.7)
+    f = random_grid_function(((-1.0, 1.0),) * 3, (10, 12, 8), seed=4)
+    seen = []
+    original = grid._cell_masses
+    monkeypatch.setattr(grid, "_cell_masses", lambda g: seen.append(g.resolution) or original(g))
+    adjoint_margin(f, datum, params, 1.0)
+    assert seen.count((20, 24, 16)) == 1  # the refinement: once for all 4 maps
+    assert seen.count((10, 12, 8)) == 4  # the caller's grid: once per map, not kept
+    assert len(seen) == 5
+    assert f._masses is None
+
+
+def test_public_constructor_copies_and_checks_its_values():
+    raw = np.ones((4, 3))
+    f = GridFunction(((0.0, 1.0), (0.0, 2.0)), (4, 3), raw)
+    raw[0, 0] = 5.0
+    assert f.values[0, 0] == 1.0 and not f.values.flags.writeable
+    for bad, match in ((math.nan, "finite"), (math.inf, "finite"), (-1.0, "non-negative")):
+        vals = np.ones((4, 3))
+        vals[1, 2] = bad
+        with pytest.raises(ValueError, match=match):
+            GridFunction(((0.0, 1.0), (0.0, 2.0)), (4, 3), vals)
+
+
+def test_library_built_grids_are_read_only():
+    f = random_grid_function(BOX2, (12, 10), seed=1, zero_fraction=0.3, smooth=1)
+    fine = f.refine(2)
+    g = grid_pushforward(f, np.array([[1.0, 0.5]]))
+    for h in (f, fine, g):
+        assert not h.values.flags.writeable and h.values.shape == h.resolution
+        assert h.values.dtype == np.float64 and h.values.flags.c_contiguous
+    assert np.array_equal(fine._masses, fine.values.ravel() * fine.cell_volume)
+    with pytest.raises(ValueError, match="at least one cell"):
+        random_grid_function(BOX2, (0, 4), seed=1)  # the geometry is still checked
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e-158])
+def test_pushforward_onto_vanishing_cells_is_rejected(scale):
+    # the target cell volume underflows to 0 or to a subnormal, so a bin's
+    # mass over it is not finite
+    f = random_grid_function(BOX2, (8, 8), seed=1)
+    with np.errstate(divide="ignore", over="ignore"), pytest.raises(ValueError, match="finite"):
+        grid_pushforward(f, scale * np.eye(2))
+    assert np.all(np.isfinite(grid_pushforward(f, 1e-150 * np.eye(2)).values))
+
+
+@pytest.mark.parametrize("p", [math.nan, True, False, np.bool_(True), 0.0, -1.0, -math.inf])
+def test_lp_norm_rejects_nan_bool_and_non_positive_exponents(p):
+    f = random_grid_function(BOX2, (8, 8), seed=1)
+    with pytest.raises(ValueError, match="p must be"):
+        lp_norm(f, p)

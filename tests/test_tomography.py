@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from blq import tomography
 from blq.errors import ParameterDomainError
 from blq.grid import GridFunction, gaussian_grid, lp_norm, random_grid_function
 from blq.tomography import (
@@ -681,3 +682,46 @@ def test_plane_margin_halves_the_same_draw():
     half = kplane_transform(f, frames[::2], t_resolution=8)
     expected = lower_bound_margin_from_tomograms(tom, half, f, 0.5, q, 2)
     assert tomography_lower_bound_margin(f, 0.5, q, k=2, dirs=32, seed=3) == expected
+
+
+@pytest.mark.parametrize("d, k", [(2, 2), (3, 3), (2, 5)])
+def test_plane_dimension_not_below_the_space_is_a_scope_error(d, k):
+    with pytest.raises(ParameterDomainError, match="k < d"):
+        scaling_exponent_q(0.7, d, k)
+    with pytest.raises(ParameterDomainError, match="k < d"):
+        tomography._check_scaling_line(0.7, 0.5, d, k)
+
+
+def test_plane_margin_on_a_plane_is_a_scope_error():
+    f = random_grid_function(BOX, (8, 8), seed=0)
+    with pytest.raises(ParameterDomainError, match="k = 2 in d = 2"):
+        tomography_lower_bound_margin(f, 0.7, 0.5, k=2)
+
+
+E3 = np.eye(3)
+
+
+@pytest.mark.parametrize(
+    "frame",
+    [
+        np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]),
+        2.0 * E3[:, :2],
+        E3[:, :2] + 1e-6,
+        E3,
+        E3[:, :1],
+        E3[:2, :2],
+    ],
+    ids=["parallel", "scaled", "skewed", "3x3", "3x1", "2x2"],
+)
+def test_explicit_plane_frames_must_be_orthonormal_3x2(frame):
+    f = random_grid_function(((-1.0, 1.0),) * 3, (8, 8, 8), seed=2)
+    with pytest.raises(ValueError, match="orthonormal"):
+        kplane_transform(f, [E3[:, :2], frame])
+
+
+def test_near_orthonormal_and_haar_frames_pass():
+    f = random_grid_function(((-1.0, 1.0),) * 3, (8, 8, 8), seed=2)
+    frames = haar_planes(3, 2, 8, seed=4)
+    assert max(np.max(np.abs(q.T @ q - np.eye(2))) for q in frames) <= tomography.FRAME_TOL
+    tom = kplane_transform(f, frames + [E3[:, :2] + 1e-12])
+    assert np.all(np.isfinite(tom.values)) and math.isfinite(tom.lq(2.0))
