@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.linalg import null_space
 
-from .errors import DatumError, ParameterDomainError
+from .errors import DatumError, ParameterDomainError, count, exponent, finite
 
 RANK_TOL = 1e-10
 THETA_SUM_TOL = 1e-12
@@ -66,18 +66,16 @@ class BLDatum:
                 raise DatumError(f"map {i} is not a d_i x {d} matrix")
             if b.shape[0] > d:
                 raise DatumError(f"map {i} has more rows than the ambient dimension")
+            finite(b, f"map {i}", DatumError)
             sv = np.linalg.svd(b, compute_uv=False)
             if sv[-1] <= RANK_TOL * sv[0]:
                 raise DatumError(f"map {i} is not surjective (rank-deficient rows)")
             b.flags.writeable = False
         object.__setattr__(self, "maps", maps)
+        exps = tuple(exponent(Fraction(c) if isinstance(c, str) else c, f"c_{i}", error=DatumError)
+                     for i, c in enumerate(self.exponents))
         fracs = tuple(_as_fraction(c) for c in self.exponents)
         exact = fracs if all(f is not None for f in fracs) else None
-        exps = tuple(float(f) if f is not None else float(c) for f, c in zip(fracs, self.exponents))
-        if not all(math.isfinite(c) for c in exps):
-            raise DatumError(f"all exponents c_i must be finite, got {exps}")
-        if any(c <= 0 for c in exps):
-            raise DatumError("all exponents c_i must be positive")
         object.__setattr__(self, "exponents", exps)
         object.__setattr__(self, "exact_exponents", exact)
 
@@ -215,7 +213,7 @@ def validate_datum(datum: BLDatum, n_random: int = 20, seed: int = 0) -> Feasibi
     scaling_ok = datum.satisfies_scaling()
     checks = []
     all_pass = True
-    for label, basis in _subspace_family(datum, n_random, seed):
+    for label, basis in _subspace_family(datum, count(n_random, "n_random", minimum=0), seed):
         dim_v = basis.shape[1]
         weighted = sum(
             c * _rank(b @ basis) for c, b in zip(datum.exponents, datum.maps)
@@ -238,7 +236,7 @@ def derive_adjoint_exponents(exponents: Sequence, theta: Sequence, p) -> Adjoint
         raise ParameterDomainError("theta length must match the number of maps")
     if abs(sum(theta) - 1.0) > 1e3 * THETA_SUM_TOL * max(1.0, max(abs(t) for t in theta)):
         raise ParameterDomainError(f"theta must sum to 1, got {sum(theta)!r}")
-    p = float(p)
+    p = exponent(p, "p", inf=True)
     n_pos = sum(1 for t in theta if t > 0)
     if any(t == 0 for t in theta):
         raise ParameterDomainError("theta entries must be nonzero")
@@ -272,6 +270,7 @@ def adjoint_gaussian_prefactor(params: AdjointParams, dims: Sequence[int], d: in
     """
     if len(dims) != len(params.theta):
         raise ParameterDomainError("dims length must match theta length")
+    d = count(d, "d")
     log_c = 0.0
     if not math.isinf(params.p):
         e0 = -d / (2.0 * params.p)

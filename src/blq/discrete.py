@@ -20,13 +20,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .data import AdjointParams
-from .errors import CapExceededError, DatumError
+from .errors import CapExceededError, DatumError, InputError, count, exponent, nonnegative
 from .grid import ROW_BLOCK_CELLS, InequalityMargin
 
 SUBGROUP_CAP = 4096
@@ -41,9 +40,8 @@ class FiniteAbelianGroup:
     order: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        factors = tuple(int(n) for n in self.factors)
-        if len(factors) == 0 or any(n < 1 for n in factors):
-            raise ValueError("factors must be positive integers")
+        factors = tuple(count(n, "factors") for n in self.factors)
+        count(len(factors), "the number of cyclic factors")
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "order", math.prod(factors))
         object.__setattr__(self, "_strides", tuple(math.prod(factors[i + 1 :]) for i in range(len(factors))))
@@ -93,7 +91,7 @@ class GroupHom:
     target: FiniteAbelianGroup
 
     def __post_init__(self):
-        m = tuple(tuple(int(v) for v in row) for row in self.matrix)
+        m = tuple(tuple(count(v, "matrix entry", minimum=None) for v in row) for row in self.matrix)
         if len(m) != self.target.rank or any(len(r) != self.source.rank for r in m):
             raise DatumError("homomorphism matrix shape does not match the groups")
         for i, t_i in enumerate(self.target.factors):
@@ -115,10 +113,12 @@ class GroupHom:
 
 
 def group_from_json(obj):
-    """The group of ``obj["factors"]`` and the homomorphisms in ``obj["maps"]``."""
-    g = FiniteAbelianGroup(tuple(obj["factors"]))
+    """The group and homomorphisms of ``obj``; an integral float (JSON's 4.0) is an integer."""
+    def ints(row):
+        return tuple(int(x) if isinstance(x, float) and x.is_integer() else x for x in row)
+    g = FiniteAbelianGroup(ints(obj["factors"]))
     maps = tuple(
-        GroupHom(tuple(tuple(r) for r in m["matrix"]), g, FiniteAbelianGroup(tuple(m["target_factors"])))
+        GroupHom(tuple(ints(r) for r in m["matrix"]), g, FiniteAbelianGroup(ints(m["target_factors"])))
         for m in obj.get("maps", [])
     )
     return g, maps
@@ -147,7 +147,7 @@ def enumerate_subgroups(group: FiniteAbelianGroup, cap: int = SUBGROUP_CAP):
     tabulated together.  The lattice is built once per group instance and
     cached on it, like the addition table; ``cap`` is checked on every call.
     """
-    if group.order > cap:
+    if group.order > count(cap, "cap"):
         raise CapExceededError(f"group order {group.order} exceeds the cap {cap}")
     lattice = getattr(group, "_lattice", None)
     if lattice is None:
@@ -212,6 +212,8 @@ def discrete_pushforward(f, hom: GroupHom):
     exact for integer-valued f.  The one bincount over row-offset image
     indices adds each bin's fiber in source order, as for a single vector."""
     f = np.asarray(f, dtype=float)
+    if f.shape[-1:] != (hom.source.order,):
+        raise InputError(f"f has shape {f.shape}, not (..., {hom.source.order}) over the source group")
     n = hom.target.order
     rows = f.reshape(-1, hom.source.order)
     index = hom.image_indices() + n * np.arange(len(rows))[:, None]
@@ -219,19 +221,18 @@ def discrete_pushforward(f, hom: GroupHom):
     return pf.reshape(f.shape[:-1] + (n,))
 
 
-def _check_maps(maps):
+def _check_maps(maps, c=None):
+    """The source group of all ``maps``, and ``c`` (None, or one exponent per map) as floats."""
     if len(maps) == 0:
         raise DatumError("need at least one homomorphism")
     src = maps[0].source
     if any(m.source is not src and m.source != src for m in maps):
         raise DatumError("all homomorphisms must share the source group")
-    return src
-
-
-def _exponents(maps, c):
+    if c is None:
+        return src, None
     if len(c) != len(maps):
         raise DatumError(f"{len(c)} exponents for {len(maps)} homomorphisms")
-    return [float(x) for x in c]
+    return src, [exponent(x, "c") for x in c]
 
 
 def bls_constant(maps: Sequence[GroupHom], c: Sequence, cap: int = SUBGROUP_CAP):
@@ -241,8 +242,7 @@ def bls_constant(maps: Sequence[GroupHom], c: Sequence, cap: int = SUBGROUP_CAP)
     subgroups H_i <= G_i.  The intersection counts of every tuple are one
     int64 contraction of the preimage indicator rows.
     """
-    _check_maps(maps)
-    c = _exponents(maps, c)
+    _, c = _check_maps(maps, c)
     sub_lists = [enumerate_subgroups(m.target, cap=cap) for m in maps]
     n_tuples = int(np.prod([len(s) for s in sub_lists]))
     if n_tuples > TUPLE_CAP:
@@ -272,17 +272,11 @@ def abls_constant(maps: Sequence[GroupHom], c: Sequence, p, cap: int = SUBGROUP_
     The exponent (1-p)/p is formed exactly when p is rational.  The image
     sizes #(B_i H) of every subgroup come from one scatter per map.
     """
-    src = _check_maps(maps)
-    c = _exponents(maps, c)
-    if isinstance(p, Fraction):
-        if not (0 < p < 1):
-            raise ValueError("p must lie in (0,1)")
-        expo = float(1 / p - 1)
-    else:
-        p = float(p)
-        if not (0.0 < p < 1.0):
-            raise ValueError("p must lie in (0,1)")
-        expo = 1.0 / p - 1.0
+    src, c = _check_maps(maps, c)
+    exponent(p, "p")
+    if not p < 1:
+        raise InputError(f"p must lie in (0, 1), got {p!r}")
+    expo = float(1 / p - 1)  # exact for a Fraction p
     subs = enumerate_subgroups(src, cap=cap)
     r, x = np.nonzero(_members(subs, src.order))
     sizes = []
@@ -314,12 +308,11 @@ def discrete_adjoint_margins(
 ) -> list:
     """Exact counting-measure margins of the discrete adjoint inequality,
     one per row of F (one function on the source group per row)."""
-    src = _check_maps(maps)
-    F = np.asarray(F, dtype=float)
+    src, _ = _check_maps(maps)
+    F = nonnegative(F, "F")
     if F.ndim != 2 or F.shape[1] != src.order:
-        raise ValueError("F must hold one vector indexed by the source group per row")
-    if np.any(F < 0):
-        raise ValueError("f must be non-negative")
+        raise InputError("F must hold one vector indexed by the source group per row")
+    exponent(bl_value, "bl_value")
     lhs = _lp_rows(F, params.p)
     norms = [_lp_rows(discrete_pushforward(F, m), q) for m, q in zip(maps, params.p_i)]
     return [
@@ -334,5 +327,5 @@ def discrete_adjoint_margin(
     """Exact counting-measure margin of the discrete adjoint inequality."""
     f = np.asarray(f, dtype=float)
     if f.ndim != 1:
-        raise ValueError("f must be a vector indexed by the source group")
+        raise InputError("f must be a vector indexed by the source group")
     return discrete_adjoint_margins(f[None, :], maps, params, bl_value)[0]

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .data import AdjointParams, BLDatum, derive_adjoint_exponents
-from .errors import MassError
+from .errors import MassError, exponent, nonnegative
 from .grid import GridFunction, adjoint_log_rhs, grid_pushforward, lp_norm
 
 def _values_measure(f):
@@ -22,9 +22,7 @@ def _values_measure(f):
     grid, or 1 per entry of an array, which must be finite and non-negative."""
     if isinstance(f, GridFunction):
         return f.values.ravel(), np.full(f.values.size, f.cell_volume)
-    v = np.asarray(f, dtype=float).ravel()
-    if np.any(v < 0) or not np.all(np.isfinite(v)):
-        raise ValueError("values must be finite and non-negative")
+    v = nonnegative(f, "f").ravel()
     return v, np.ones(v.size)
 
 
@@ -49,9 +47,7 @@ def shannon_entropy(f) -> float:
 
 def renyi_entropy(f, p) -> float:
     """(p/(1-p)) log ||g||_p for the normalized density g; p = 1 is Shannon."""
-    p = float(p)
-    if p <= 0:
-        raise ValueError("order p must be positive")
+    p = exponent(p, "p")
     if p == 1.0:
         return shannon_entropy(f)
     v, w = _values_measure(f)
@@ -62,7 +58,7 @@ def renyi_entropy(f, p) -> float:
 def entropy_power(f, p) -> float:
     """Entropy of the tilted density f^p / ||f||_p^p."""
     v, w = _values_measure(f)
-    return _shannon(v ** float(p), w)
+    return _shannon(v ** exponent(p, "p"), w)
 
 
 def default_theta(datum: BLDatum):
@@ -71,27 +67,27 @@ def default_theta(datum: BLDatum):
     return tuple(raw / raw.sum())
 
 
+def _marginal_total(f, datum: BLDatum, bl_value, p, p_i, term) -> float:
+    """log(bl) - term(f, p) + sum c_i term((B_i)_* f, p_i), added map by map."""
+    total = math.log(exponent(bl_value, "bl_value")) - term(f, p)
+    for c, b, q in zip(datum.exponents, datum.maps, p_i):
+        total += c * term(grid_pushforward(f, b), q)
+    return total
+
+
 def entropic_bl_margin(f: GridFunction, datum: BLDatum, bl_value: float) -> float:
     """sum c_i H((B_i)_* f) + log(bl) - H(f) for the normalized density f.
 
     Non-negative whenever bl is (an upper bound for) the Brascamp-Lieb
-    constant of the datum.
+    constant of the datum.  (The Renyi entropy of order 1 is Shannon's.)
     """
-    f = f.normalized()
-    margin = math.log(bl_value) - shannon_entropy(f)
-    for c, b in zip(datum.exponents, datum.maps):
-        margin += c * shannon_entropy(grid_pushforward(f, b))
-    return margin
+    return _marginal_total(f.normalized(), datum, bl_value, 1, (1,) * datum.k, renyi_entropy)
 
 
 def renyi_bl_margin(f: GridFunction, datum: BLDatum, params: AdjointParams, bl_value: float) -> float:
     """sum c_i H_{p_i}((B_i)_* f) + log(bl) - H_p(f); converges to the
     Shannon margin as p -> 1."""
-    f = f.normalized()
-    margin = math.log(bl_value) - renyi_entropy(f, params.p)
-    for c, b, q in zip(datum.exponents, datum.maps, params.p_i):
-        margin += c * renyi_entropy(grid_pushforward(f, b), q)
-    return margin
+    return _marginal_total(f.normalized(), datum, bl_value, params.p, params.p_i, renyi_entropy)
 
 
 def p_entropy_probe(f: GridFunction, p: float, datum: BLDatum, bl_value: float) -> float:
@@ -102,10 +98,8 @@ def p_entropy_probe(f: GridFunction, p: float, datum: BLDatum, bl_value: float) 
     (the value is returned unasserted).
     """
     params = derive_adjoint_exponents(datum.exponents, default_theta(datum), p)
-    probe = entropy_power(f, p) - math.log(bl_value)
-    for c, b, q in zip(datum.exponents, datum.maps, params.p_i):
-        probe -= c * entropy_power(grid_pushforward(f, b), q)
-    return probe
+    # bit for bit the total formed with -=: 0.0 - x is exact, and +0.0 where x cancels to 0
+    return 0.0 - _marginal_total(f, datum, bl_value, p, params.p_i, entropy_power)
 
 
 def log_lambda(f: GridFunction, datum: BLDatum, params: AdjointParams, bl_value: float) -> float:

@@ -29,7 +29,8 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .data import AdjointParams, BLDatum, adjoint_gaussian_prefactor
 from .entropy import log_lambda
-from .errors import ConditioningError, ParameterDomainError, ResolutionError, ScalingConditionError
+from .errors import ConditioningError, InputError, ParameterDomainError, ResolutionError, ScalingConditionError
+from .errors import exponent, finite
 from .grid import GridFunction, GridSpec, mesh_points, row_blocks
 
 OVERFLOW_GUARD = 1e100
@@ -74,17 +75,17 @@ class SpdMatrix:
 
     @classmethod
     def from_matrix(cls, m):
-        m = np.array(m, dtype=float)
+        m = finite(m, "matrix")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("need a square matrix")
+            raise InputError("need a square matrix")
         scale = max(1.0, float(np.abs(m).max()))
         if np.abs(m - m.T).max() > 1e-12 * scale:
-            raise ValueError("matrix is not symmetric to tolerance")
+            raise InputError("matrix is not symmetric to tolerance")
         m = 0.5 * (m + m.T)
         try:
             chol = _cho_factor(m)
         except np.linalg.LinAlgError as exc:
-            raise ValueError("matrix is not positive definite") from exc
+            raise InputError("matrix is not positive definite") from exc
         m.flags.writeable = False
         chol.flags.writeable = False
         return cls(matrix=m, chol=chol)
@@ -127,7 +128,7 @@ def gaussian_pushforward(A: SpdMatrix, B):
     amplitude = det(A_B)^{1/2} / det(A)^{1/2}, so the pushforward is
     amplitude * e^{-pi <A_B y, y>} and integrates to det(A)^{-1/2}.
     """
-    B = np.asarray(B, dtype=float)
+    B = finite(B, "B")
     M = B @ A.solve(B.T)
     M = 0.5 * (M + M.T)
     w = np.linalg.eigvalsh(M)
@@ -418,6 +419,7 @@ def perturbation_gap(datum: BLDatum, params: AdjointParams, grid: GridSpec, eps:
     """
     if params.mode != "forward" or params.p >= 1.0:
         raise ParameterDomainError("perturbation gap needs forward mode with p < 1")
+    eps = None if eps is None else exponent(eps, "eps")
     ratios = [c / t for c, t in zip(datum.exponents, params.theta)]
     j = int(np.argmax(ratios))
     if ratios[j] <= 1.0 + 1e-12:
@@ -439,9 +441,7 @@ def perturbation_gap(datum: BLDatum, params: AdjointParams, grid: GridSpec, eps:
             f"quadrature self-estimate {estimate:.3e} exceeds "
             f"{MAX_SELF_ESTIMATE:.0%} of the coefficient {coeff:.3e}"
         )
-    direct = None
-    if eps is not None:
-        direct = _direct_ratio_delta(datum, params, j, kappa, radius, grid, eps)
+    direct = None if eps is None else _direct_ratio_delta(datum, params, j, kappa, radius, grid, eps)
     return PerturbationGapResult(
         coefficient=coeff,
         quadrature_estimate=estimate,

@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import CapExceededError
+from .errors import CapExceededError, InputError, count, exponent, nonnegative
 from .grid import ROW_BLOCK_CELLS
 
 U_CAPS = {1: 65536, 2: 4096, 3: 256, 4: 64}
@@ -77,16 +77,13 @@ def _box_sum(f, d):
 
 def gowers_norm(f, d, measure_weight=1.0, cap=None) -> float:
     """||f||_{U^d(Z_N)} with counting measure scaled by ``measure_weight``."""
-    f = np.asarray(f, dtype=float)
+    f = nonnegative(f, "f")
     if f.ndim != 1:
-        raise ValueError("f must be a vector on Z_N")
-    if np.any(f < 0):
-        raise ValueError("f must be non-negative")
-    if d < 1:
-        raise ValueError("d must be at least 1")
-    _check_cap(len(f), d, cap)
+        raise InputError("f must be a vector on Z_N")
+    d = count(d, "d")
+    _check_cap(len(f), d, None if cap is None else count(cap, "cap"))
+    lam = exponent(measure_weight, "measure_weight") ** (d + 1)
     s = _box_sum(f, d)
-    lam = float(measure_weight) ** (d + 1)
     return (lam * s) ** (1.0 / (1 << d))
 
 
@@ -114,8 +111,7 @@ def logconvexity_theta(d) -> Fraction:
 
 def gowers_logconvexity_margin(f, d) -> float:
     """||f||_{U^{d-1}}^theta ||f||_{U^{d+1}}^{1-theta} - ||f||_{U^d} >= 0."""
-    if d < 2:
-        raise ValueError("log-convexity needs d >= 2")
+    count(d, "d", minimum=2)
     theta = float(logconvexity_theta(d))
     lo = gowers_norm(f, d - 1)
     mid = gowers_norm(f, d)
@@ -133,7 +129,7 @@ class GowersProfile:
 
 
 def gowers_profile(f, max_order) -> GowersProfile:
-    orders = tuple(range(1, max_order + 1))
+    orders = tuple(range(1, count(max_order, "max_order") + 1))
     norms = tuple(gowers_norm(f, d) for d in orders)
     abscissae = tuple((d + 1) / (1 << d) for d in orders)
     return GowersProfile(orders=orders, abscissae=abscissae, norms=norms)

@@ -45,7 +45,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CoverageError, MassError
+from .errors import CoverageError, InputError, MassError, count, exponent, finite, nonnegative
 
 TINY_FLUSH = 1e-300
 BOUNDARY_TOL = 1e-12
@@ -76,14 +76,12 @@ class GridSpec:
     resolution: tuple
 
     def __post_init__(self):
-        box = tuple((float(a), float(b)) for a, b in self.box)
-        res = tuple(int(n) for n in self.resolution)
+        box = tuple((float(a), float(b)) for a, b in finite(self.box, "box"))
+        res = tuple(count(n, "resolution") for n in self.resolution)
         if len(box) != len(res):
-            raise ValueError(f"box has {len(box)} axes but resolution {res} has {len(res)}")
+            raise InputError(f"box has {len(box)} axes but resolution {res} has {len(res)}")
         if any(hi <= lo for lo, hi in box):
-            raise ValueError("box must have positive extent on every axis")
-        if any(n < 1 for n in res):
-            raise ValueError(f"resolution {res} needs at least one cell on every axis")
+            raise InputError("box must have positive extent on every axis")
         object.__setattr__(self, "box", box)
         object.__setattr__(self, "resolution", res)
 
@@ -114,11 +112,8 @@ class GridFunction(GridSpec):
         super().__post_init__()
         vals = np.array(self.values, dtype=float)
         if vals.shape != self.resolution:
-            raise ValueError(f"values shape {vals.shape} does not match resolution {self.resolution}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("values must be finite")
-        if np.any(vals < 0):
-            raise ValueError("signed inputs are rejected: values must be non-negative")
+            raise InputError(f"values shape {vals.shape} does not match resolution {self.resolution}")
+        nonnegative(vals, "values")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
@@ -145,6 +140,7 @@ class GridFunction(GridSpec):
 
         The refinement's cell masses are computed here, once, and every
         ``grid_pushforward`` of it bins them."""
+        factor = count(factor, "factor")
         vals = self.values
         for ax in range(self.dim):
             vals = np.repeat(vals, factor, axis=ax)
@@ -184,7 +180,7 @@ class GridFunction(GridSpec):
 
 def gaussian_grid(quad_form, box, resolution):
     """Sample e^{-pi <Qx, x>} at cell centers."""
-    Q = np.atleast_2d(np.asarray(quad_form, dtype=float))
+    Q = np.atleast_2d(finite(quad_form, "quad_form"))
     pts = mesh_points(grid_centers(box, resolution))
     vals = np.exp(-math.pi * np.sum(pts * (pts @ Q.T), axis=1))
     return GridFunction(box, tuple(resolution), vals.reshape(tuple(resolution)))
@@ -192,21 +188,18 @@ def gaussian_grid(quad_form, box, resolution):
 
 def random_grid_function(box, resolution, seed, zero_fraction=0.0, smooth=0):
     """Seeded random piecewise-constant non-negative function."""
+    spec = GridSpec(tuple(box), tuple(resolution))
     rng = np.random.default_rng(seed)
-    vals = rng.uniform(0.0, 1.0, size=tuple(resolution))
+    vals = rng.uniform(0.0, 1.0, size=spec.resolution)
     if zero_fraction > 0:
         vals *= rng.uniform(size=vals.shape) >= zero_fraction
-    for _ in range(smooth):
+    for _ in range(count(smooth, "smooth", minimum=0)):
         acc = vals.copy()
         for ax in range(vals.ndim):
             acc += np.roll(vals, 1, axis=ax) + np.roll(vals, -1, axis=ax)
         acc /= 1 + 2 * vals.ndim
         vals = acc
-    return GridFunction._over(GridSpec(tuple(box), tuple(resolution)), vals)
-
-
-def _flush_tiny(values):
-    return np.where(values < TINY_FLUSH, 0.0, values)
+    return GridFunction._over(spec, vals)
 
 
 def _cell_masses(f: GridFunction):
@@ -215,16 +208,11 @@ def _cell_masses(f: GridFunction):
 
 
 def lp_norm(f: GridFunction, p) -> float:
-    """(sum f^p * cell_volume)^{1/p}; p = inf returns the max value.  A bool,
-    NaN or non-positive p raises ``ValueError``."""
-    if isinstance(p, (bool, np.bool_)):
-        raise ValueError(f"p must be a positive number, not the bool {p!r}")
+    """(sum f^p * cell_volume)^{1/p}; p = inf returns the max value."""
+    p = exponent(p, "p", inf=True)
     if p == math.inf:
         return float(f.values.max())
-    p = float(p)
-    if not p > 0:
-        raise ValueError(f"p must be positive, got {p!r}")
-    vals = _flush_tiny(f.values)
+    vals = np.where(f.values < TINY_FLUSH, 0.0, f.values)
     total = float(np.sum(vals**p)) * f.cell_volume
     return total ** (1.0 / p)
 
@@ -342,11 +330,12 @@ def grid_pushforward(f: GridFunction, B, target: Optional[GridSpec] = None) -> G
     B = np.asarray(B, dtype=float)
     key = (f.box, f.resolution, B.shape, B.tobytes(), target)
     entry = _BIN_INDEX_CACHE.get(key)
-    if entry is None:
+    if entry is None:  # a malformed B never hits: its key is never put
+        if B.ndim != 2 or B.shape[1] != f.dim or (target is not None and len(B) != target.dim):
+            raise InputError(f"B has shape {B.shape}, not (target dimension, {f.dim})")
+        finite(B, "B")
         if target is None:
             target = _auto_target(f, B)
-        if B.shape != (target.dim, f.dim):
-            raise ValueError("map shape does not match source/target dimensions")
         entry = (target, _bin_index(f, B, target))
         _BIN_INDEX_CACHE.put(key, entry)
     target, flat = entry
@@ -354,7 +343,7 @@ def grid_pushforward(f: GridFunction, B, target: Optional[GridSpec] = None) -> G
     acc = np.bincount(flat, weights=masses, minlength=math.prod(target.resolution))
     vals = (acc / target.cell_volume).reshape(target.resolution)
     if not math.isfinite(vals.max()):  # finite masses over a cell volume at or near underflow
-        raise ValueError("pushforward values must be finite: the target cells are too small")
+        raise InputError("pushforward values must be finite: the target cells are too small")
     return GridFunction._over(target, vals)
 
 
@@ -383,7 +372,7 @@ class InequalityMargin:
         max(1, |lhs|, |rhs|), with estimate drift + 1e-12 * scale; an exact
         margin (``drift=None``) has estimate 0.0."""
         if mode not in ("forward", "reverse"):
-            raise ValueError(f"margin mode must be 'forward' or 'reverse', got {mode!r}")
+            raise InputError(f"margin mode must be 'forward' or 'reverse', got {mode!r}")
         margin = rhs - lhs if mode == "forward" else lhs - rhs
         scale = max(1.0, abs(lhs), abs(rhs))
         return cls(
@@ -414,7 +403,7 @@ def adjoint_margin(f: GridFunction, datum, params, bl_value: float) -> Inequalit
     if f.mass <= 0:
         raise MassError("margin undefined for the zero function")
     lhs = lp_norm(f, params.p)
-    rhs = math.exp(adjoint_log_rhs(f, datum, params, bl_value))
+    rhs = math.exp(adjoint_log_rhs(f, datum, params, exponent(bl_value, "bl_value")))
     rhs_fine = math.exp(adjoint_log_rhs(f.refine(2), datum, params, bl_value))
     drift = abs((rhs - lhs) - (rhs_fine - lhs))
     return InequalityMargin.from_sides(lhs, rhs, params.mode, drift)

@@ -25,7 +25,7 @@ is the drift to the same transform on every other direction at half the
 offset resolution (``_with_half`` for lines).  Directions are deterministic
 quadratures (uniform angles in the plane, Fibonacci points on the sphere);
 Haar frames come from QR factors of seeded gaussian matrices.  An empty
-direction or plane set raises ``ValueError``.
+direction or plane set raises :class:`InputError`.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .entropy import shannon_entropy
-from .errors import MassError, ParameterDomainError
+from .errors import InputError, ParameterDomainError, count, exponent, finite, nonnegative
 from .grid import GridFunction, InequalityMargin, grid_centers, lp_norm, mesh_points
 
 _MC_BLOCK = 1 << 15  # matrices per block of the gaussian wedge Monte Carlo
@@ -54,20 +54,18 @@ class DirectionSet:
     weights: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.vectors, dtype=float)
-        w = np.array(self.weights, dtype=float)
+        v = finite(np.array(self.vectors, dtype=float), "direction vectors")
+        w = nonnegative(np.array(self.weights, dtype=float), "weights")
         if len(v) == 0:
-            raise ValueError("direction set is empty")
+            raise InputError("direction set is empty")
         if v.ndim != 2 or len(w) != len(v):
-            raise ValueError("need (n, d) vectors and n weights")
+            raise InputError("need (n, d) vectors and n weights")
         norms = np.linalg.norm(v, axis=1)
         if np.max(np.abs(norms - 1.0)) > 1e-9:
-            raise ValueError("direction vectors must be unit length")
-        if np.any(w < 0):
-            raise ValueError("weights must be non-negative")
+            raise InputError("direction vectors must be unit length")
         total = w.sum()
         if abs(total - 1.0) > 1e-9:
-            raise ValueError("weights must sum to one")
+            raise InputError("weights must sum to one")
         w = w / total
         v.flags.writeable = False
         w.flags.writeable = False
@@ -83,12 +81,12 @@ class DirectionSet:
 
     @classmethod
     def uniform_circle(cls, n, offset=0.0):
-        angles = offset + 2.0 * math.pi * np.arange(n) / n
+        angles = offset + 2.0 * math.pi * np.arange(count(n, "n", minimum=0)) / n
         return cls.from_vectors(np.stack([np.cos(angles), np.sin(angles)], axis=1))
 
     @classmethod
     def fibonacci_sphere(cls, n):
-        j = np.arange(n)
+        j = np.arange(count(n, "n", minimum=0))
         z = 1.0 - (2.0 * j + 1.0) / n
         phi = j * math.pi * (3.0 - math.sqrt(5.0))
         r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
@@ -101,7 +99,7 @@ class DirectionSet:
         """Directions confined to the great circle orthogonal to ``normal``."""
         normal = np.asarray(normal, dtype=float)
         u, w = _orthonormal_complement(normal / np.linalg.norm(normal)).T
-        angles = 2.0 * math.pi * np.arange(n) / n
+        angles = 2.0 * math.pi * np.arange(count(n, "n", minimum=0)) / n
         return cls.from_vectors(np.outer(np.cos(angles), u) + np.outer(np.sin(angles), w))
 
     @classmethod
@@ -197,9 +195,9 @@ class TomogramSamples:
         return np.sum(g(self.values.reshape(len(self.weights), -1)), axis=1) * self.offset_cell_volume
 
     def lq(self, q) -> float:
+        q = exponent(q, "q", inf=True)
         if q == math.inf:
             return float(self.values.max())
-        q = float(q)
         return float(np.sum(self.weights * self._per_dir(lambda v: v**q))) ** (1.0 / q)
 
     def l1(self) -> float:
@@ -207,7 +205,7 @@ class TomogramSamples:
 
     def sup_dirs_lq(self, r) -> float:
         """Mixed norm: sup over directions of the offset L^r norm."""
-        r = float(r)
+        r = exponent(r, "r")
         return float((self._per_dir(lambda v: v**r) ** (1.0 / r)).max())
 
     def entropy(self) -> float:
@@ -227,16 +225,7 @@ def _orthonormal_complement(omega):
     if d == 3:
         w = np.cross(omega, u)
         return np.stack([u, w], axis=1)
-    raise ValueError("line transforms are implemented for d <= 3")
-
-
-def _offset_count(t_resolution, default):
-    """``t_resolution`` offsets per axis, an integer >= 1; ``default`` when it is None."""
-    if t_resolution is None:
-        return default
-    if isinstance(t_resolution, bool) or not isinstance(t_resolution, (int, np.integer)) or t_resolution < 1:
-        raise ValueError(f"t_resolution must be an integer >= 1, got {t_resolution!r}")
-    return int(t_resolution)
+    raise InputError("line transforms are implemented for d <= 3")
 
 
 def _offset_grid(f: GridFunction, n_v, m):
@@ -287,14 +276,14 @@ def _line_setup(f: GridFunction, dirs, t_resolution, line_step, n_v_default):
     """Checked directions, offset count and offset frames of a line transform of f."""
     d = f.dim
     if d < 2:
-        raise ValueError("the line transform needs dimension >= 2")
+        raise InputError("the line transform needs dimension >= 2")
     if dirs is None:
         dirs = DirectionSet.uniform_circle(360) if d == 2 else DirectionSet.fibonacci_sphere(128)
     if dirs.dim != d:
-        raise ValueError("direction dimension does not match the grid")
-    if line_step is not None and not line_step > 0:
-        raise ValueError(f"line_step must be positive, got {line_step!r}")
-    n_v = _offset_count(t_resolution, n_v_default)
+        raise InputError("direction dimension does not match the grid")
+    if line_step is not None:
+        exponent(line_step, "line_step")
+    n_v = n_v_default if t_resolution is None else count(t_resolution, "t_resolution")
     return dirs, n_v, np.stack([_orthonormal_complement(omega) for omega in dirs.vectors])
 
 
@@ -330,7 +319,7 @@ def xray_transform(
     if method == "sample":
         return xray_transform_batch([f], dirs, t_resolution, line_step)[0]
     if method != "deposit":
-        raise ValueError("method must be 'sample' or 'deposit'")
+        raise InputError("method must be 'sample' or 'deposit'")
     dirs, n_v, frames = _line_setup(f, dirs, t_resolution, line_step, 2 * max(f.resolution))
     _, cell, offsets_axes = _offset_grid(f, n_v, f.dim - 1)
     return _tomogram(dirs.vectors, dirs.weights, frames, offsets_axes, _deposit_tomogram(f, frames, n_v), cell)
@@ -352,10 +341,10 @@ def xray_transform_batch(
     """
     fs = list(fs)
     if not fs:
-        raise ValueError("need at least one function")
+        raise InputError("need at least one function")
     f = fs[0]
     if any(g.box != f.box or g.resolution != f.resolution for g in fs):
-        raise ValueError("the functions of a batch must share box and resolution")
+        raise InputError("the functions of a batch must share box and resolution")
     d = f.dim
     n_v_default = 2 * max(f.resolution) if d == 2 else max(f.resolution)
     dirs, n_v, frames = _line_setup(f, dirs, t_resolution, line_step, n_v_default)
@@ -429,26 +418,24 @@ def kplane_transform(
 ) -> TomogramSamples:
     """Averages over affine planes of R^3 (k = 2; lines are ``xray_transform``).
 
-    ``plane_samples``: an integer count of Haar 2-frames (seeded; a bool is
-    rejected) or an explicit sequence of 3 x 2 frame matrices with orthonormal
-    columns (max |F^T F - I| <= 1e-9); an empty plane set or any other frame
-    raises ``ValueError``.  Each plane's mass is binned exactly onto the
+    ``plane_samples``: an integer count of Haar 2-frames (seeded) or an
+    explicit sequence of 3 x 2 frame matrices with orthonormal columns
+    (max |F^T F - I| <= 1e-9); an empty plane set or any other frame raises
+    :class:`InputError`.  Each plane's mass is binned exactly onto the
     offset axis along its unit normal.
     """
     if f.dim != 3:
-        raise ValueError("the plane transform is implemented for d = 3")
-    if isinstance(plane_samples, bool):
-        raise ValueError(f"planes are a count or a sequence of frames, got {plane_samples!r}")
-    if isinstance(plane_samples, (int, np.integer)):
-        frames = haar_planes(3, 2, int(plane_samples), seed)
+        raise InputError("the plane transform is implemented for d = 3")
+    if not hasattr(plane_samples, "__iter__"):
+        frames = haar_planes(3, 2, count(plane_samples, "plane_samples", minimum=0), seed)
     else:
         frames = [np.asarray(q, dtype=float) for q in plane_samples]
     if not frames:
-        raise ValueError("the plane set is empty")
+        raise InputError("the plane set is empty")
     for q in frames:
         if q.shape != (3, 2) or not np.max(np.abs(q.T @ q - np.eye(2))) <= FRAME_TOL:
-            raise ValueError(f"a plane frame must be 3 x 2 with orthonormal columns, got {q.tolist()!r}")
-    n_v = _offset_count(t_resolution, 2 * max(f.resolution))
+            raise InputError(f"a plane frame must be 3 x 2 with orthonormal columns, got {q.tolist()!r}")
+    n_v = 2 * max(f.resolution) if t_resolution is None else count(t_resolution, "t_resolution")
     _, cell, offsets_axes = _offset_grid(f, n_v, 1)
     crosses = [np.cross(q[:, 0], q[:, 1]) for q in frames]
     normals = np.array([c / np.linalg.norm(c) for c in crosses])
@@ -473,8 +460,8 @@ def scaling_exponent_q(p, d, k=1):
 
 def _check_scaling_line(p, q, d, k):
     _check_plane_dim(d, k)
-    lhs = (1.0 / d) * (1.0 - 1.0 / q)
-    rhs = (1.0 / (d - k)) * (1.0 - 1.0 / p)
+    lhs = (1.0 / d) * (1.0 - 1.0 / exponent(q, "q", inf=True))
+    rhs = (1.0 / (d - k)) * (1.0 - 1.0 / exponent(p, "p", inf=True))
     if abs(lhs - rhs) > 1e-12 * max(1.0, abs(lhs), abs(rhs)):
         raise ParameterDomainError(
             f"exponents off the scaling line: (1/d)(1-1/q) = {lhs!r} "
@@ -517,9 +504,7 @@ def tomography_lower_bound_margin(
     if k == 1:
         tom, tom_half = _with_half(f, dirs, n_v)
     else:
-        if dirs is not None and (isinstance(dirs, bool) or not isinstance(dirs, (int, np.integer))):
-            raise ValueError(f"k = {k} planes are given by their count, an integer, got {dirs!r}")
-        frames = haar_planes(d, k, 64 if dirs is None else int(dirs), seed)
+        frames = haar_planes(d, k, 64 if dirs is None else count(dirs, f"dirs, the plane count of k = {k},"), seed)
         tom = kplane_transform(f, frames, t_resolution=n_v)
         tom_half = kplane_transform(f, frames[::2], t_resolution=max(2, n_v // 2))
     return lower_bound_margin_from_tomograms(tom, tom_half, f, p, q, k)
@@ -552,10 +537,9 @@ def restricted_xray_constant(
     is positive, every wedge is 0, so the constant is exactly 0 and nothing is drawn.
     """
     _check_scaling_line(p, q, d, 1)
-    if n_mc < 1:
-        raise ValueError("need at least one sample")
+    n_mc = count(n_mc, "n_mc")
     if mu_samples.dim != d:
-        raise ValueError("direction dimension mismatch")
+        raise InputError("direction dimension mismatch")
     a = d * q * (1.0 / p - 1.0) / (d - 1)
     expo = 1.0 / (d * q)
     if a > 0 and np.linalg.matrix_rank(mu_samples.vectors[mu_samples.weights > 0]) < d:
@@ -583,9 +567,9 @@ def wedge_moment(d, q) -> float:
 
 def xx_gamma_constant(d, p, q) -> float:
     """Closed-form constant of the three-norm line-transform inequality."""
-    if not (d >= 2 and 1.0 < p < math.inf and 0.0 < q < 1.0):
-        raise ParameterDomainError("need d >= 2, 1 < p < inf, 0 < q < 1")
-    expo = (1.0 - 1.0 / p) / ((d - 1) * q)
+    if not (1.0 < p < math.inf and 0.0 < q < 1.0):
+        raise ParameterDomainError("need 1 < p < inf and 0 < q < 1")
+    expo = (1.0 - 1.0 / p) / ((count(d, "d", minimum=2) - 1) * q)
     return wedge_moment(d, q) ** expo
 
 
@@ -654,10 +638,8 @@ def kplane_entropy_sequence(f: GridFunction, n_planes: int = 64, seed: int = 0, 
     """
     d = f.dim
     if d > 3:
-        raise ValueError("entropy sequences are implemented for d <= 3")
-    if f.mass <= 0:
-        raise MassError("entropy sequence needs positive mass")
-    f = f.normalized()
+        raise InputError("entropy sequences are implemented for d <= 3")
+    f = f.normalized()  # a zero-mass f raises MassError
     out = [shannon_entropy(f) / d]
     if d >= 2:
         if dirs is None:
@@ -674,7 +656,7 @@ def projection_shadow_measure(f: GridFunction, omega) -> float:
     """Exact measure of the shadow of the occupied cells on the line
     orthogonal to omega (dimension 2 only)."""
     if f.dim != 2:
-        raise ValueError("shadows are implemented for d = 2")
+        raise InputError("shadows are implemented for d = 2")
     omega = np.asarray(omega, dtype=float)
     v = np.array([-omega[1], omega[0]])
     v /= np.linalg.norm(v)
@@ -698,7 +680,7 @@ def projection_shadow_measure(f: GridFunction, omega) -> float:
 def averaged_projection_margin(f: GridFunction, dirs: Optional[DirectionSet] = None) -> InequalityMargin:
     """Averaged projection inequality |O|^{(d-1)/d} <= avg_dir |shadow|."""
     if f.dim != 2:
-        raise ValueError("implemented for d = 2")
+        raise InputError("implemented for d = 2")
     if dirs is None:
         dirs = DirectionSet.uniform_circle(360)
     volume = float(np.count_nonzero(f.values > 0)) * f.cell_volume

@@ -14,10 +14,12 @@ from blq.entropy import (
     p_entropy_probe,
     power_curvature_exact,
     power_curvature_fd,
+    renyi_bl_margin,
     renyi_entropy,
     shannon_entropy,
 )
 from blq.errors import MassError
+from blq.gaussian import bl_gaussian_constant
 from blq.grid import GridFunction, gaussian_grid, grid_pushforward, lp_norm, random_grid_function
 
 BOX2 = ((-8.0, 8.0), (-8.0, 8.0))
@@ -208,3 +210,51 @@ def test_negative_or_nan_array_rejected(bad):
     for call in (shannon_entropy, lambda v: renyi_entropy(v, 0.3), lambda v: entropy_power(v, 2.5)):
         with pytest.raises(ValueError, match="finite and non-negative"):
             call(values)
+
+
+def _scenario_10_densities():
+    """The four densities of scenario 10 (loomis_whitney_2 at resolution 256)
+    and its indicator probe input."""
+    d, grid = 2, (BOX2, (256, 256))
+    product = gaussian_grid(np.eye(d), *grid)
+    densities = [
+        product,
+        gaussian_grid(np.linalg.inv(np.eye(d) + 0.5 * (np.ones((d, d)) - np.eye(d))), *grid),
+        GridFunction.indicator_box(((0.0, 2.0),) * d, *grid),
+        GridFunction(*grid, product.values + 0.5 * gaussian_grid(2.0 * np.eye(d), *grid).values),
+    ]
+    return densities + [GridFunction.indicator_box(((0.0, 1.5),) * d, *grid)]
+
+
+def test_entropic_margins_are_bitwise_the_three_marginal_loops():
+    # test-local copies of the loops that the shared marginal total replaced
+    def shannon_margin(f, datum, bl):
+        f = f.normalized()
+        margin = math.log(bl) - shannon_entropy(f)
+        for c, b in zip(datum.exponents, datum.maps):
+            margin += c * shannon_entropy(grid_pushforward(f, b))
+        return margin
+
+    def renyi_margin(f, datum, params, bl):
+        f = f.normalized()
+        margin = math.log(bl) - renyi_entropy(f, params.p)
+        for c, b, q in zip(datum.exponents, datum.maps, params.p_i):
+            margin += c * renyi_entropy(grid_pushforward(f, b), q)
+        return margin
+
+    def probe(f, p, datum, bl):
+        params = derive_adjoint_exponents(datum.exponents, default_theta(datum), p)
+        total = entropy_power(f, p) - math.log(bl)
+        for c, b, q in zip(datum.exponents, datum.maps, params.p_i):
+            total -= c * entropy_power(grid_pushforward(f, b), q)
+        return total
+
+    datum = loomis_whitney(2)
+    bl = bl_gaussian_constant(datum).value
+    ps = [derive_adjoint_exponents(datum.exponents, (0.5, 0.5), 1.0 - eps) for eps in (1e-2, 1e-3)]
+    for f in _scenario_10_densities():
+        # float.hex tells -0.0 from 0.0, which a report prints differently
+        assert entropic_bl_margin(f, datum, bl).hex() == shannon_margin(f, datum, bl).hex()
+        for params in ps:
+            assert renyi_bl_margin(f, datum, params, bl).hex() == renyi_margin(f, datum, params, bl).hex()
+        assert p_entropy_probe(f, 0.5, datum, bl).hex() == probe(f, 0.5, datum, bl).hex()

@@ -420,9 +420,9 @@ def test_grid_spec_rejects_an_empty_axis():
 @pytest.mark.parametrize("resolution", [(0, 4), (4, -4), (0,), (-1,)])
 def test_grid_spec_rejects_fewer_than_one_cell(resolution):
     box = ((0.0, 1.0),) * len(resolution)
-    with pytest.raises(ValueError, match="at least one cell"):
+    with pytest.raises(ValueError, match="resolution must be an integer >= 1"):
         GridSpec(box, resolution)
-    with pytest.raises(ValueError, match="at least one cell"):
+    with pytest.raises(ValueError, match="resolution must be an integer >= 1"):
         GridFunction(box, resolution, np.zeros(tuple(max(n, 0) for n in resolution)))
 
 
@@ -631,7 +631,7 @@ def test_library_built_grids_are_read_only():
         assert not h.values.flags.writeable and h.values.shape == h.resolution
         assert h.values.dtype == np.float64 and h.values.flags.c_contiguous
     assert np.array_equal(fine._masses, fine.values.ravel() * fine.cell_volume)
-    with pytest.raises(ValueError, match="at least one cell"):
+    with pytest.raises(ValueError, match="resolution must be an integer >= 1"):
         random_grid_function(BOX2, (0, 4), seed=1)  # the geometry is still checked
 
 

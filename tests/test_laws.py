@@ -1,4 +1,4 @@
-"""Exact laws of the gaussian constants across the data and gaussian layers.
+"""Exact laws of the constants and bounds across the layers.
 
 Change of variables (Bennett-Carbery-Christ-Tao, arXiv:math/0505065): for
 invertible T on R^d and U_i on R^{d_i},
@@ -8,6 +8,13 @@ invertible T on R^d and U_i on R^{d_i},
 and ABLg, a prefactor times BLg^{1/p-1} that depends only on (theta, p) and
 the dimensions, moves by that factor to the power 1/p - 1.  Both constants are
 unchanged when one permutation is applied to the maps, the exponents and theta.
+
+Dilation of the tomographic bound: f_lam(x) = f(x / lam) has
+||f_lam||_p = lam^{d/p} ||f||_p and ||T_k f_lam||_q = lam^{k + (d-k)/q} ||T_k f||_q,
+and on the scaling line (1/d)(1 - 1/q) = (1/(d-k))(1 - 1/p) the two powers
+agree, so ||T_k f||_q / ||f||_p does not move.  On the grid, doubling the box
+with the same values doubles every length of the quadrature exactly, so only
+the final powers round.
 """
 
 import math
@@ -20,6 +27,8 @@ from hypothesis import strategies as st
 from blq.catalog import NAMED_DATA, named_datum, random_adjoint_draws
 from blq.data import BLDatum, derive_adjoint_exponents
 from blq.gaussian import abl_gaussian_constant, bl_gaussian_constant
+from blq.grid import GridFunction, lp_norm, random_grid_function
+from blq.tomography import DirectionSet, kplane_transform, scaling_exponent_q, xray_transform
 
 REL = 1e-9
 PRESETS = sorted(NAMED_DATA)
@@ -82,3 +91,27 @@ def test_constants_are_invariant_under_one_permutation_of_maps_exponents_and_the
         permuted_params = derive_adjoint_exponents(permuted.exponents, theta, params.p)
         expected = abl_gaussian_constant(datum, params).value
         assert abl_gaussian_constant(permuted, permuted_params).value == pytest.approx(expected, rel=REL)
+
+
+DILATION_REL = 1e-13
+TOMOGRAPHIC_BOUNDS = {
+    # name: (box, resolution, k, transform)
+    "k1-sampled-d2": (((-1.5, 2.0), (-1.0, 1.25)), (12, 10), 1, lambda f: xray_transform(f, DirectionSet.uniform_circle(12))),
+    "k1-sampled-d3": (((-1.0, 1.0), (-0.75, 1.0), (-1.0, 0.5)), (8, 6, 7), 1,
+                      lambda f: xray_transform(f, DirectionSet.fibonacci_sphere(10))),
+    "k1-deposit-d3": (((-1.0, 1.0), (-0.75, 1.0), (-1.0, 0.5)), (8, 6, 7), 1,
+                      lambda f: xray_transform(f, DirectionSet.fibonacci_sphere(10), method="deposit")),
+    "k2-haar16-d3": (((-1.0, 1.0), (-0.75, 1.0), (-1.0, 0.5)), (8, 6, 7), 2, lambda f: kplane_transform(f, 16, seed=3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOMOGRAPHIC_BOUNDS))
+@settings(max_examples=5, deadline=None)
+@given(p=st.floats(0.3, 1.4), seed=SEEDS)
+def test_tomographic_bound_is_invariant_under_dilation(name, p, seed):
+    box, resolution, k, transform = TOMOGRAPHIC_BOUNDS[name]
+    f = random_grid_function(box, resolution, seed=seed, zero_fraction=0.2)
+    dilated = GridFunction(tuple((2.0 * lo, 2.0 * hi) for lo, hi in box), resolution, f.values)
+    q = scaling_exponent_q(p, f.dim, k)
+    ratio = transform(f).lq(q) / lp_norm(f, p)
+    assert transform(dilated).lq(q) / lp_norm(dilated, p) == pytest.approx(ratio, rel=DILATION_REL)
