@@ -14,7 +14,7 @@ from blq import entropic_bl_margin, gowers_profile
 from blq.catalog import loomis_whitney
 from blq.data import derive_adjoint_exponents
 from blq.entropy import renyi_bl_margin
-from blq.gowers import gowers_logconvexity_margin, parallelepiped_count, parallelogram_count, u2_ratio_scan
+from blq.gowers import gowers_logconvexity_margin, parallelepiped_count, parallelogram_count, real_line_u2_ratio
 from blq.grid import gaussian_grid
 
 lw = loomis_whitney(2)
@@ -61,5 +61,5 @@ family = [
     ((xs >= 0.5) & (xs <= 1.5)).astype(float),
     np.exp(-math.pi * (xs - 1.0) ** 2) * (1 + 0.25 * np.sin(12 * xs)),
 ]
-for label, ratio in zip(("gaussian", "indicator", "modulated"), u2_ratio_scan(family, spacing)):
-    print(f"U^2 / sqrt(U^1 U^3) for {label:9s}: {ratio:.6f}")
+for label, f in zip(("gaussian", "indicator", "modulated"), family):
+    print(f"U^2 / sqrt(U^1 U^3) for {label:9s}: {real_line_u2_ratio(f, spacing):.6f}")

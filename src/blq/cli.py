@@ -153,18 +153,13 @@ def _parse_number(x):
 class _Checks:
     """The assertion entries of one run, in declaration order.
 
-    ``tol`` is the one place ``--tol`` replaces a scenario tolerance (0 is a
-    valid override).  A runtime gate's entry holds its pass flag; the
-    measured seconds are volatile and go to ``measured_s`` instead.
+    A runtime gate's entry holds its pass flag; the measured seconds are
+    volatile and go to ``measured_s`` instead.
     """
 
-    def __init__(self, tol_override=None):
-        self.tol_override = tol_override
+    def __init__(self):
         self.entries = []
         self.measured_s = {}
-
-    def tol(self, default):
-        return default if self.tol_override is None else float(self.tol_override)
 
     def add(self, name, value, tolerance, passed):
         self.entries.append(
@@ -197,19 +192,19 @@ def _task_gaussian_bl(checks, *, cases, seed=0):
     for i, case in enumerate(cases):
         case = {"name": f"case{i}", **case}
         names.append(case["name"])
-        results[case["name"]] = _gaussian_bl_case(checks, seed, **case)
+        results[case["name"]] = _gaussian_bl_case(checks, **case)
     return {"cases": names}, results
 
 
-def _gaussian_bl_case(checks, seed, *, name, datum, expected=None, tol=1e-6, max_seconds=None):
+def _gaussian_bl_case(checks, *, name, datum, expected=None, tol=1e-6, max_seconds=None):
     datum = _datum_from_spec(datum)
-    report = validate_datum(datum, seed=seed)
+    report = validate_datum(datum)
     t0 = time.perf_counter()
     res = bl_gaussian_constant(datum)
     dt = time.perf_counter() - t0
     if expected is not None:
         err = abs(res.value - expected)
-        checks.at_most(f"{name}: value within tol", err, checks.tol(tol))
+        checks.at_most(f"{name}: value within tol", err, tol)
     checks.flag(f"{name}: converged", res.converged)
     if max_seconds is not None:
         checks.runtime(f"{name}: runtime", dt, max_seconds)
@@ -233,7 +228,7 @@ def _task_adjoint_gaussian(checks, *, datum, theta, p, rel_tol=1e-4, seed=None):
         "prefactor": adjoint_gaussian_prefactor(params, datum.dims, datum.ambient_dim),
         "p_i": list(params.p_i),
     }
-    checks.at_most("adjoint constant matches prefactor route", rel, checks.tol(rel_tol))
+    checks.at_most("adjoint constant matches prefactor route", rel, rel_tol)
     checks.flag("converged", res.converged)
     return {"theta": list(theta), "p": p}, results
 
@@ -246,7 +241,7 @@ def _task_identity_ai(checks, *, seed=2024, datum=None, n_data=20, tol=1e-4):
         res = identity_ai_residual(datum)
         worst = max(worst, res.residual)
         results[label] = {"residual": res.residual, "left_log": res.left_log, "right_log": res.right_log}
-    checks.at_most("max |log L - log R|", worst, checks.tol(tol))
+    checks.at_most("max |log L - log R|", worst, tol)
     return {"n_data": len(data)}, results
 
 
@@ -285,7 +280,7 @@ def _verify_random(
             gap = min(gap, m.margin + m.quadrature_estimate)
         min_margin_gap = min(min_margin_gap, gap)
         results[label] = {"cross_check_rel": worst, "min_margin_plus_estimate": gap}
-    checks.at_most("adjoint constant vs prefactor route (rel)", worst_rel, checks.tol(rel_tol))
+    checks.at_most("adjoint constant vs prefactor route (rel)", worst_rel, rel_tol)
     checks.at_least("forward inequality margins >= -estimate", min_margin_gap, 0.0)
     return {"n_data": len(data), "n_draws": n_draws, "n_functions": n_functions}, results
 
@@ -363,7 +358,7 @@ def _task_discrete(
             for m in discrete_adjoint_margins(F, maps, params, blv):
                 worst_margin = min(worst_margin, m.margin)
         results[name] = inst
-    checks.at_most("ABLs = BLs^{1/p-1} (rel)", worst_cons, checks.tol(tol))
+    checks.at_most("ABLs = BLs^{1/p-1} (rel)", worst_cons, tol)
     checks.add("discrete margins >= -1e-12", worst_margin, 1e-12, worst_margin >= -1e-12)
     return {"n_instances": len(instances), "n_functions": n_functions}, results
 
@@ -409,7 +404,7 @@ def _tomography_suite(
                 m = lower_bound_margin_from_tomograms(tom, tom_half, f, p, q)
                 min_gap = min(min_gap, m.margin + m.quadrature_estimate)
     results = {"l1_worst_dev": worst_l1, "min_margin_plus_estimate": min_gap}
-    checks.at_most("||Xf||_1/||f||_1 = 1 (dev)", worst_l1, checks.tol(l1_tol))
+    checks.at_most("||Xf||_1/||f||_1 = 1 (dev)", worst_l1, l1_tol)
     checks.at_least("lower-bound margins", min_gap, 0.0)
     # monotonicity chain in dimension 3
     worst_chain = math.inf
@@ -446,7 +441,7 @@ def _tomography_gamma(checks, *, seed, n_mc=10**6, p=2.0, q=0.5, rel_tol=0.02):
         mc = xx_constant_via_mc(d, p, q, n_mc, seed + d)
         rel = abs(c_exact - mc.value) / c_exact
         results[f"d{d}"] = {"gamma": c_exact, "mc": mc.value, "mc_stderr": mc.stderr, "rel": rel}
-        checks.at_most(f"d={d} Gamma vs MC (rel)", rel, checks.tol(rel_tol))
+        checks.at_most(f"d={d} Gamma vs MC (rel)", rel, rel_tol)
     return {"n_mc": n_mc, "p": p, "q": q}, results
 
 
@@ -469,7 +464,6 @@ def _tomography_restricted(checks, *, seed, d=3, p=0.5, n_mc=10**5, mu="great-ci
 
 
 def _task_gowers(checks, *, seed, N=64, d=2, n_functions=200, n_sets=20, N_sets=32, tol=1e-12):
-    tol = checks.tol(tol)
     rng = np.random.default_rng(seed)
     worst = math.inf
     for _ in range(n_functions):
@@ -498,7 +492,6 @@ def _task_gowers(checks, *, seed, N=64, d=2, n_functions=200, n_sets=20, N_sets=
 
 
 def _task_entropy(checks, *, datum="loomis_whitney_2", resolution=256, tol=1e-3, seed=None):
-    tol = checks.tol(tol)
     datum = _datum_from_spec(datum)
     bl = bl_gaussian_constant(datum).value
     d = datum.ambient_dim
@@ -557,7 +550,7 @@ def _task_perturbation(
         "direct_ratio_delta": coeffs[-1].direct_ratio_delta,
     }
     checks.add("first-order coefficient > 0", coeffs[-1].coefficient, 0.0, coeffs[-1].coefficient > 0)
-    checks.at_most("stability across resolutions", stability, checks.tol(stability_tol))
+    checks.at_most("stability across resolutions", stability, stability_tol)
     return {"theta": theta, "p": p, "resolutions": resolutions}, results
 
 
@@ -674,7 +667,7 @@ def _load_schema(name):
         return json.load(fh)
 
 
-def run_scenario(scenario, seed_override=None, tol_override=None) -> RunReport:
+def run_scenario(scenario, seed_override=None) -> RunReport:
     """Execute a scenario (path or dict); partial errors become failed
     assertions so a report is always produced."""
     if isinstance(scenario, (str, Path)):
@@ -688,7 +681,7 @@ def run_scenario(scenario, seed_override=None, tol_override=None) -> RunReport:
         scn["seed"] = int(seed_override)
     t0 = time.perf_counter()
     inputs_echo = dict(scn)
-    checks = _Checks(tol_override)
+    checks = _Checks()
     handler, route = _route(scn)
     kwargs = _cast({key: value for key, value in scn.items() if key not in route}, _key_casts())
     if "cases" in kwargs:
@@ -726,7 +719,7 @@ def _resolve_scenario_path(name):
 
 def _cmd_run(args):
     path = _resolve_scenario_path(args.scenario)
-    report = run_scenario(path, seed_override=args.seed, tol_override=args.tol)
+    report = run_scenario(path, seed_override=args.seed)
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
     dest = out_dir / f"{Path(path).stem}.report.json"
@@ -774,7 +767,6 @@ def main(argv=None) -> int:
     p_run.add_argument("scenario", help="path or scenarios/<name>.json stem")
     p_run.add_argument("--out", default=None, help="report output directory")
     p_run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    p_run.add_argument("--tol", type=float, default=None, help="override the main tolerance")
     p_run.set_defaults(func=_cmd_run)
     p_suite = sub.add_parser("suite", help="run every scenario in a directory")
     p_suite.add_argument("directory")

@@ -17,6 +17,7 @@ the final powers are floating point.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -59,23 +60,26 @@ class FiniteAbelianGroup:
         coords = np.asarray(coords) % np.array(self.factors)
         return coords @ np.array(self._strides)
 
+    @functools.cached_property
     def _table(self):
-        """Cached full int32 addition table; affordable up to the subgroup cap.
+        """The full int32 addition table; affordable up to the subgroup cap.
         Sum over the axes of ((x_a + y_a) mod n_a) * stride_a: the first term
         becomes the table, and one int32 buffer serves the other axes."""
-        table = getattr(self, "_add_table", None)
-        if table is None:
-            term = None
-            for x, n, stride in zip(self._coords.T.astype(np.int32), self.factors, self._strides):
-                term = np.add.outer(x, x, out=term)
-                term %= n
-                term *= stride
-                if table is None:
-                    table, term = term, None
-                else:
-                    table += term
-            object.__setattr__(self, "_add_table", table)
+        table = term = None
+        for x, n, stride in zip(self._coords.T.astype(np.int32), self.factors, self._strides):
+            term = np.add.outer(x, x, out=term)
+            term %= n
+            term *= stride
+            if table is None:
+                table, term = term, None
+            else:
+                table += term
         return table
+
+    @functools.cached_property
+    def _lattice(self):
+        """Every subgroup, see ``enumerate_subgroups``."""
+        return _subgroup_lattice(self)
 
 
 @dataclass(frozen=True)
@@ -149,11 +153,7 @@ def enumerate_subgroups(group: FiniteAbelianGroup, cap: int = SUBGROUP_CAP):
     """
     if group.order > count(cap, "cap"):
         raise CapExceededError(f"group order {group.order} exceeds the cap {cap}")
-    lattice = getattr(group, "_lattice", None)
-    if lattice is None:
-        lattice = _subgroup_lattice(group)
-        object.__setattr__(group, "_lattice", lattice)
-    return lattice
+    return group._lattice
 
 
 def _subgroup_lattice(group):
@@ -163,7 +163,7 @@ def _subgroup_lattice(group):
     table (#h m <= order entries each) the extensions, and one ``packbits``
     their masks; unseen masks are pushed in representative order."""
     order = group.order
-    table = group._table()
+    table = group._table
     # k = 0..lcm(factors): the last multiple is 0, in h, for every g
     ks = np.arange(math.lcm(*group.factors) + 1)[:, None, None]
     every = np.arange(order)

@@ -375,7 +375,7 @@ class PerturbationGapResult:
     j_index: int
     radius: float
     eps: float
-    direct_ratio_delta: Optional[float] = None
+    direct_ratio_delta: float
 
 
 def _cone_geometry(datum, j, kappa, radius, grid):
@@ -406,7 +406,7 @@ def _gap_integrand_sum(datum, params, j, kappa, radius, grid):
     return float(np.sum(total[:n]) * grid.cell_volume)
 
 
-def perturbation_gap(datum: BLDatum, params: AdjointParams, grid: GridSpec, eps: Optional[float] = 1e-3):
+def perturbation_gap(datum: BLDatum, params: AdjointParams, grid: GridSpec, eps: float = 1e-3):
     """First-order coefficient of the gaussian perturbation that beats ABLg.
 
     Takes the standard gaussian f, the index j with the largest c_j/theta_j
@@ -415,11 +415,12 @@ def perturbation_gap(datum: BLDatum, params: AdjointParams, grid: GridSpec, eps:
     p^{-d/2} theta_j p_j^{d_j/2} e^{(pi/2)(p-p_j) R^2} = 2; the perturbation
     h = -f restricted to the cone outside radius R then has a positive
     first-order effect on the adjoint quotient.  Evaluated by grid
-    quadrature on ``grid`` with a dyadic-coarsening self-estimate.
+    quadrature on ``grid`` with a dyadic-coarsening self-estimate, and
+    directly: ``direct_ratio_delta`` is the functional's relative change at f + eps h.
     """
     if params.mode != "forward" or params.p >= 1.0:
         raise ParameterDomainError("perturbation gap needs forward mode with p < 1")
-    eps = None if eps is None else exponent(eps, "eps")
+    eps = exponent(eps, "eps")
     ratios = [c / t for c, t in zip(datum.exponents, params.theta)]
     j = int(np.argmax(ratios))
     if ratios[j] <= 1.0 + 1e-12:
@@ -441,30 +442,26 @@ def perturbation_gap(datum: BLDatum, params: AdjointParams, grid: GridSpec, eps:
             f"quadrature self-estimate {estimate:.3e} exceeds "
             f"{MAX_SELF_ESTIMATE:.0%} of the coefficient {coeff:.3e}"
         )
-    direct = None if eps is None else _direct_ratio_delta(datum, params, j, kappa, radius, grid, eps)
     return PerturbationGapResult(
         coefficient=coeff,
         quadrature_estimate=estimate,
         j_index=j,
         radius=radius,
-        eps=float(eps) if eps is not None else 0.0,
-        direct_ratio_delta=direct,
+        eps=float(eps),
+        direct_ratio_delta=_direct_ratio_delta(datum, params, j, kappa, radius, grid, eps),
     )
 
 
 def _direct_ratio_delta(datum, params, j, kappa, radius, grid, eps):
-    f_vals = np.empty(math.prod(grid.resolution))
-    mask = np.empty(f_vals.size, dtype=bool)
+    """One array holds f's values, then g's; each grid lives for one log_lambda
+    call, so its cached masses are gone before the values change."""
+    vals = np.empty(math.prod(grid.resolution))
+    mask = np.empty(vals.size, dtype=bool)
     for cells, norm_sq, _, cone in _cone_geometry(datum, j, kappa, radius, grid):
-        f_vals[cells] = np.exp(-math.pi * norm_sq)
+        vals[cells] = np.exp(-math.pi * norm_sq)
         mask[cells] = cone
-    f = GridFunction(grid.box, grid.resolution, f_vals.reshape(grid.resolution))
-    del f_vals  # only f, later only g, is alive while log_lambda runs
     # with bl = 1 the bl factor drops out of the ratio
-    log_f = log_lambda(f, datum, params, 1.0)
-    g_vals = f.values.ravel().copy()
-    del f
-    g_vals[mask] -= eps * g_vals[mask]  # g = f + eps * h with h = -f on the cone
-    g = GridFunction(grid.box, grid.resolution, g_vals.reshape(grid.resolution))
-    del g_vals
-    return math.exp(log_lambda(g, datum, params, 1.0) - log_f) - 1.0
+    log_f = log_lambda(GridFunction._over(grid, vals.reshape(grid.resolution)), datum, params, 1.0)
+    vals[mask] -= eps * vals[mask]  # g = f + eps * h with h = -f on the cone
+    log_g = log_lambda(GridFunction._over(grid, vals.reshape(grid.resolution)), datum, params, 1.0)
+    return math.exp(log_g - log_f) - 1.0

@@ -153,8 +153,3 @@ def real_line_u2_ratio(samples, spacing):
     u2 = gowers_norm(padded, 2, measure_weight=spacing)
     u3 = gowers_norm(padded, 3, measure_weight=spacing, cap=len(padded))
     return u2 / math.sqrt(u1 * u3)
-
-
-def u2_ratio_scan(functions, spacing):
-    """Ratios over a caller-supplied family of sampled real-line functions."""
-    return [real_line_u2_ratio(f, spacing) for f in functions]

@@ -30,13 +30,14 @@ pushforwards.
 Grids the library builds from values it has just made (the output of
 ``refine``, of ``grid_pushforward`` and of ``random_grid_function``) go
 through the private ``GridFunction._over``, which keeps those values
-read-only without the public constructor's copy and checks.  A refinement
-computes its cell masses once, and ``grid_pushforward`` bins them for every
-map; any other grid's masses are formed per pushforward and not kept.
+read-only without the public constructor's copy and checks.  Every grid
+forms its cell masses once, on its first pushforward, and every later
+pushforward of it bins the same array.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import OrderedDict
@@ -117,8 +118,6 @@ class GridFunction(GridSpec):
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
-    _masses = None  # not a field: the cell masses of a refinement, see ``refine``
-
     @classmethod
     def _over(cls, spec: GridSpec, values):
         """A grid over values the library has just built and checked itself
@@ -135,18 +134,17 @@ class GridFunction(GridSpec):
     def mass(self):
         return float(self.values.sum() * self.cell_volume)
 
-    def refine(self, factor=2):
-        """Split every cell into factor^d subcells with the same value (exact).
+    @functools.cached_property
+    def masses(self):
+        """f * cell_volume per cell, flat in C order; formed once per grid."""
+        return self.values.ravel() * self.cell_volume
 
-        The refinement's cell masses are computed here, once, and every
-        ``grid_pushforward`` of it bins them."""
-        factor = count(factor, "factor")
+    def refine(self):
+        """Split every cell into 2^d subcells with the same value (exact)."""
         vals = self.values
         for ax in range(self.dim):
-            vals = np.repeat(vals, factor, axis=ax)
-        fine = GridFunction._over(GridSpec(self.box, tuple(n * factor for n in self.resolution)), vals)
-        object.__setattr__(fine, "_masses", _cell_masses(fine))
-        return fine
+            vals = np.repeat(vals, 2, axis=ax)
+        return GridFunction._over(GridSpec(self.box, tuple(2 * n for n in self.resolution)), vals)
 
     def normalized(self):
         m = self.mass
@@ -202,18 +200,14 @@ def random_grid_function(box, resolution, seed, zero_fraction=0.0, smooth=0):
     return GridFunction._over(spec, vals)
 
 
-def _cell_masses(f: GridFunction):
-    """f * cell_volume per cell, flat in C order."""
-    return f.values.ravel() * f.cell_volume
-
-
 def lp_norm(f: GridFunction, p) -> float:
     """(sum f^p * cell_volume)^{1/p}; p = inf returns the max value."""
     p = exponent(p, "p", inf=True)
     if p == math.inf:
         return float(f.values.max())
-    vals = np.where(f.values < TINY_FLUSH, 0.0, f.values)
-    total = float(np.sum(vals**p)) * f.cell_volume
+    vals = f.values**p
+    np.putmask(vals, f.values < TINY_FLUSH, 0.0)
+    total = float(np.sum(vals)) * f.cell_volume
     return total ** (1.0 / p)
 
 
@@ -248,6 +242,12 @@ class _BinIndexCache:
         if entry is not None:
             self._entries.move_to_end(key)
         return entry
+
+    def make_room(self, nbytes):
+        """Evict, oldest first, what the ``put`` of an entry of ``nbytes``
+        would, before that entry is built."""
+        while self._entries and self.nbytes + nbytes > self.cap_bytes:
+            self._entries.popitem(last=False)
 
     def put(self, key, entry):  # for a key that ``get`` missed
         self._entries[key] = entry
@@ -306,7 +306,7 @@ def _bin_index(f: GridFunction, B, target: GridSpec):
         outside.append(~inside)
     outside = np.concatenate(outside)
     if outside.any():
-        masses = _cell_masses(f)
+        masses = f.masses
         total = float(masses.sum())
         frac = float(masses[outside].sum()) / total if total > 0 else 1.0
         raise CoverageError(
@@ -336,11 +336,11 @@ def grid_pushforward(f: GridFunction, B, target: Optional[GridSpec] = None) -> G
         finite(B, "B")
         if target is None:
             target = _auto_target(f, B)
+        _BIN_INDEX_CACHE.make_room(4 * f.values.size)  # an int32 bin per source cell
         entry = (target, _bin_index(f, B, target))
         _BIN_INDEX_CACHE.put(key, entry)
     target, flat = entry
-    masses = _cell_masses(f) if f._masses is None else f._masses
-    acc = np.bincount(flat, weights=masses, minlength=math.prod(target.resolution))
+    acc = np.bincount(flat, weights=f.masses, minlength=math.prod(target.resolution))
     vals = (acc / target.cell_volume).reshape(target.resolution)
     if not math.isfinite(vals.max()):  # finite masses over a cell volume at or near underflow
         raise InputError("pushforward values must be finite: the target cells are too small")
@@ -404,7 +404,7 @@ def adjoint_margin(f: GridFunction, datum, params, bl_value: float) -> Inequalit
         raise MassError("margin undefined for the zero function")
     lhs = lp_norm(f, params.p)
     rhs = math.exp(adjoint_log_rhs(f, datum, params, exponent(bl_value, "bl_value")))
-    rhs_fine = math.exp(adjoint_log_rhs(f.refine(2), datum, params, bl_value))
+    rhs_fine = math.exp(adjoint_log_rhs(f.refine(), datum, params, bl_value))
     drift = abs((rhs - lhs) - (rhs_fine - lhs))
     return InequalityMargin.from_sides(lhs, rhs, params.mode, drift)
 

@@ -80,8 +80,8 @@ class DirectionSet:
         return self.vectors.shape[1]
 
     @classmethod
-    def uniform_circle(cls, n, offset=0.0):
-        angles = offset + 2.0 * math.pi * np.arange(count(n, "n", minimum=0)) / n
+    def uniform_circle(cls, n):
+        angles = 2.0 * math.pi * np.arange(count(n, "n", minimum=0)) / n
         return cls.from_vectors(np.stack([np.cos(angles), np.sin(angles)], axis=1))
 
     @classmethod
@@ -95,10 +95,10 @@ class DirectionSet:
         return cls.from_vectors(v)
 
     @classmethod
-    def great_circle(cls, n, normal=(0.0, 0.0, 1.0)):
-        """Directions confined to the great circle orthogonal to ``normal``."""
-        normal = np.asarray(normal, dtype=float)
-        u, w = _orthonormal_complement(normal / np.linalg.norm(normal)).T
+    def great_circle(cls, n):
+        """Directions confined to the equator of the sphere in R^3, the great
+        circle spanned by e_0 and e_1."""
+        u, w = np.eye(3)[:2]
         angles = 2.0 * math.pi * np.arange(count(n, "n", minimum=0)) / n
         return cls.from_vectors(np.outer(np.cos(angles), u) + np.outer(np.sin(angles), w))
 
@@ -185,10 +185,6 @@ class TomogramSamples:
     offsets_axes: tuple
     values: np.ndarray
     offset_cell_volume: float
-
-    @property
-    def dim(self):
-        return self.directions.shape[1]
 
     def _per_dir(self, g):
         """The offset integral of g(values) for each direction."""

@@ -64,14 +64,12 @@ def test_schema_error_for_a_misspelt_key_is_one_line():
     assert "'n_function' was unexpected" in text
 
 
-def test_zero_tolerance_override_is_honoured():
-    young = {"task": "gaussian-bl", "seed": 0, "cases": [{"name": "young", "datum": "young", "expected": 0.8660254037844386, "tol": 1e-4}]}
-    assert run_scenario(dict(young)).passed
-    report = run_scenario(dict(young), tol_override=0.0)
-    assert report.assertions[0]["tolerance"] == 0.0
-    assert not report.passed  # |BLg - sqrt(3)/2| is one ulp, above a zero tolerance
-    gowers = run_scenario(dict(FAST_GOWERS), tol_override=0.0)
-    assert gowers.assertions[0]["tolerance"] == 0.0
+def test_tolerances_come_only_from_the_scenario(capsys):
+    # every tolerance is a scenario key; there is no command-line override
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", str(SCENARIOS / "11_determinism_probe.json"), "--tol", "0"])
+    assert exit_info.value.code == 2 and "--tol" in capsys.readouterr().err
+    assert list(inspect.signature(run_scenario).parameters) == ["scenario", "seed_override"]
 
 
 def test_adjoint_verify_solves_once_per_datum(monkeypatch):
@@ -374,9 +372,9 @@ def test_case_expected_and_tol_reach_the_handler_as_floats(monkeypatch):
     seen = []
     original = blq.cli._gaussian_bl_case
 
-    def recording(checks, seed, **case):
+    def recording(checks, **case):
         seen.append((case.get("expected"), case.get("tol")))
-        return original(checks, seed, **case)
+        return original(checks, **case)
 
     monkeypatch.setattr(blq.cli, "_gaussian_bl_case", recording)
     cases = [
@@ -388,7 +386,6 @@ def test_case_expected_and_tol_reach_the_handler_as_floats(monkeypatch):
     assert seen == [(1.0, 0.001), (None, None)] and type(seen[0][0]) is float and type(seen[0][1]) is float
     assert report.passed and report.assertions[0]["tolerance"] == 0.001
     assert cases[0] == {"name": "holder", "datum": "holder_identity_2", "expected": "1", "tol": "1/1000"}
-    assert run_scenario(scenario, tol_override=0.0).assertions[0]["tolerance"] == 0.0
 
 
 @pytest.mark.parametrize("resolutions", [[0, 64], [64, -4]])

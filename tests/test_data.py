@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -6,10 +7,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import null_space
 
-from blq.catalog import holder_identity, loomis_whitney, young
+from blq.catalog import (
+    NAMED_DATA,
+    conjugate_datum,
+    holder_identity,
+    loomis_whitney,
+    named_datum,
+    seeded_feasible_data,
+    young,
+)
 from blq.data import (
+    RANK_TOL,
+    SCALING_TOL,
     BLDatum,
+    _rank,
     adjoint_gaussian_prefactor,
     derive_adjoint_exponents,
     validate_datum,
@@ -53,11 +66,98 @@ def test_non_surjective_map_rejected():
         BLDatum(maps=(np.eye(2), np.array([[1.0, 0.0], [2.0, 0.0]])), exponents=(1.0, 1.0))
 
 
-def test_validate_deterministic_given_seed():
-    datum = loomis_whitney(3)
-    a = validate_datum(datum, n_random=7, seed=123)
-    b = validate_datum(datum, n_random=7, seed=123)
+def test_validate_is_deterministic():
+    datum = conjugate_datum(loomis_whitney(3), 5)
+    a, b = validate_datum(datum), validate_datum(datum)
     assert a == b
+    assert [c.label for c in a.tested_subspaces] == [c.label for c in b.tested_subspaces]
+
+
+def _old_family(datum, n_random=20, seed=0):
+    """The family validate_datum screened before it was pruned: the zero and
+    full subspaces, the kernels and their pairwise intersections, the
+    coordinate subspaces, and n_random seeded random subspaces per dimension."""
+    d = datum.ambient_dim
+    family = [np.zeros((d, 0)), np.eye(d)]
+    family += [k for k in (null_space(b) for b in datum.maps) if k.shape[1] > 0]
+    for a, b in itertools.combinations(datum.maps, 2):
+        inter = null_space(np.vstack([a, b]))
+        if 0 < inter.shape[1] < d:
+            family.append(inter)
+    axes = [(a,) for a in range(d)] if d > 8 else [s for r in range(1, d) for s in itertools.combinations(range(d), r)]
+    family += [np.eye(d)[:, list(s)] for s in axes]
+    rng = np.random.default_rng(seed)
+    for dim in range(1, d):
+        for _ in range(n_random):
+            q, _ = np.linalg.qr(rng.standard_normal((d, dim)))
+            family.append(q)
+    return family
+
+
+def _weighted_image_dim(datum, basis):
+    """sum c_i dim(B_i V) by validate_datum's rank rule; 0 for the zero subspace."""
+    if basis.shape[1] == 0:
+        return 0.0
+    return sum(
+        c * _rank(b @ basis, RANK_TOL * np.linalg.norm(b, 2)) for c, b in zip(datum.exponents, datum.maps)
+    )
+
+
+def _old_verdict(datum):
+    ok = all(basis.shape[1] <= _weighted_image_dim(datum, basis) + SCALING_TOL for basis in _old_family(datum))
+    return "feasible(heuristic)" if datum.satisfies_scaling() and ok else "infeasible"
+
+
+def _kernel_violation(turn):
+    """Scaling holds (1/2 * 2 + 1 * 1 = 2), but dim ker B_1 = 1 > 1/2 * 1 + 1 * 0."""
+    return BLDatum(maps=(np.eye(2), np.array([[1.0, 0.0]]) @ turn), exponents=(0.5, 1.0))
+
+
+# scaling fails; the kernel is a coordinate axis; the kernel is off the axes
+# (the datum turned by 45 degrees, and seeded conjugates of it), so that no
+# coordinate subspace fails and only the kernel can
+INFEASIBLE = [
+    ("single projection", BLDatum(maps=(np.array([[1.0, 0.0]]),), exponents=(1.0,))),
+    ("coordinate kernel", _kernel_violation(np.eye(2))),
+    ("turned kernel", _kernel_violation(np.array([[1.0, 1.0], [-1.0, 1.0]]) / math.sqrt(2.0))),
+] + [(f"conjugate #{s}", conjugate_datum(_kernel_violation(np.eye(2)), s)) for s in range(10)]
+FEASIBLE = [(name, named_datum(name)) for name in NAMED_DATA] + seeded_feasible_data(40)
+
+
+@pytest.mark.parametrize(
+    "datum, expected",
+    [(datum, "feasible(heuristic)") for _, datum in FEASIBLE] + [(datum, "infeasible") for _, datum in INFEASIBLE],
+    ids=[label for label, _ in FEASIBLE + INFEASIBLE],
+)
+def test_pruned_family_decides_as_the_old_family(datum, expected):
+    """Dropping the zero, full and random subspaces changes no verdict."""
+    assert _old_verdict(datum) == expected
+    assert validate_datum(datum).verdict == expected
+
+
+def test_a_kernel_off_the_axes_is_caught_by_the_kernel_member():
+    # B_1 applied to its own kernel is rounding noise, which the rank rule
+    # relative to ||B_1|| reads as rank 0
+    for label, datum in INFEASIBLE[2:]:
+        failed = [c.label for c in validate_datum(datum).tested_subspaces if not c.passed]
+        assert failed == ["ker B_1"], label
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5), k=st.integers(1, 4))
+def test_random_subspaces_pass_whenever_scaling_holds(seed, d, k):
+    """A generic V of dimension m has dim(B_i V) = min(m, d_i) >= m d_i / d, so
+    once sum(c_i d_i) = d it satisfies dim V <= sum(c_i dim(B_i V))."""
+    rng = np.random.default_rng(seed)
+    dims = rng.integers(1, d + 1, size=k)
+    raw = rng.uniform(0.1, 1.0, size=k)
+    c = raw * d / float(np.dot(raw, dims))  # scaling holds, to rounding
+    datum = BLDatum(tuple(rng.standard_normal((int(di), d)) for di in dims), tuple(c))
+    assert datum.satisfies_scaling()
+    for dim in range(1, d):
+        for _ in range(5):
+            basis, _ = np.linalg.qr(rng.standard_normal((d, dim)))
+            assert dim <= _weighted_image_dim(datum, basis) + SCALING_TOL
 
 
 def test_lw_adjoint_exponents_by_hand():
@@ -203,14 +303,6 @@ def test_non_finite_exponent_rejected(c):
         BLDatum(maps=(np.eye(2),), exponents=(c,))
     with pytest.raises(DatumError, match="finite"):
         BLDatum.from_json_dict({"maps": [[[1.0, 0.0]], [[0.0, 1.0]]], "c": [1.0, c]})
-
-
-def test_verdict_monotone_in_test_family_size():
-    # a datum caught as infeasible by the deterministic family stays
-    # infeasible no matter how many extra random subspaces are added
-    datum = BLDatum(maps=(np.eye(2), np.array([[1.0, 0.0]])), exponents=(0.5, 1.0))
-    for n_random in (0, 5, 40):
-        assert validate_datum(datum, n_random=n_random).verdict == "infeasible"
 
 
 def _log_rhs_by_hand(params, norms, bl_value):

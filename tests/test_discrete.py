@@ -267,7 +267,7 @@ def reference_lattice(group):
     """The subgroup lattice by one closure per (subgroup, generator): each
     coset representative g of a popped subgroup h gives h + <g> from g's
     algebraic order, one table lookup and one ``np.unique``."""
-    table = group._table()
+    table = group._table
 
     def subgroup(generators, indices):
         bits = np.zeros(group.order, dtype=bool)
@@ -365,7 +365,7 @@ def test_addition_table_is_the_coordinate_sum_table(factors):
     strides = np.array([math.prod(factors[i + 1 :]) for i in range(len(factors))])
     coords = g._coords
     expected = (((coords[:, None, :] + coords[None, :, :]) % np.array(factors)) @ strides).astype(np.int32)
-    table = g._table()
+    table = g._table
     assert table.dtype == np.int32 and np.array_equal(table, expected)
 
 
@@ -373,7 +373,7 @@ def test_addition_table_peak_is_a_few_tables():
     g = FiniteAbelianGroup((32, 32))
     tracemalloc.start()
     try:
-        table = g._table()
+        table = g._table
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

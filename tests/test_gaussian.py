@@ -334,9 +334,7 @@ def test_perturbation_rejects_theta_equals_c():
 def test_perturbation_vanishes_near_p_one():
     datum = loomis_whitney(2)
     params = derive_adjoint_exponents(datum.exponents, (0.9, 0.1), 0.999)
-    res = perturbation_gap(
-        datum, params, eps=None, grid=GridSpec(box=((-8, 8), (-8, 8)), resolution=(128, 128))
-    )
+    res = perturbation_gap(datum, params, GridSpec(box=((-8, 8), (-8, 8)), resolution=(128, 128)))
     assert abs(res.coefficient) < 1e-8
 
 

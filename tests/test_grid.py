@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -107,7 +108,7 @@ def test_pushforward_coverage_error():
 
 def test_refine_and_coarsen_are_exact_inverses():
     f = random_grid_function(BOX2, (16, 16), seed=5)
-    g = f.refine(2)
+    g = f.refine()
     assert g.mass == pytest.approx(f.mass, rel=1e-14)
     assert lp_norm(g, 0.7) == pytest.approx(lp_norm(f, 0.7), rel=1e-13)
     back = g.values.reshape(16, 2, 16, 2).mean(axis=(1, 3))  # the average of each 2x2 block
@@ -312,6 +313,20 @@ def test_bin_index_cache_stays_within_its_cap():
     cache.clear()
 
 
+def test_the_cache_evicts_before_it_builds_an_index(monkeypatch):
+    # an index being built never sits beside the entries its arrival evicts
+    cache = grid._BIN_INDEX_CACHE
+    cache.clear()
+    held = []
+    original = grid._bin_index
+    monkeypatch.setattr(grid, "_bin_index", lambda f, B, t: held.append(cache.nbytes) or original(f, B, t))
+    f = GridFunction.constant(1.0, BOX2, (700, 700))  # a 1.96 MB index: two fit under the cap
+    for B in np.random.default_rng(3).standard_normal((4, 1, 2)):
+        grid_pushforward(f, B)
+    assert held == [0, 4 * 700**2, 4 * 700**2, 4 * 700**2] and len(cache) == 2
+    cache.clear()
+
+
 def test_margin_from_sides_sign_scale_and_estimate():
     fwd = InequalityMargin.from_sides(2.0, 5.0, "forward", drift=0.25)
     assert (fwd.lhs, fwd.rhs, fwd.margin, fwd.mode) == (2.0, 5.0, 3.0, "forward")
@@ -445,7 +460,7 @@ def _two_sided_margin(f, datum, params, bl_value):
         return lhs, math.exp(params.log_rhs(norms, bl_value))
 
     lhs, rhs = sides(f)
-    lhs_fine, rhs_fine = sides(f.refine(2))
+    lhs_fine, rhs_fine = sides(f.refine())
     return InequalityMargin.from_sides(lhs, rhs, params.mode, abs((rhs - lhs) - (rhs_fine - lhs_fine)))
 
 
@@ -501,6 +516,17 @@ def _parent_lp_norm(f, p):
         return float(f.values.max())
     vals = np.where(f.values < 1e-300, 0.0, f.values)
     return (float(np.sum(vals**p)) * f.cell_volume) ** (1.0 / p)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-290])
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.9, 1.0, 1.7, 3.0])
+def test_lp_norm_is_bitwise_the_flush_then_power_form(p, scale):
+    # zeros, and entries below the 1e-300 flush; at scale 1e-290 their powers
+    # for p < 1 would move the norm if they were not flushed
+    vals = scale * random_grid_function(BOX2, (64, 64), seed=8, zero_fraction=0.3).values
+    vals[::7, ::5] = 1e-310
+    f = GridFunction(BOX2, (64, 64), vals)
+    assert lp_norm(f, p) == _parent_lp_norm(f, p)
 
 
 def _parent_auto_target(f, B):
@@ -602,13 +628,14 @@ def test_a_margin_computes_the_refined_masses_once(monkeypatch):
     params = derive_adjoint_exponents(datum.exponents, (0.1, 0.2, 0.3, 0.4), 0.7)
     f = random_grid_function(((-1.0, 1.0),) * 3, (10, 12, 8), seed=4)
     seen = []
-    original = grid._cell_masses
-    monkeypatch.setattr(grid, "_cell_masses", lambda g: seen.append(g.resolution) or original(g))
+    original = grid.GridFunction.masses.func
+    counted = functools.cached_property(lambda g: seen.append(g.resolution) or original(g))
+    counted.__set_name__(grid.GridFunction, "masses")
+    monkeypatch.setattr(grid.GridFunction, "masses", counted)
     adjoint_margin(f, datum, params, 1.0)
-    assert seen.count((20, 24, 16)) == 1  # the refinement: once for all 4 maps
-    assert seen.count((10, 12, 8)) == 4  # the caller's grid: once per map, not kept
-    assert len(seen) == 5
-    assert f._masses is None
+    # the caller's grid and the refinement: each once for all 4 maps
+    assert seen == [(10, 12, 8), (20, 24, 16)]
+    assert np.array_equal(f.masses, f.values.ravel() * f.cell_volume) and len(seen) == 2  # kept on f
 
 
 def test_public_constructor_copies_and_checks_its_values():
@@ -625,12 +652,12 @@ def test_public_constructor_copies_and_checks_its_values():
 
 def test_library_built_grids_are_read_only():
     f = random_grid_function(BOX2, (12, 10), seed=1, zero_fraction=0.3, smooth=1)
-    fine = f.refine(2)
+    fine = f.refine()
     g = grid_pushforward(f, np.array([[1.0, 0.5]]))
     for h in (f, fine, g):
         assert not h.values.flags.writeable and h.values.shape == h.resolution
         assert h.values.dtype == np.float64 and h.values.flags.c_contiguous
-    assert np.array_equal(fine._masses, fine.values.ravel() * fine.cell_volume)
+    assert np.array_equal(fine.masses, fine.values.ravel() * fine.cell_volume)
     with pytest.raises(ValueError, match="resolution must be an integer >= 1"):
         random_grid_function(BOX2, (0, 4), seed=1)  # the geometry is still checked
 

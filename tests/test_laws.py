@@ -15,17 +15,26 @@ and on the scaling line (1/d)(1 - 1/q) = (1/(d-k))(1 - 1/p) the two powers
 agree, so ||T_k f||_q / ||f||_p does not move.  On the grid, doubling the box
 with the same values doubles every length of the quadrature exactly, so only
 the final powers round.
+
+Automorphisms of finite abelian groups: for automorphisms A of the source G
+and T_i of each target G_i, the data B_i and T_i B_i A have the same BLs and
+ABLs.  A maps the preimage intersections of one tuple (H_i) bijectively onto
+those of (T_i^{-1} H_i), and the subgroups H of G to A H with #(B_i A H) =
+#(B_i H), so both suprema are maxima of one expression over the same integer
+tables, and the values are equal, not merely close.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blq.catalog import NAMED_DATA, named_datum, random_adjoint_draws
+from blq.catalog import NAMED_DATA, discrete_instances, named_datum, random_adjoint_draws
 from blq.data import BLDatum, derive_adjoint_exponents
+from blq.discrete import GroupHom, abls_constant, bls_constant
 from blq.gaussian import abl_gaussian_constant, bl_gaussian_constant
 from blq.grid import GridFunction, lp_norm, random_grid_function
 from blq.tomography import DirectionSet, kplane_transform, scaling_exponent_q, xray_transform
@@ -115,3 +124,48 @@ def test_tomographic_bound_is_invariant_under_dilation(name, p, seed):
     q = scaling_exponent_q(p, f.dim, k)
     ratio = transform(f).lq(q) / lp_norm(f, p)
     assert transform(dilated).lq(q) / lp_norm(dilated, p) == pytest.approx(ratio, rel=DILATION_REL)
+
+
+DISCRETE = {name: (maps, [float(x) for x in c]) for name, maps, c in discrete_instances(256)}
+
+
+def _automorphism(group, rng, steps=12):
+    """A seeded automorphism of ``group`` as an integer matrix on coordinates:
+    a product of unit multiples of one coordinate, shears e_j -> e_j + k e_i
+    (a homomorphism when k n_j = 0 mod n_i; its inverse is the shear by -k)
+    and swaps of two coordinates of equal order.  Row i is reduced mod n_i."""
+    n = np.array(group.factors)
+    r = len(n)
+    a = np.eye(r, dtype=np.int64)
+    for _ in range(steps):
+        e = np.eye(r, dtype=np.int64)
+        kind, i, j = rng.integers(3), *rng.integers(r, size=2)
+        if kind == 0:
+            e[i, i] = rng.choice([u for u in range(1, n[i]) if math.gcd(u, int(n[i])) == 1] or [1])
+        elif kind == 1 and i != j:
+            e[i, j] = rng.choice([k for k in range(n[i]) if k * n[j] % n[i] == 0])
+        elif kind == 2 and n[i] == n[j]:
+            e[[i, j]] = e[[j, i]]
+        a = (e @ a) % n[:, None]
+    return a
+
+
+def _hom(matrix, source, target):
+    return GroupHom(tuple(tuple(int(x) for x in row) for row in matrix), source, target)
+
+
+@pytest.mark.parametrize("name", sorted(DISCRETE))
+@settings(max_examples=10, deadline=None)
+@given(seed=SEEDS)
+def test_discrete_constants_are_invariant_under_automorphisms(name, seed):
+    maps, c = DISCRETE[name]
+    source = maps[0].source
+    rng = np.random.default_rng(seed)
+    a = _automorphism(source, rng)
+    assert len(set(_hom(a, source, source).image_indices().tolist())) == source.order  # a bijection
+    moved = tuple(
+        _hom(_automorphism(m.target, rng) @ np.array(m.matrix) @ a, source, m.target) for m in maps
+    )
+    assert bls_constant(moved, c)[0] == bls_constant(maps, c)[0]
+    for p in (Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)):
+        assert abls_constant(moved, c, p)[0] == abls_constant(maps, c, p)[0]
