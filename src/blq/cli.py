@@ -61,6 +61,7 @@ from .tomography import (
 )
 
 _XRAY_CHUNK = 8  # functions per sampled x-ray batch of the lower-bound suite; one chunk's tomograms are alive
+_RANDOM_RESOLUTION = {2: 64, 3: 24, 4: 10}  # cells per axis of adjoint-verify's random functions on [-1, 1]^d
 
 
 def canonical_json(obj) -> str:
@@ -245,13 +246,9 @@ def _task_identity_ai(checks, *, seed=2024, datum=None, n_data=20, tol=1e-4):
     return {"n_data": len(data)}, results
 
 
-def _verify_random(
-    checks, *, seed, datum=None, n_data=20, seed0=2024, n_draws=5, n_functions=200, rel_tol=1e-4, grid=None
-):
+def _verify_random(checks, *, seed, datum=None, n_data=20, seed0=2024, n_draws=5, n_functions=200, rel_tol=1e-4):
     results = {}
     data = _data(datum, n_data, seed0)
-    res_table = {2: 64, 3: 24, 4: 10}
-    grid = grid or {}
     worst_rel = 0.0
     min_margin_gap = math.inf
     for t, (label, datum) in enumerate(data):
@@ -267,9 +264,7 @@ def _verify_random(
             worst = max(worst, abs(res.value - res.cross_check) / abs(res.cross_check))
         worst_rel = max(worst_rel, worst)
         d = datum.ambient_dim
-        box = tuple((float(a), float(b)) for a, b in grid.get("box", [[-1, 1]] * d))
-        res = grid.get("resolution", res_table[d])
-        res = (res,) * d if isinstance(res, int) else tuple(int(n) for n in res)
+        box, res = ((-1.0, 1.0),) * d, (_RANDOM_RESOLUTION[d],) * d
         rng = np.random.default_rng(seed + 1000 + t)
         gap = math.inf
         for j in range(n_functions):
@@ -717,13 +712,18 @@ def _resolve_scenario_path(name):
     raise SchemaError(f"scenario {name!r} not found (tried {p} and {candidate})")
 
 
+def _write_report(report, path, out_dir):
+    """Write ``report`` to ``<out_dir>/<stem of path>.report.json`` and return that path."""
+    dest = Path(out_dir) / f"{Path(path).stem}.report.json"
+    dest.parent.mkdir(parents=True, exist_ok=True)
+    emit_report(report, dest)
+    return dest
+
+
 def _cmd_run(args):
     path = _resolve_scenario_path(args.scenario)
     report = run_scenario(path, seed_override=args.seed)
-    out_dir = Path(args.out) if args.out else Path(".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dest = out_dir / f"{Path(path).stem}.report.json"
-    emit_report(report, dest)
+    dest = _write_report(report, path, args.out)
     status = "PASS" if report.passed else "FAIL"
     print(f"{status} {path} ({report.wall_time_s:.2f} s) -> {dest}")
     for a in report.assertions:
@@ -742,12 +742,10 @@ def _cmd_suite(args):
         print(f"no scenarios in {directory}", file=sys.stderr)
         return 2
     rows = []
-    out_dir = Path(args.out) if args.out else Path(".")
-    out_dir.mkdir(parents=True, exist_ok=True)
     for path in paths:
         try:
             report = run_scenario(path)
-            emit_report(report, out_dir / f"{path.stem}.report.json")
+            _write_report(report, path, args.out)
             n_pass = sum(a["passed"] for a in report.assertions)
             status = "PASS" if report.passed else "FAIL"
             rows.append((path.name, report.task, f"{n_pass}/{len(report.assertions)}", f"{report.wall_time_s:.2f}s", status))
@@ -765,12 +763,12 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="run one scenario")
     p_run.add_argument("scenario", help="path or scenarios/<name>.json stem")
-    p_run.add_argument("--out", default=None, help="report output directory")
+    p_run.add_argument("--out", default=".", help="report output directory")
     p_run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p_run.set_defaults(func=_cmd_run)
     p_suite = sub.add_parser("suite", help="run every scenario in a directory")
     p_suite.add_argument("directory")
-    p_suite.add_argument("--out", default=None)
+    p_suite.add_argument("--out", default=".")
     p_suite.set_defaults(func=_cmd_suite)
     args = parser.parse_args(argv)
     try:

@@ -127,17 +127,15 @@ class AdjointParams:
 
     def residuals(self, exponents):
         """Defect of c_i(1 - 1/p) - theta_i(1 - 1/p_i) for each i."""
-        s = 0.0 if math.isinf(self.p) else 1.0 / self.p
         return tuple(
-            c * (1.0 - s) - t * (1.0 - 1.0 / q)
+            c * (1.0 - 1.0 / self.p) - t * (1.0 - 1.0 / q)
             for c, t, q in zip(exponents, self.theta, self.p_i)
         )
 
     def log_rhs(self, marginal_norms, bl_value):
         """(1/p - 1) log bl + sum theta_i log n_i; the marginal norms n_i (a
         generator is fine) are consumed in order, after the bl term."""
-        s = 0.0 if math.isinf(self.p) else 1.0 / self.p
-        total = (s - 1.0) * math.log(bl_value)
+        total = (1.0 / self.p - 1.0) * math.log(bl_value)
         for t, n in zip(self.theta, marginal_norms):
             total += t * math.log(n)
         return total
@@ -227,10 +225,9 @@ def derive_adjoint_exponents(exponents: Sequence, theta: Sequence, p) -> Adjoint
             "sign pattern/exponent mismatch: forward needs all theta_i>0 and 0<p<=1, "
             "reverse needs exactly one theta_i>0 and p>=1"
         )
-    s = 0.0 if math.isinf(p) else 1.0 / p
     p_i = []
     for i, (c, t) in enumerate(zip(exponents, theta)):
-        denom = 1.0 + (c / t) * (s - 1.0)
+        denom = 1.0 + (c / t) * (1.0 / p - 1.0)
         if denom <= 0 or not math.isfinite(denom):
             raise ParameterDomainError(f"derived exponent p_{i} undefined (1/p_i = {denom})")
         q = 1.0 / denom
@@ -250,10 +247,9 @@ def adjoint_gaussian_prefactor(params: AdjointParams, dims: Sequence[int], d: in
         raise ParameterDomainError("dims length must match theta length")
     d = count(d, "d")
     log_c = 0.0
-    if not math.isinf(params.p):
-        e0 = -d / (2.0 * params.p)
-        if e0 != 0.0:
-            log_c += e0 * math.log(params.p)
+    e0 = -d / (2.0 * params.p)  # -0.0 at p = inf
+    if e0 != 0.0:
+        log_c += e0 * math.log(params.p)
     for t, di, q in zip(params.theta, dims, params.p_i):
         e = t * di / (2.0 * q)
         if e != 0.0:

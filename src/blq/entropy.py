@@ -33,11 +33,14 @@ def _normalized(v, w):
     return v / mass
 
 
-def _shannon(v, w):
-    g = _normalized(v, w)
+def _neg_log_term(v):
+    """-v log v entrywise, with 0 log 0 = 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(g > 0, -g * np.log(g), 0.0)
-    return float(np.sum(t * w))
+        return np.where(v > 0, -v * np.log(v), 0.0)
+
+
+def _shannon(v, w):
+    return float(np.sum(_neg_log_term(_normalized(v, w)) * w))
 
 
 def shannon_entropy(f) -> float:

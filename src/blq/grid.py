@@ -23,9 +23,10 @@ map and the target argument, so ``grid_pushforward`` caches it whole: the
 target grid (the default one included) and the int32 target bin of every
 source cell.  A cache hit neither rebuilds the default target nor re-bins; a
 geometry whose image escapes the target box raises on every call and leaves
-no entry.  The cache is a process-wide LRU capped at a fixed 4 MiB; nothing
-about it can be set.  Cached and freshly built operators give bit-identical
-pushforwards.
+no entry.  A target of more than 2^31 - 1 cells raises :class:`InputError`
+before anything is built.  The cache is a process-wide LRU with a fixed 4 MiB
+cap that nothing sets; a miss evicts before it builds, and a lone larger
+entry is kept.  Cached and fresh operators give bit-identical pushforwards.
 
 Grids the library builds from values it has just made (the output of
 ``refine``, of ``grid_pushforward`` and of ``random_grid_function``) go
@@ -220,50 +221,10 @@ def _auto_target(f: GridFunction, B) -> GridSpec:
     return GridSpec(box, (max(f.resolution),) * images.shape[1])
 
 
-class _BinIndexCache:
-    """Byte-capped LRU of pushforward operators, keyed on the geometry.
-
-    An entry is ``(target, index)``: the target grid and the flat target-bin
-    index array of every source cell; its bytes are the index's.  Entries
-    are evicted oldest first once their bytes exceed ``cap_bytes``; the
-    newest entry is kept even when it alone is larger than the cap.
-    """
-
-    def __init__(self, cap_bytes):
-        self.cap_bytes = cap_bytes
-        self._entries = OrderedDict()
-
-    @property
-    def nbytes(self):
-        return sum(index.nbytes for _, index in self._entries.values())
-
-    def get(self, key):
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-        return entry
-
-    def make_room(self, nbytes):
-        """Evict, oldest first, what the ``put`` of an entry of ``nbytes``
-        would, before that entry is built."""
-        while self._entries and self.nbytes + nbytes > self.cap_bytes:
-            self._entries.popitem(last=False)
-
-    def put(self, key, entry):  # for a key that ``get`` missed
-        self._entries[key] = entry
-        while self.nbytes > self.cap_bytes and len(self._entries) > 1:
-            self._entries.popitem(last=False)
-
-    def clear(self):
-        self._entries.clear()
-
-    def __len__(self):
-        return len(self._entries)
-
-
+_OPERATORS = OrderedDict()  # geometry key -> (target, int32 index), oldest use first
 # 4 MiB holds every geometry of one adjoint-verify datum (at most 2.6 MB:
 # 8 maps at the base and the refined resolution in d = 4)
-_BIN_INDEX_CACHE = _BinIndexCache(cap_bytes=4 << 20)
+_OPERATORS_CAP_BYTES = 4 << 20
 
 
 def row_blocks(resolution):
@@ -275,8 +236,7 @@ def row_blocks(resolution):
 
 
 def _bin_index(f: GridFunction, B, target: GridSpec):
-    """The flat target bin (int32, or int64 for a target too large for it)
-    of every cell centre of f's grid mapped by B.
+    """The flat int32 target bin of every cell centre of f's grid mapped by B.
 
     Built in row blocks; each target coordinate is an outer sum of per-axis
     terms, so no (N, d) array of points is formed.  Centres escaping the
@@ -284,7 +244,6 @@ def _bin_index(f: GridFunction, B, target: GridSpec):
     """
     axes = f.centers()
     d = len(axes)
-    wide = math.prod(target.resolution) > np.iinfo(np.int32).max
     flat, outside = [], []
     for rows, _ in row_blocks(f.resolution):
         block = [axes[0][rows]] + axes[1:]
@@ -302,7 +261,7 @@ def _bin_index(f: GridFunction, B, target: GridSpec):
             k = np.floor((y - lo) / (span / n)).astype(np.int64)
             np.clip(k, 0, n - 1, out=k)
             index = index * n + k
-        flat.append(index.astype(np.int64 if wide else np.int32))
+        flat.append(index.astype(np.int32))
         outside.append(~inside)
     outside = np.concatenate(outside)
     if outside.any():
@@ -329,16 +288,20 @@ def grid_pushforward(f: GridFunction, B, target: Optional[GridSpec] = None) -> G
     """
     B = np.asarray(B, dtype=float)
     key = (f.box, f.resolution, B.shape, B.tobytes(), target)
-    entry = _BIN_INDEX_CACHE.get(key)
+    entry = _OPERATORS.pop(key, None)
     if entry is None:  # a malformed B never hits: its key is never put
         if B.ndim != 2 or B.shape[1] != f.dim or (target is not None and len(B) != target.dim):
             raise InputError(f"B has shape {B.shape}, not (target dimension, {f.dim})")
         finite(B, "B")
         if target is None:
             target = _auto_target(f, B)
-        _BIN_INDEX_CACHE.make_room(4 * f.values.size)  # an int32 bin per source cell
+        if math.prod(target.resolution) > np.iinfo(np.int32).max:
+            raise InputError(f"target resolution {target.resolution} has more than 2^31 - 1 cells")
+        nbytes = 4 * f.values.size  # the int32 index about to be built
+        while _OPERATORS and nbytes + sum(i.nbytes for _, i in _OPERATORS.values()) > _OPERATORS_CAP_BYTES:
+            _OPERATORS.popitem(last=False)
         entry = (target, _bin_index(f, B, target))
-        _BIN_INDEX_CACHE.put(key, entry)
+    _OPERATORS[key] = entry
     target, flat = entry
     acc = np.bincount(flat, weights=f.masses, minlength=math.prod(target.resolution))
     vals = (acc / target.cell_volume).reshape(target.resolution)

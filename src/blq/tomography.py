@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import gammaln
 
-from .entropy import shannon_entropy
+from .entropy import _neg_log_term, shannon_entropy
 from .errors import InputError, ParameterDomainError, count, exponent, finite, nonnegative
 from .grid import GridFunction, InequalityMargin, grid_centers, lp_norm, mesh_points
 
@@ -205,9 +205,7 @@ class TomogramSamples:
         return float((self._per_dir(lambda v: v**r) ** (1.0 / r)).max())
 
     def entropy(self) -> float:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            per_dir = self._per_dir(lambda v: np.where(v > 0, -v * np.log(v), 0.0))
-        return float(np.sum(self.weights * per_dir))
+        return float(np.sum(self.weights * self._per_dir(_neg_log_term)))
 
 
 def _orthonormal_complement(omega):
@@ -268,7 +266,7 @@ def _deposit_tomogram(f: GridFunction, projections, n_v):
     return values
 
 
-def _line_setup(f: GridFunction, dirs, t_resolution, line_step, n_v_default):
+def _line_setup(f: GridFunction, dirs, t_resolution, n_v_default):
     """Checked directions, offset count and offset frames of a line transform of f."""
     d = f.dim
     if d < 2:
@@ -277,8 +275,6 @@ def _line_setup(f: GridFunction, dirs, t_resolution, line_step, n_v_default):
         dirs = DirectionSet.uniform_circle(360) if d == 2 else DirectionSet.fibonacci_sphere(128)
     if dirs.dim != d:
         raise InputError("direction dimension does not match the grid")
-    if line_step is not None:
-        exponent(line_step, "line_step")
     n_v = n_v_default if t_resolution is None else count(t_resolution, "t_resolution")
     return dirs, n_v, np.stack([_orthonormal_complement(omega) for omega in dirs.vectors])
 
@@ -309,14 +305,17 @@ def xray_transform(
     bit-exact to scipy's order-1 interpolation; it is the batch of one of
     ``xray_transform_batch``.  ``method="deposit"`` bins each cell's mass onto
     the offset grid instead, which preserves ||Xf||_1 = ||f||_1 exactly and is
-    preferred for entropy work.  ``t_resolution``, an integer >= 1, is the
+    preferred for entropy work; it takes no line samples, so a ``line_step``
+    raises :class:`InputError`.  ``t_resolution``, an integer >= 1, is the
     tomogram resolution per offset axis.
     """
     if method == "sample":
         return xray_transform_batch([f], dirs, t_resolution, line_step)[0]
     if method != "deposit":
         raise InputError("method must be 'sample' or 'deposit'")
-    dirs, n_v, frames = _line_setup(f, dirs, t_resolution, line_step, 2 * max(f.resolution))
+    if line_step is not None:
+        raise InputError("line_step applies to method='sample' only: the deposit transform takes no line samples")
+    dirs, n_v, frames = _line_setup(f, dirs, t_resolution, 2 * max(f.resolution))
     _, cell, offsets_axes = _offset_grid(f, n_v, f.dim - 1)
     return _tomogram(dirs.vectors, dirs.weights, frames, offsets_axes, _deposit_tomogram(f, frames, n_v), cell)
 
@@ -343,9 +342,9 @@ def xray_transform_batch(
         raise InputError("the functions of a batch must share box and resolution")
     d = f.dim
     n_v_default = 2 * max(f.resolution) if d == 2 else max(f.resolution)
-    dirs, n_v, frames = _line_setup(f, dirs, t_resolution, line_step, n_v_default)
+    dirs, n_v, frames = _line_setup(f, dirs, t_resolution, n_v_default)
     radius, cell, offsets_axes = _offset_grid(f, n_v, d - 1)
-    step = line_step or min(f.cell_sizes) / 2.0
+    step = min(f.cell_sizes) / 2.0 if line_step is None else exponent(line_step, "line_step")
     n_t = int(math.ceil(2.0 * radius / step))
     t_nodes = np.linspace(-radius, radius, n_t + 1)
     t_w = np.full(n_t + 1, t_nodes[1] - t_nodes[0])
@@ -447,8 +446,7 @@ def _check_plane_dim(d, k):
 def scaling_exponent_q(p, d, k=1):
     """Solve (1/d)(1 - 1/q) = (1/(d-k))(1 - 1/p) for q (k < d)."""
     _check_plane_dim(d, k)
-    s = 0.0 if math.isinf(p) else 1.0 / p
-    denom = 1.0 - (d / (d - k)) * (1.0 - s)
+    denom = 1.0 - (d / (d - k)) * (1.0 - 1.0 / p)
     if denom <= 0:
         raise ParameterDomainError("no admissible q on the scaling line for this p")
     return 1.0 / denom
@@ -522,6 +520,12 @@ def _power_estimate(mean, mean_stderr, expo, n_mc) -> MonteCarloEstimate:
     return MonteCarloEstimate(value=value, stderr=stderr, n_samples=n_mc, mean=mean, mean_stderr=mean_stderr)
 
 
+def _sample_estimate(vals, expo) -> MonteCarloEstimate:
+    """``_power_estimate`` of the sample mean, with error std(ddof=1) / sqrt(n) (0.0 for one sample)."""
+    se = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
+    return _power_estimate(float(vals.mean()), se, expo, len(vals))
+
+
 def restricted_xray_constant(
     mu_samples: DirectionSet, p: float, q: float, d: int, n_mc: int, seed: int
 ) -> MonteCarloEstimate:
@@ -542,9 +546,7 @@ def restricted_xray_constant(
         return _power_estimate(0.0, 0.0, expo, n_mc)
     rng = np.random.default_rng(seed)
     idx = rng.choice(len(mu_samples), size=(n_mc, d), p=mu_samples.weights)
-    vals = np.abs(np.linalg.det(mu_samples.vectors[idx])) ** a  # a = 0 gives exact ones
-    se = float(vals.std(ddof=1) / math.sqrt(n_mc)) if n_mc > 1 else 0.0
-    return _power_estimate(float(vals.mean()), se, expo, n_mc)
+    return _sample_estimate(np.abs(np.linalg.det(mu_samples.vectors[idx])) ** a, expo)  # a = 0: exact ones
 
 
 def wedge_moment(d, q) -> float:
@@ -578,13 +580,11 @@ def gauss_wedge_integral_mc(d, a, n_mc, seed) -> MonteCarloEstimate:
     """Monte Carlo oracle for the gaussian wedge-power integral
     E |x_1 ^ ... ^ x_d|^a over d independent e^{-pi|x|^2} vectors."""
     rng = np.random.default_rng(seed)
-    vals = np.empty(n_mc)
+    vals = np.empty(count(n_mc, "n_mc"))
     for s in range(0, n_mc, _MC_BLOCK):  # the same draws as one (n_mc, d, d) array
         x = rng.standard_normal((min(_MC_BLOCK, n_mc - s), d, d)) / math.sqrt(2.0 * math.pi)
         vals[s : s + len(x)] = np.abs(np.linalg.det(x)) ** float(a)
-    mean = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(n_mc)) if n_mc > 1 else 0.0
-    return MonteCarloEstimate(value=mean, stderr=se, n_samples=n_mc, mean=mean, mean_stderr=se)
+    return _sample_estimate(vals, 1.0)
 
 
 def xx_constant_via_mc(d, p, q, n_mc, seed) -> MonteCarloEstimate:

@@ -17,6 +17,13 @@ from blq.cli import (
     _key_casts,
     _load_schema,
     _parse_number,
+    _route,
+    _scenario_keys,
+    _task_adjoint_gaussian,
+    _task_discrete,
+    _task_identity_ai,
+    _task_perturbation,
+    _tomography_restricted,
     canonical_json,
     emit_report,
     main,
@@ -129,7 +136,7 @@ def test_entropy_draws_nothing_at_random_and_needs_no_seed():
         {"task": "gowers", "seed": 1, "n_function": 5},
         {"task": "entropy", "seed": 1, "datum": {"preset": "loomis_whitney_2", "conjugate_sed": 3}},
         {"task": "gaussian-bl", "cases": [{"name": "young", "datum": "young", "expect": 0.5}]},
-        {"task": "adjoint-verify", "seed": 1, "grid": {"resolutoin": 8}},
+        {"task": "adjoint-verify", "seed": 1, "n_draw": 3},
         {"task": "discrete", "seed": 1, "group": {"factor": [4, 4]}},
     ],
 )
@@ -481,23 +488,6 @@ def test_custom_group_needs_one_exponent_per_map(c, monkeypatch, tmp_path, capsy
     assert not (tmp_path / "lengths.report.json").exists()
 
 
-def test_partial_grid_falls_back_to_the_task_grid(monkeypatch):
-    import blq.cli
-    import blq.grid
-
-    seen = []
-
-    def recording(box, resolution, **kwargs):
-        seen.append((box, resolution))
-        return blq.grid.random_grid_function(box, resolution, **kwargs)
-
-    monkeypatch.setattr(blq.cli, "random_grid_function", recording)
-    scenario = {"task": "adjoint-verify", "seed": 3, "datum": "loomis_whitney_2", "n_draws": 1, "n_functions": 1}
-    run_scenario({**scenario, "grid": {"resolution": 8}})
-    run_scenario({**scenario, "grid": {"box": [[-2, 2], [-1, 3]]}})
-    assert seen == [(((-1.0, 1.0), (-1.0, 1.0)), (8, 8)), (((-2.0, 2.0), (-1.0, 3.0)), (64, 64))]
-
-
 def test_malformed_json_is_schema_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -603,6 +593,18 @@ def test_cli_suite_summary(tmp_path, capsys):
     assert (tmp_path / "out" / "s0.report.json").exists()
 
 
+def test_run_and_suite_write_to_the_working_directory_by_default(tmp_path, monkeypatch, capsys):
+    (tmp_path / "in").mkdir()
+    (tmp_path / "in" / "fast.json").write_text(json.dumps(FAST_GOWERS))
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "in/fast.json"]) == 0
+    assert capsys.readouterr().out.startswith("PASS in/fast.json (")
+    written = (tmp_path / "fast.report.json").read_bytes()
+    (tmp_path / "fast.report.json").unlink()
+    assert main(["suite", "in"]) == 0
+    assert (tmp_path / "fast.report.json").read_bytes() == written
+
+
 def test_scenario_name_resolution(monkeypatch, tmp_path, capsys):
     monkeypatch.chdir(Path(__file__).resolve().parents[1])
     code = main(["run", "11_determinism_probe", "--out", str(tmp_path)])
@@ -657,3 +659,43 @@ def test_cli_closed_stdout_exits_one_without_traceback(tmp_path, unbuffered):
     assert proc.wait(timeout=120) == 1
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
     assert json.loads((tmp_path / "fast.report.json").read_text())["passed"] is True
+
+
+# handler keys that no shipped scenario and no perfbench workload sets, each with the reason it stays
+UNSET_HANDLERS = {
+    _task_adjoint_gaussian: "the adjoint-gaussian task is a documented runner feature",
+    _tomography_restricted: "the restricted tomography check is a documented runner feature",
+}
+UNSET_KEYS = {
+    (_task_perturbation, "seed"): "deterministic: taken so that --seed applies to every scenario",
+    (_task_identity_ai, "datum"): "a custom datum in place of the seeded feasible data",
+    (_task_discrete, "group"): "a custom instance in place of the catalogue's",
+    (_task_discrete, "maps"): "a custom instance in place of the catalogue's",
+    (_task_discrete, "c"): "a custom instance in place of the catalogue's",
+}
+
+
+def _workload_scenarios():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [scn for name in workloads.WORKLOADS for _, scn, _ in workloads.build(name, 0)]
+
+
+def test_every_scenario_key_has_a_caller():
+    scenarios = [json.loads(path.read_text()) for path in sorted(SCENARIOS.glob("*.json"))]
+    scenarios += _workload_scenarios()
+    set_keys = {}
+    for scn in scenarios:
+        handler, route = _route(validate_scenario(scn))
+        set_keys.setdefault(handler, set()).update(key for key in scn if key not in route)
+        for case in scn.get("cases", ()):
+            set_keys.setdefault(_gaussian_bl_case, set()).update(case)
+    unset = set()
+    for handler in [*_SCENARIO_KEYS, _gaussian_bl_case]:
+        if handler not in UNSET_HANDLERS:
+            unset |= {(handler, key) for key in _scenario_keys(handler)[0] - set_keys.get(handler, set())}
+    assert {(h.__name__, key) for h, key in unset} == {(h.__name__, key) for h, key in UNSET_KEYS}
+    assert not UNSET_HANDLERS.keys() & set_keys.keys()  # an allowed handler that gains a scenario leaves the list

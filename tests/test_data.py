@@ -28,6 +28,7 @@ from blq.data import (
     validate_datum,
 )
 from blq.errors import DatumError, ParameterDomainError
+from blq.tomography import scaling_exponent_q
 
 
 def test_loomis_whitney_feasible():
@@ -328,6 +329,61 @@ def test_log_rhs_bitwise_equals_the_hand_loop():
             bl_value = float(np.exp(rng.uniform(-5.0, 5.0)))
             got = params.log_rhs((n for n in norms), bl_value)
             assert got == _log_rhs_by_hand(params, norms, bl_value)
+
+
+def _outcome(call):
+    """call()'s value, or the type of the error it raised."""
+    try:
+        return call()
+    except ParameterDomainError as exc:
+        return type(exc)
+
+
+def _derived_by_hand(exponents, theta, p):
+    """p_i, mode and residuals with 1/p written as a branch: 0.0 at p = inf."""
+    s = 0.0 if math.isinf(p) else 1.0 / p
+    mode = "forward" if all(t > 0 for t in theta) and p <= 1 else "reverse"
+    p_i = []
+    for c, t in zip(exponents, theta):
+        q = 1.0 / (1.0 + (c / t) * (s - 1.0))
+        p_i.append(min(q, 1.0) if mode == "forward" else q)
+    residuals = tuple(c * (1.0 - s) - t * (1.0 - 1.0 / q) for c, t, q in zip(exponents, theta, p_i))
+    return tuple(p_i), mode, residuals
+
+
+def _prefactor_by_hand(params, dims, d):
+    log_c = 0.0
+    if not math.isinf(params.p):
+        e0 = -d / (2.0 * params.p)
+        if e0 != 0.0:
+            log_c += e0 * math.log(params.p)
+    for t, di, q in zip(params.theta, dims, params.p_i):
+        e = t * di / (2.0 * q)
+        if e != 0.0:
+            log_c += e * math.log(q)
+    return math.exp(log_c)
+
+
+def _scaling_q_by_hand(p, d, k):
+    s = 0.0 if math.isinf(p) else 1.0 / p
+    denom = 1.0 - (d / (d - k)) * (1.0 - s)
+    return ParameterDomainError if denom <= 0 else 1.0 / denom
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, 1.0, 2.0, math.inf])
+def test_one_over_p_is_zero_at_infinity_without_a_branch(p):
+    datum = conjugate_datum(loomis_whitney(3), seed=4)
+    for theta in [(0.2, 0.3, 0.5), (-1.0, -1.0, 3.0), (3.0, -1.0, -1.0)]:
+        if p > 1 if all(t > 0 for t in theta) else p < 1:  # forward needs p <= 1, reverse p >= 1
+            continue
+        params = derive_adjoint_exponents(datum.exponents, theta, p)
+        assert (params.p_i, params.mode, params.residuals(datum.exponents)) == _derived_by_hand(
+            datum.exponents, theta, p
+        )
+        got = adjoint_gaussian_prefactor(params, datum.dims, datum.ambient_dim)
+        assert got == _prefactor_by_hand(params, datum.dims, datum.ambient_dim)
+    for d, k in [(2, 1), (3, 1), (3, 2), (4, 1)]:
+        assert _outcome(lambda: scaling_exponent_q(p, d, k)) == _scaling_q_by_hand(p, d, k)
 
 
 def test_log_rhs_consumes_the_norms_in_order_after_the_bl_term():

@@ -116,23 +116,54 @@ def test_log_lambda_is_the_marginal_norm_loop_bitwise(datum, theta, p):
         assert log_lambda(f, datum, params, 1.7) == want
 
 
+def _log_z_and_slope(g, r):
+    """log Z and d/dr log ||g||_r = -(log Z)/r^2 + (sum g^r log g w)/(r Z) on
+    g's cell values, for Z = sum g^r w (a zero cell adds nothing to either sum)."""
+    v = g.values[g.values > 0]
+    z = float(np.sum(v**r)) * g.cell_volume
+    return math.log(z), -math.log(z) / r**2 + float(np.sum(v**r * np.log(v))) * g.cell_volume / (r * z)
+
+
+def _log_lambda_and_scaled_slope(f, datum, theta, p, bl):
+    """log Lambda and p^2 d/dp log Lambda in closed form, where the derived
+    exponents move as dp_i/dp = p_i^2 (c_i/theta_i)/p^2."""
+    params = derive_adjoint_exponents(datum.exponents, theta, p)
+    log_z, slope = _log_z_and_slope(f, p)
+    marginals = [_log_z_and_slope(grid_pushforward(f, b), q) for b, q in zip(datum.maps, params.p_i)]
+    log_lam = log_z / p - (1.0 / p - 1.0) * math.log(bl)
+    for c, t, q, (log_zi, slope_i) in zip(datum.exponents, theta, params.p_i, marginals):
+        log_lam -= t * log_zi / q
+        slope -= t * slope_i * q * q * (c / t) / p**2
+    return params, log_lam, p**2 * slope + math.log(bl)
+
+
+DERIVATIVE_CASES = [
+    (datum, theta, p, seed, zero_fraction, smooth)
+    for datum, theta in [
+        (loomis_whitney(2), (0.4, 0.6)),
+        (conjugate_datum(young(), seed=3), (0.2, 0.5, 0.3)),
+        (conjugate_datum(loomis_whitney(2), seed=5), (0.3, 0.7)),
+    ]
+    for p, seed, zero_fraction, smooth in [(0.45, 1, 0.3, 0), (0.7, 2, 0.6, 0), (0.9, 3, 0.0, 2)]
+]
+
+
 def test_derivative_identity_of_the_quotient():
-    # p^2 d/dp log Lambda = log(bl) - H(f^p/..) + sum c_i H(f_i^{p_i}/..)
-    lw = loomis_whitney(2)
-    bl = 1.0
-    f = gaussian_grid(np.array([[1.3, 0.2], [0.2, 0.9]]), ((-6.0, 6.0),) * 2, (128, 128))
-    theta = (0.4, 0.6)
-    p0 = 0.7
-    h = 1e-4
-    lam = []
-    for p in (p0 - h, p0 + h):
-        lam.append(log_lambda(f, lw, derive_adjoint_exponents(lw.exponents, theta, p), bl))
-    lhs = p0**2 * (lam[1] - lam[0]) / (2 * h)
-    params0 = derive_adjoint_exponents(lw.exponents, theta, p0)
-    rhs = math.log(bl) - entropy_power(f, p0)
-    for c, b, q in zip(lw.exponents, lw.maps, params0.p_i):
-        rhs += c * entropy_power(grid_pushforward(f, b), q)
-    assert lhs == pytest.approx(rhs, rel=1e-3)
+    # p^2 d/dp log Lambda = log(bl) - H(f^p/..) + sum c_i H(f_i^{p_i}/..), to rounding
+    bl = 1.3
+    for datum, theta, p, seed, zero_fraction, smooth in DERIVATIVE_CASES:
+        f = random_grid_function(((-1.0, 1.0),) * 2, (40, 36), seed=seed, zero_fraction=zero_fraction, smooth=smooth)
+        assert (f.values == 0).any() == (smooth == 0)  # zero cells, or a smoothed function
+        params, log_lam, lhs = _log_lambda_and_scaled_slope(f, datum, theta, p, bl)
+        assert log_lam == pytest.approx(log_lambda(f, datum, params, bl), rel=1e-12, abs=1e-12)
+        rhs = math.log(bl) - entropy_power(f, p)
+        for c, b, q in zip(datum.exponents, datum.maps, params.p_i):
+            rhs += c * entropy_power(grid_pushforward(f, b), q)
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs)), (datum.k, p, seed)
+        # at theta_i proportional to c_i d_i the right-hand side is minus the p-entropy probe
+        lhs = _log_lambda_and_scaled_slope(f, datum, default_theta(datum), p, bl)[2]
+        probe = p_entropy_probe(f, p, datum, bl)
+        assert abs(lhs + probe) <= 1e-12 * max(1.0, abs(probe)), (datum.k, p, seed)
 
 
 def test_default_theta_sums_to_one():

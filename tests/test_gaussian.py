@@ -435,14 +435,14 @@ def test_perturbation_gap_memory_peak_on_the_scenario_grid():
     datum = loomis_whitney(2)
     params = derive_adjoint_exponents(datum.exponents, (0.9, 0.1), 0.5)
     spec = grid.GridSpec(box=((-8.0, 8.0),) * 2, resolution=(1024, 1024))
-    grid._BIN_INDEX_CACHE.clear()
+    grid._OPERATORS.clear()
     tracemalloc.start()
     try:
         perturbation_gap(datum, params, eps=1e-3, grid=spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        grid._BIN_INDEX_CACHE.clear()
+        grid._OPERATORS.clear()
     # the (N, 2) cell centres alone are 16 MiB; what is whole is one function's
     # 8 MiB of values with its L^p temporaries, and one map's 4 MiB bin index
     assert peak <= 48 * 2**20

@@ -11,7 +11,7 @@ from blq.catalog import conjugate_datum, finner_cyclic4, finner_mixed, loomis_wh
 from blq.data import derive_adjoint_exponents
 from blq import grid
 from blq.entropy import log_lambda
-from blq.errors import CoverageError, MassError
+from blq.errors import CoverageError, InputError, MassError
 from blq.gaussian import SpdMatrix, bl_gaussian_constant, gaussian_pushforward
 from blq.grid import (
     GridFunction,
@@ -265,7 +265,7 @@ def test_cached_pushforward_matches_cold_and_reference(d, seed, strided, explici
     target = None
     if explicit_target:
         target = GridSpec(box=((-1.5, 2.0),) * d_t, resolution=tuple(int(n) for n in rng.integers(3, 30, size=d_t)))
-    grid._BIN_INDEX_CACHE.clear()
+    grid._OPERATORS.clear()
     cold = _pushforward_or_fraction(f, B, target)
     warm = _pushforward_or_fraction(f, B, target)
     expected = _reference_pushforward(f, B, target or grid._auto_target(f, B))
@@ -280,51 +280,78 @@ def test_cache_hit_raises_coverage_error_with_that_calls_fraction():
     small = GridSpec(box=((-0.25, 0.25),), resolution=(16,))
     f = GridFunction.indicator_box(((0, 1), (0, 1)), ((-2, 2), (-2, 2)), (64, 64))
     g = GridFunction.indicator_box(((-2, 0), (0, 1)), ((-2, 2), (-2, 2)), (64, 64))
-    grid._BIN_INDEX_CACHE.clear()
+    grid._OPERATORS.clear()
     fractions = []
     for h in (f, f, g):
         with pytest.raises(CoverageError) as err:
             grid_pushforward(h, B, small)
         fractions.append(err.value.escaping_fraction)
-    assert len(grid._BIN_INDEX_CACHE) == 0  # an escaping geometry is not cached
+    assert len(grid._OPERATORS) == 0  # an escaping geometry is not cached
     assert fractions[0] == fractions[1] == _reference_pushforward(f, B, small)
     assert fractions[2] == _reference_pushforward(g, B, small) != fractions[0]
 
 
+def _held_bytes():
+    return sum(index.nbytes for _, index in grid._OPERATORS.values())
+
+
 def test_bin_index_cache_stays_within_its_cap():
-    cache = grid._BIN_INDEX_CACHE
     rng = np.random.default_rng(9)
-    cache.clear()
+    grid._OPERATORS.clear()
     for i in range(60):
         f = random_grid_function(((-1.0, 1.0),) * 3, (48, 48, 48), seed=i)
         grid_pushforward(f, rng.standard_normal((2, 3)))
-        assert cache.nbytes <= cache.cap_bytes
-    assert 1 < len(cache) < 60
-    # an entry is (target, index), and its bytes are the index's
-    assert cache.nbytes == sum(index.nbytes for _, index in cache._entries.values())
-    assert all(isinstance(target, GridSpec) and index.size == 48**3 for target, index in cache._entries.values())
+        assert _held_bytes() <= grid._OPERATORS_CAP_BYTES
+    assert 1 < len(grid._OPERATORS) < 60
+    # an entry is (target, int32 index of every source cell)
+    assert all(
+        isinstance(target, GridSpec) and index.dtype == np.int32 and index.size == 48**3
+        for target, index in grid._OPERATORS.values()
+    )
     # an entry larger than the cap is kept alone
     big = GridFunction.constant(1.0, ((-1.0, 1.0),) * 2, (1100, 1100))
     B = np.array([[1.0, 0.5]])
     g = grid_pushforward(big, B)
-    assert len(cache) == 1 and cache.nbytes == 4 * 1100 * 1100 > cache.cap_bytes
-    ((target, index),) = cache._entries.values()
+    assert len(grid._OPERATORS) == 1 and _held_bytes() == 4 * 1100 * 1100 > grid._OPERATORS_CAP_BYTES
+    ((target, index),) = grid._OPERATORS.values()
     assert target == grid._auto_target(big, B) == GridSpec(g.box, g.resolution) and index.dtype == np.int32
-    cache.clear()
+    grid._OPERATORS.clear()
 
 
 def test_the_cache_evicts_before_it_builds_an_index(monkeypatch):
     # an index being built never sits beside the entries its arrival evicts
-    cache = grid._BIN_INDEX_CACHE
-    cache.clear()
+    grid._OPERATORS.clear()
     held = []
     original = grid._bin_index
-    monkeypatch.setattr(grid, "_bin_index", lambda f, B, t: held.append(cache.nbytes) or original(f, B, t))
+    monkeypatch.setattr(grid, "_bin_index", lambda f, B, t: held.append(_held_bytes()) or original(f, B, t))
     f = GridFunction.constant(1.0, BOX2, (700, 700))  # a 1.96 MB index: two fit under the cap
-    for B in np.random.default_rng(3).standard_normal((4, 1, 2)):
+    Bs = np.random.default_rng(3).standard_normal((4, 1, 2))
+    for B in Bs:
         grid_pushforward(f, B)
-    assert held == [0, 4 * 700**2, 4 * 700**2, 4 * 700**2] and len(cache) == 2
-    cache.clear()
+    assert held == [0, 4 * 700**2, 4 * 700**2, 4 * 700**2] and len(grid._OPERATORS) == 2
+    # a hit moves its entry to the newest end: the next miss evicts the other one
+    grid_pushforward(f, Bs[2])
+    grid_pushforward(f, Bs[0])
+    keys = [B.tobytes() for B in (Bs[2], Bs[0])]
+    assert [key[3] for key in grid._OPERATORS] == keys and held[-1] == 4 * 700**2
+    grid._OPERATORS.clear()
+
+
+def test_a_target_past_int32_raises_before_anything_is_built():
+    import tracemalloc
+
+    f = GridFunction.constant(1.0, BOX2, (4, 4))
+    B = np.eye(2)
+    wide = GridSpec(box=BOX2, resolution=(50_000, 50_000))  # 2.5e9 cells: 20 GB of float64 bin counts
+    grid._OPERATORS.clear()
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="2\\^31 - 1 cells"):
+            grid_pushforward(f, B, wide)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20 and len(grid._OPERATORS) == 0
 
 
 def test_margin_from_sides_sign_scale_and_estimate():
@@ -395,21 +422,17 @@ def test_row_blocked_bin_index_is_the_whole_grid_index(res):
     expected, escaping = _whole_grid_bin_index(f, B, target)
     assert not escaping.any()
     assert flat.dtype == np.int32 and np.array_equal(flat, expected)
-    # a target too wide for int32 keeps the index in int64
-    wide = GridSpec(box=target.box, resolution=(50_000, 50_000))
-    flat = grid._bin_index(f, B, wide)
-    assert flat.dtype == np.int64 and np.array_equal(flat, _whole_grid_bin_index(f, B, wide)[0])
     # an escaping geometry raises with the escaping mass fraction of the whole-grid mask
     small = GridSpec(box=tuple((0.5 * lo, 0.5 * hi) for lo, hi in target.box), resolution=target.resolution)
     escaping = _whole_grid_bin_index(f, B, small)[1]
     masses = f.values.ravel() * f.cell_volume
     assert escaping.any()
     for build in (lambda: grid._bin_index(f, B, small), lambda: grid_pushforward(f, B, small)):
-        grid._BIN_INDEX_CACHE.clear()
+        grid._OPERATORS.clear()
         with pytest.raises(CoverageError) as err:
             build()
         assert err.value.escaping_fraction == float(masses[escaping].sum()) / float(masses.sum())
-    grid._BIN_INDEX_CACHE.clear()
+    grid._OPERATORS.clear()
 
 
 @pytest.mark.parametrize(
@@ -582,11 +605,11 @@ def test_margin_is_bitwise_the_uncached_margin(d, mode, zero_fraction):
     f = random_grid_function(((-1.0, 1.5),) * d, res, seed=d, zero_fraction=zero_fraction)
     lhs, rhs, drift = _parent_margin(f, datum, params, 1.3)
     expected = InequalityMargin.from_sides(lhs, rhs, mode, drift)
-    grid._BIN_INDEX_CACHE.clear()
+    grid._OPERATORS.clear()
     cold = adjoint_margin(f, datum, params, 1.3)
     warm = adjoint_margin(f, datum, params, 1.3)
     assert cold == warm == expected  # lhs, rhs, margin and estimate, bit for bit
-    grid._BIN_INDEX_CACHE.clear()
+    grid._OPERATORS.clear()
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -596,17 +619,17 @@ def test_log_lambda_is_bitwise_the_uncached_quotient(d):
     params = derive_adjoint_exponents(datum.exponents, *forward)
     f = random_grid_function(((-1.0, 1.5),) * d, res, seed=d + 10, zero_fraction=0.3)
     expected = math.log(_parent_lp_norm(f, params.p)) - _parent_log_rhs(f, datum, params, 1.3)
-    grid._BIN_INDEX_CACHE.clear()
+    grid._OPERATORS.clear()
     assert log_lambda(f, datum, params, 1.3) == expected  # cold
     assert log_lambda(f, datum, params, 1.3) == expected  # warm
-    grid._BIN_INDEX_CACHE.clear()
+    grid._OPERATORS.clear()
 
 
 def test_a_cache_hit_skips_the_default_target(monkeypatch):
     f = random_grid_function(BOX2, (24, 20), seed=2)
     g = random_grid_function(BOX2, (24, 20), seed=3)
     B = np.array([[1.0, 0.4], [-0.3, 0.8]])
-    grid._BIN_INDEX_CACHE.clear()
+    grid._OPERATORS.clear()
     cold = grid_pushforward(f, B)
     calls = []
     original = grid._auto_target
@@ -617,10 +640,10 @@ def test_a_cache_hit_skips_the_default_target(monkeypatch):
     assert (warm.box, warm.resolution) == (cold.box, cold.resolution) == (other.box, other.resolution)
     assert np.array_equal(warm.values, cold.values)
     assert np.array_equal(other.values, _reference_pushforward(g, B, original(g, B)))
-    grid._BIN_INDEX_CACHE.clear()
+    grid._OPERATORS.clear()
     grid_pushforward(f, B)  # a miss builds the default target once
     assert len(calls) == 1
-    grid._BIN_INDEX_CACHE.clear()
+    grid._OPERATORS.clear()
 
 
 def test_a_margin_computes_the_refined_masses_once(monkeypatch):

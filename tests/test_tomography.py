@@ -5,7 +5,7 @@ import pytest
 import scipy.integrate
 
 from blq import tomography
-from blq.errors import ParameterDomainError
+from blq.errors import InputError, ParameterDomainError
 from blq.grid import GridFunction, gaussian_grid, lp_norm, random_grid_function
 from blq.tomography import (
     DirectionSet,
@@ -267,8 +267,16 @@ def test_blocked_wedge_draws_are_the_whole_array_draw(d, seed):
     x = np.random.default_rng(seed).standard_normal((n_mc, d, d)) / math.sqrt(2.0 * math.pi)
     vals = np.abs(np.linalg.det(x)) ** 0.5
     est = gauss_wedge_integral_mc(d, 0.5, n_mc, seed)
-    assert est.mean == float(vals.mean())
-    assert est.mean_stderr == float(vals.std(ddof=1) / math.sqrt(n_mc))
+    assert est.mean == est.value == float(vals.mean())
+    assert est.mean_stderr == est.stderr == float(vals.std(ddof=1) / math.sqrt(n_mc))
+
+
+@pytest.mark.parametrize("n_mc", [0, -1, 16.0])
+def test_wedge_mc_rejects_a_sample_count_that_is_no_positive_integer(n_mc):
+    with pytest.raises(InputError, match="n_mc"):
+        gauss_wedge_integral_mc(2, 0.5, n_mc, seed=1)
+    with pytest.raises(InputError, match="n_mc"):
+        xx_constant_via_mc(2, 2.0, 0.5, n_mc, seed=1)
 
 
 def test_wedge_mc_memory_peak():
@@ -524,6 +532,17 @@ def test_xray_rejects_nonpositive_step_and_resolution(kwargs, name):
     f = random_grid_function(BOX, (8, 8), seed=1)
     with pytest.raises(ValueError, match=name):
         xray_transform(f, DirectionSet.uniform_circle(4), **kwargs)
+
+
+@pytest.mark.parametrize("line_step", [0.25, 0.0, -1.0])
+def test_deposit_xray_rejects_any_line_step(line_step):
+    f = random_grid_function(BOX, (8, 8), seed=1)
+    dirs = DirectionSet.uniform_circle(4)
+    with pytest.raises(InputError, match="line_step applies to method='sample' only"):
+        xray_transform(f, dirs, line_step=line_step, method="deposit")
+    assert np.array_equal(
+        xray_transform(f, dirs, line_step=None, method="deposit").values, xray_transform(f, dirs, method="deposit").values
+    )
 
 
 def test_xray_none_keeps_the_default_step_and_resolution():
