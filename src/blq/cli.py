@@ -49,13 +49,13 @@ from .entropy import entropic_bl_margin, p_entropy_probe, power_curvature_exact,
 from .gowers import gowers_logconvexity_margin, parallelogram_count, parallelepiped_count
 from .tomography import (
     DirectionSet,
+    _with_half,
     kplane_transform,
     lower_bound_margin_from_tomograms,
     restricted_xray_constant,
     scaling_exponent_q,
     wedge_moment,
     xray_transform,
-    xray_transform_batch,
     xx_constant_via_mc,
     xx_gamma_constant,
 )
@@ -147,8 +147,11 @@ def _data(datum, n_data, seed0):
     return catalog.seeded_feasible_data(n_data, seed0=seed0)
 
 
-def _parse_number(x):
-    return float(Fraction(x)) if isinstance(x, str) else float(x)
+def _parse_number(x, path):
+    try:
+        return float(Fraction(x)) if isinstance(x, str) else float(x)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"scenario violates the schema at {path}: {x!r} is not a number or a fraction") from exc
 
 
 class _Checks:
@@ -191,7 +194,7 @@ class _Checks:
 def _task_gaussian_bl(checks, *, cases, seed=0):
     names, results = [], {}
     for i, case in enumerate(cases):
-        case = {"name": f"case{i}", **case}
+        case = {"name": f"case{i}", **_cast(case, _key_casts("cases"), f"$.cases[{i}]")}
         names.append(case["name"])
         results[case["name"]] = _gaussian_bl_case(checks, **case)
     return {"cases": names}, results
@@ -379,24 +382,16 @@ def _tomography_suite(
 ):
     box = ((-4.0, 4.0), (-4.0, 4.0))
     dirs = DirectionSet.uniform_circle(n_dirs)
-    half = DirectionSet.from_vectors(dirs.vectors[::2])
     rng = np.random.default_rng(seed)
-    p_values = [_parse_number(x) for x in p_values]
-    worst_l1 = 0.0
-    min_gap = math.inf
+    p_values = [_parse_number(x, "$.p_values") for x in p_values]
+    worst_l1, min_gap = 0.0, math.inf
     seeds = [int(rng.integers(0, 2**31)) for _ in range(n_functions)]
     for c in range(0, n_functions, _XRAY_CHUNK):
         fs = [random_grid_function(box, (resolution,) * 2, seed=s, smooth=1) for s in seeds[c : c + _XRAY_CHUNK]]
-        # the half-resolution transforms, about a fifth of the sampled work, go
-        # one function at a time through xray_transform, so perfbench's traced
-        # passes still time and count the sampled kernel (tomography.xray_sample)
-        # until the batch has a span of its own (ROADMAP item 1)
-        for f, tom in zip(fs, xray_transform_batch(fs, dirs)):
-            tom_half = xray_transform(f, half, t_resolution=resolution)
+        for f, (tom, tom_half) in zip(fs, _with_half(fs, dirs)):
             worst_l1 = max(worst_l1, abs(tom.l1() / f.mass - 1.0))
             for p in p_values:
-                q = scaling_exponent_q(p, 2)
-                m = lower_bound_margin_from_tomograms(tom, tom_half, f, p, q)
+                m = lower_bound_margin_from_tomograms(tom, tom_half, f, p, scaling_exponent_q(p, 2))
                 min_gap = min(min_gap, m.margin + m.quadrature_estimate)
     results = {"l1_worst_dev": worst_l1, "min_margin_plus_estimate": min_gap}
     checks.at_most("||Xf||_1/||f||_1 = 1 (dev)", worst_l1, l1_tol)
@@ -624,9 +619,13 @@ def _key_casts(array=None):
     }
 
 
-def _cast(keys, casts):
-    """``keys`` with each non-null value of a key in ``casts`` cast."""
-    return {key: casts[key](value) if key in casts and value is not None else value for key, value in keys.items()}
+def _cast(keys, casts, path="$"):
+    """``keys``, at ``path`` of the scenario, with each non-null value of a key in ``casts`` cast."""
+    return {
+        key: value if key not in casts or value is None
+        else int(value) if casts[key] is int else _parse_number(value, f"{path}.{key}")
+        for key, value in keys.items()
+    }
 
 
 def _conform(name, instance):
@@ -679,8 +678,6 @@ def run_scenario(scenario, seed_override=None) -> RunReport:
     checks = _Checks()
     handler, route = _route(scn)
     kwargs = _cast({key: value for key, value in scn.items() if key not in route}, _key_casts())
-    if "cases" in kwargs:
-        kwargs["cases"] = [_cast(case, _key_casts("cases")) for case in kwargs["cases"]]
     try:
         extra_inputs, results = handler(checks, **kwargs)
         inputs_echo.update(extra_inputs)

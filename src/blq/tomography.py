@@ -18,11 +18,12 @@ for bit the one-function ``xray_transform``, which is the batch of one.
 The plane averages of R^3 (``kplane_transform``, k = 2 only; lines go
 through the x-ray transform) use exact mass-deposit binning instead, since a
 full quadrature grid over 2-planes is an order of magnitude more work for no
-accuracy gain.  That deposit and the x-ray ``method="deposit"`` share one
-cloud-in-cell loop, ``_deposit_tomogram``, and every transform builds its
-``TomogramSamples`` through ``_tomogram``.  A margin's quadrature estimate
-is the drift to the same transform on every other direction at half the
-offset resolution (``_with_half`` for lines).  Directions are deterministic
+accuracy gain.  Each kind of tomogram has one builder: ``_deposit_tomogram``
+for the plane averages and the x-ray ``method="deposit"``, and ``_with_half``
+for a margin's sampled tomograms and their quadrature checks, the same
+transform on every other direction at half the offset resolution.  The checks
+go through ``xray_transform``, which perfbench times as the sampled kernel
+until the batch has a span (ROADMAP item 1).  Directions are deterministic
 quadratures (uniform angles in the plane, Fibonacci points on the sphere);
 Haar frames come from QR factors of seeded gaussian matrices.  An empty
 direction or plane set raises :class:`InputError`.
@@ -230,25 +231,24 @@ def _offset_grid(f: GridFunction, n_v, m):
     return radius, cell, tuple(grid_centers(((-radius, radius),) * m, (n_v,) * m))
 
 
-def _deposit_tomogram(f: GridFunction, projections, n_v):
-    """Cloud-in-cell deposit of f's cell masses along each projection.
+def _deposit_tomogram(f: GridFunction, directions, weights, frames, t_resolution):
+    """Cloud-in-cell deposit of f's cell masses along each d x m frame onto the
+    (n_v,) * m offset grid of every direction, n_v = 2 max(f.resolution) by default.
 
-    ``projections`` holds a d x m frame per direction, or a unit normal per
-    direction (m = 1, so each projection is a matrix-vector product).
-    Returns the densities on the (n_v,) * m offset grid of every direction.
     Linear splitting between the two nearest cells per axis suppresses the
     aliasing combs a nearest-cell deposit produces when a projected lattice
     beats against the offset grid; total mass is preserved exactly.
     """
-    m = 1 if projections.ndim == 2 else projections.shape[2]
-    radius, cell, _ = _offset_grid(f, n_v, m)
+    n_v = 2 * max(f.resolution) if t_resolution is None else count(t_resolution, "t_resolution")
+    m = frames.shape[2]
+    radius, cell, offsets_axes = _offset_grid(f, n_v, m)
     pts = mesh_points(f.centers())
     masses = f.values.ravel() * f.cell_volume
     strides = [n_v ** (m - 1 - a) for a in range(m)]  # row-major offset grid
     corners = [[(c >> a) & 1 for a in range(m)] for c in range(1 << m)]
-    values = np.zeros((len(projections),) + (n_v,) * m)
-    for q, acc in zip(projections, values.reshape(len(projections), -1)):
-        pos = ((pts @ q).reshape(len(pts), m) + radius) / cell - 0.5
+    values = np.zeros((len(frames),) + (n_v,) * m)
+    for q, acc in zip(frames, values.reshape(len(frames), -1)):
+        pos = (pts @ q + radius) / cell - 0.5
         base = np.floor(pos).astype(np.int64)
         frac = pos - base
         # per axis and neighbour (lower, upper): the clipped index times the
@@ -263,11 +263,11 @@ def _deposit_tomogram(f: GridFunction, projections, n_v):
                 w = w * weight[a][bits[a]]
             acc += np.bincount(flat, weights=w, minlength=n_v**m)
         acc /= cell**m
-    return values
+    return TomogramSamples(directions, weights, frames, offsets_axes, values, cell**m)
 
 
-def _line_setup(f: GridFunction, dirs, t_resolution, n_v_default):
-    """Checked directions, offset count and offset frames of a line transform of f."""
+def _line_setup(f: GridFunction, dirs):
+    """Checked directions and offset frames of a line transform of f."""
     d = f.dim
     if d < 2:
         raise InputError("the line transform needs dimension >= 2")
@@ -275,19 +275,7 @@ def _line_setup(f: GridFunction, dirs, t_resolution, n_v_default):
         dirs = DirectionSet.uniform_circle(360) if d == 2 else DirectionSet.fibonacci_sphere(128)
     if dirs.dim != d:
         raise InputError("direction dimension does not match the grid")
-    n_v = n_v_default if t_resolution is None else count(t_resolution, "t_resolution")
-    return dirs, n_v, np.stack([_orthonormal_complement(omega) for omega in dirs.vectors])
-
-
-def _tomogram(directions, weights, frames, offsets_axes, values, cell):
-    return TomogramSamples(
-        directions=directions.copy(),
-        weights=weights.copy(),
-        frames=frames.copy(),
-        offsets_axes=offsets_axes,
-        values=values,
-        offset_cell_volume=float(cell ** len(offsets_axes)),
-    )
+    return dirs, np.stack([_orthonormal_complement(omega) for omega in dirs.vectors])
 
 
 def xray_transform(
@@ -315,9 +303,8 @@ def xray_transform(
         raise InputError("method must be 'sample' or 'deposit'")
     if line_step is not None:
         raise InputError("line_step applies to method='sample' only: the deposit transform takes no line samples")
-    dirs, n_v, frames = _line_setup(f, dirs, t_resolution, 2 * max(f.resolution))
-    _, cell, offsets_axes = _offset_grid(f, n_v, f.dim - 1)
-    return _tomogram(dirs.vectors, dirs.weights, frames, offsets_axes, _deposit_tomogram(f, frames, n_v), cell)
+    dirs, frames = _line_setup(f, dirs)
+    return _deposit_tomogram(f, dirs.vectors, dirs.weights, frames, t_resolution)
 
 
 def xray_transform_batch(
@@ -341,8 +328,8 @@ def xray_transform_batch(
     if any(g.box != f.box or g.resolution != f.resolution for g in fs):
         raise InputError("the functions of a batch must share box and resolution")
     d = f.dim
-    n_v_default = 2 * max(f.resolution) if d == 2 else max(f.resolution)
-    dirs, n_v, frames = _line_setup(f, dirs, t_resolution, n_v_default)
+    dirs, frames = _line_setup(f, dirs)
+    n_v = (2 if d == 2 else 1) * max(f.resolution) if t_resolution is None else count(t_resolution, "t_resolution")
     radius, cell, offsets_axes = _offset_grid(f, n_v, d - 1)
     step = min(f.cell_sizes) / 2.0 if line_step is None else exponent(line_step, "line_step")
     n_t = int(math.ceil(2.0 * radius / step))
@@ -381,28 +368,27 @@ def xray_transform_batch(
                     interp.values(src, buf[r : r + len(rows)].reshape(-1))
             for buf, acc in zip(bufs, values):
                 acc[i, s : s + chunk] = buf[: len(blk)] @ t_w
-    grid = (len(dirs),) + (n_v,) * (d - 1)
-    return [_tomogram(dirs.vectors, dirs.weights, frames, offsets_axes, v.reshape(grid), cell) for v in values]
+    grid, volume = (len(dirs),) + (n_v,) * (d - 1), cell ** (d - 1)
+    return [TomogramSamples(dirs.vectors, dirs.weights, frames, offsets_axes, v.reshape(grid), volume) for v in values]
 
 
-def _with_half(f: GridFunction, dirs, n_v):
-    """The line transform of f with ``n_v`` offsets per axis, and its
-    halved-quadrature check: every other direction, with max(2, n_v // 2)."""
-    tom = xray_transform(f, dirs, t_resolution=n_v)
-    half = DirectionSet.from_vectors(tom.directions[::2])
-    return tom, xray_transform(f, half, t_resolution=max(2, n_v // 2))
+def _with_half(fs, dirs=None, n_v=None):
+    """Yield, per f of the list ``fs``, its sampled line transform with ``n_v``
+    offsets per axis (the default when None), all from one batch, and its check
+    on every other direction with max(2, n_v // 2), one ``xray_transform`` at a
+    time (see the module docstring)."""
+    toms = xray_transform_batch(fs, dirs, n_v)
+    n_v = len(toms[0].offsets_axes[0])
+    half = DirectionSet.from_vectors(toms[0].directions[::2])
+    for f, tom in zip(fs, toms):
+        yield tom, xray_transform(f, half, t_resolution=max(2, n_v // 2))
 
 
 def haar_planes(d, k, n, seed):
     """Seeded Haar-distributed k-frames in R^d via QR of gaussian matrices."""
     rng = np.random.default_rng(seed)
-    frames = []
-    for _ in range(n):
-        g = rng.standard_normal((d, k))
-        q, r = np.linalg.qr(g)
-        q = q * np.sign(np.diag(r))
-        frames.append(q)
-    return frames
+    factors = [np.linalg.qr(rng.standard_normal((d, k))) for _ in range(n)]
+    return [q * np.sign(np.diag(r)) for q, r in factors]
 
 
 def kplane_transform(
@@ -430,12 +416,10 @@ def kplane_transform(
     for q in frames:
         if q.shape != (3, 2) or not np.max(np.abs(q.T @ q - np.eye(2))) <= FRAME_TOL:
             raise InputError(f"a plane frame must be 3 x 2 with orthonormal columns, got {q.tolist()!r}")
-    n_v = 2 * max(f.resolution) if t_resolution is None else count(t_resolution, "t_resolution")
-    _, cell, offsets_axes = _offset_grid(f, n_v, 1)
     crosses = [np.cross(q[:, 0], q[:, 1]) for q in frames]
     normals = np.array([c / np.linalg.norm(c) for c in crosses])
     weights = np.full(len(frames), 1.0 / len(frames))
-    return _tomogram(normals, weights, normals[:, :, None], offsets_axes, _deposit_tomogram(f, normals, n_v), cell)
+    return _deposit_tomogram(f, normals, weights, normals[:, :, None], t_resolution)
 
 
 def _check_plane_dim(d, k):
@@ -494,11 +478,11 @@ def tomography_lower_bound_margin(
     """
     d = f.dim
     _check_scaling_line(p, q, d, k)
-    n_v = 2 * max(f.resolution) if d == 2 else max(f.resolution)
     if k == 1:
-        tom, tom_half = _with_half(f, dirs, n_v)
-    else:
+        ((tom, tom_half),) = _with_half([f], dirs)
+    else:  # k = 2, so d = 3
         frames = haar_planes(d, k, 64 if dirs is None else count(dirs, f"dirs, the plane count of k = {k},"), seed)
+        n_v = max(f.resolution)
         tom = kplane_transform(f, frames, t_resolution=n_v)
         tom_half = kplane_transform(f, frames[::2], t_resolution=max(2, n_v // 2))
     return lower_bound_margin_from_tomograms(tom, tom_half, f, p, q, k)
@@ -620,7 +604,7 @@ def xx_inequality_margin(f: GridFunction, p, q, dirs: Optional[DirectionSet] = N
 
     if dirs is None:
         dirs = DirectionSet.uniform_circle(180)
-    tom, tom_half = _with_half(f, dirs, 2 * max(f.resolution))
+    ((tom, tom_half),) = _with_half([f], dirs, 2 * max(f.resolution))
     lhs, rhs = both(tom)
     lhs2, rhs2 = both(tom_half)
     return InequalityMargin.from_sides(lhs, rhs, "forward", abs((rhs - lhs) - (rhs2 - lhs2)))

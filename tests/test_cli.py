@@ -2,6 +2,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -287,7 +288,7 @@ def test_restricted_dimension_its_directions_cannot_serve_is_a_schema_error(scen
 @pytest.mark.parametrize(
     "scenario, engine",
     [
-        ({"task": "tomography", "seed": 1, "n_functions": 1, "p_values": []}, "xray_transform_batch"),
+        ({"task": "tomography", "seed": 1, "n_functions": 1, "p_values": []}, "_with_half"),
         ({"task": "discrete", "seed": 1, "max_order": 8, "p_values": []}, "bls_constant"),
     ],
     ids=["tomography", "discrete"],
@@ -310,33 +311,55 @@ def test_empty_p_values_is_a_schema_error(scenario, engine, monkeypatch, tmp_pat
     assert not (tmp_path / "empty.report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "scenario, path",
+    [
+        ({"task": "gowers", "seed": 1, "tol": "abc"}, "$.tol"),
+        ({"task": "gaussian-bl", "seed": 0, "cases": [{"datum": "young", "expected": "1/0"}]}, "$.cases[0].expected"),
+        ({"task": "tomography", "seed": 1, "n_functions": 1, "p_values": ["x"]}, "$.p_values"),
+    ],
+    ids=["top-level", "case", "p_values"],
+)
+def test_a_number_string_that_is_not_a_number_is_a_schema_error(scenario, path, tmp_path, capsys):
+    """No traceback and no failed report: exit 2 naming the key."""
+    with pytest.raises(SchemaError, match=rf"at {re.escape(path)}: .* is not a number or a fraction") as err:
+        run_scenario(scenario)
+    assert "\n" not in str(err.value)
+    scn = tmp_path / "bad.json"
+    scn.write_text(json.dumps(scenario))
+    assert main(["run", str(scn), "--out", str(tmp_path)]) == 2
+    assert path in capsys.readouterr().err
+    assert not (tmp_path / "bad.report.json").exists()
+
+
 def test_lower_bound_suite_transforms_every_function_once_in_chunks(monkeypatch):
     """The chunked suite: each seeded function once, in order, in batches of
     _XRAY_CHUNK; its results are bitwise those of one function at a time."""
     import numpy as np
 
     import blq.cli
+    import blq.tomography
     from blq.grid import random_grid_function
     from blq.tomography import (
         DirectionSet,
+        _with_half,
         lower_bound_margin_from_tomograms,
         scaling_exponent_q,
         xray_transform,
-        xray_transform_batch,
     )
 
     batches, halves = [], []
 
-    def batch(fs, *args, **kwargs):
+    def with_half(fs, *args, **kwargs):
         batches.append([f.values.tobytes() for f in fs])
-        return xray_transform_batch(fs, *args, **kwargs)
+        return _with_half(fs, *args, **kwargs)
 
     def single(f, *args, **kwargs):
         halves.append(f.values.tobytes())
         return xray_transform(f, *args, **kwargs)
 
-    monkeypatch.setattr(blq.cli, "xray_transform_batch", batch)
-    monkeypatch.setattr(blq.cli, "xray_transform", single)
+    monkeypatch.setattr(blq.cli, "_with_half", with_half)
+    monkeypatch.setattr(blq.tomography, "xray_transform", single)
     scenario = {"task": "tomography", "seed": 4, "n_functions": 19, "n_dirs": 8, "resolution": 12, "n_samples_3d": 0}
     report = run_scenario({**scenario, "n_mc": 10})
     assert report.passed

@@ -22,6 +22,11 @@ ABLs.  A maps the preimage intersections of one tuple (H_i) bijectively onto
 those of (T_i^{-1} H_i), and the subgroups H of G to A H with #(B_i A H) =
 #(B_i H), so both suprema are maxima of one expression over the same integer
 tables, and the values are equal, not merely close.
+
+Affine maps of Z_N: for a unit u and any a, x -> u x + a is a bijection of
+Z_N that carries each (d+1)-tuple (x, h_1, ..., h_d) to (u x + a, u h_1, ...,
+u h_d), so g(x) = f(u x + a) has the same box sums and Gowers norms as f; the
+shift tables only reorder the products, so the norms agree to rounding.
 """
 
 import math
@@ -36,6 +41,7 @@ from blq.catalog import NAMED_DATA, discrete_instances, named_datum, random_adjo
 from blq.data import BLDatum, derive_adjoint_exponents
 from blq.discrete import GroupHom, abls_constant, bls_constant
 from blq.gaussian import abl_gaussian_constant, bl_gaussian_constant
+from blq.gowers import U_CAPS, gowers_norm
 from blq.grid import GridFunction, lp_norm, random_grid_function
 from blq.tomography import DirectionSet, kplane_transform, scaling_exponent_q, xray_transform
 
@@ -169,3 +175,15 @@ def test_discrete_constants_are_invariant_under_automorphisms(name, seed):
     assert bls_constant(moved, c)[0] == bls_constant(maps, c)[0]
     for p in (Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)):
         assert abls_constant(moved, c, p)[0] == abls_constant(maps, c, p)[0]
+
+
+@pytest.mark.parametrize("n", [12, 16, 32, 64])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_gowers_norms_are_invariant_under_affine_maps_of_z_n(n, data):
+    u = data.draw(st.sampled_from([u for u in range(1, n) if math.gcd(u, n) == 1]), label="u")
+    a = data.draw(st.integers(0, n - 1), label="a")
+    f = np.random.default_rng(data.draw(SEEDS, label="seed")).random(n)
+    g = f[(u * np.arange(n) + a) % n]
+    for d in [d for d in range(1, 5) if n <= U_CAPS[d]]:
+        assert gowers_norm(g, d) == pytest.approx(gowers_norm(f, d), rel=1e-12, abs=0.0)

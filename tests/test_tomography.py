@@ -640,6 +640,45 @@ def test_batch_rejects_empty_and_mismatched_functions(fs, match):
         xray_transform_batch(fs, DirectionSet.uniform_circle(4))
 
 
+@pytest.mark.parametrize("n_functions", [1, 8])
+@pytest.mark.parametrize(
+    "box, resolution, dirs, n_v",
+    [
+        (BOX, (12, 12), turned_circle(9, 0.1), None),
+        (BOX, (12, 12), DirectionSet.uniform_circle(10), 7),
+        (((-1.0, 1.0),) * 3, (6, 6, 6), DirectionSet.fibonacci_sphere(7), None),
+        (((-1.0, 1.0),) * 3, (6, 6, 6), DirectionSet.fibonacci_sphere(6), 5),
+    ],
+    ids=["2d-default", "2d-explicit", "3d-default", "3d-explicit"],
+)
+def test_with_half_is_the_explicit_pair_bitwise(monkeypatch, box, resolution, dirs, n_v, n_functions):
+    """Each pair is the transform with n_v offsets (the sampled default when
+    None) and its check on every other direction, from the first, with
+    max(2, n_v // 2) offsets; each next() runs exactly one check."""
+    fs = [random_grid_function(box, resolution, seed=s, smooth=1) for s in range(n_functions)]
+    n = n_v or (2 * max(resolution) if len(box) == 2 else max(resolution))
+    half = DirectionSet.from_vectors(dirs.vectors[::2])
+    want = [(xray_transform(f, dirs, t_resolution=n), xray_transform(f, half, t_resolution=max(2, n // 2))) for f in fs]
+    checks = []
+
+    def counting(f, *args, **kwargs):
+        checks.append(f)
+        return xray_transform(f, *args, **kwargs)
+
+    monkeypatch.setattr(tomography, "xray_transform", counting)
+    pairs = tomography._with_half(fs, dirs, n_v)
+    for k, (f, expected) in enumerate(zip(fs, want), 1):
+        got = next(pairs)
+        assert len(checks) == k and checks[-1] is f
+        for tom, ref in zip(got, expected):
+            assert np.array_equal(tom.values, ref.values)
+            assert np.array_equal(tom.directions, ref.directions) and np.array_equal(tom.frames, ref.frames)
+            assert np.array_equal(tom.weights, ref.weights)
+            assert all(np.array_equal(a, b) for a, b in zip(tom.offsets_axes, ref.offsets_axes, strict=True))
+            assert tom.offset_cell_volume == ref.offset_cell_volume
+    assert next(pairs, None) is None and len(checks) == n_functions
+
+
 def test_batch_memory_peak():
     import tracemalloc
 
