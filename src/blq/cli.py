@@ -147,9 +147,11 @@ def _data(datum, n_data, seed0):
     return catalog.seeded_feasible_data(n_data, seed0=seed0)
 
 
-def _parse_number(x, path):
+def _parse_number(x, path, exact=False):
+    """``x`` as a float, or as the exact ``Fraction(str(x))`` when ``exact``; a SchemaError if it does not parse."""
     try:
-        return float(Fraction(x)) if isinstance(x, str) else float(x)
+        x = Fraction(str(x)) if exact or isinstance(x, str) else x
+        return x if exact else float(x)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"scenario violates the schema at {path}: {x!r} is not a number or a fraction") from exc
 
@@ -328,10 +330,10 @@ def _task_discrete(
         raise SchemaError(f"scenario violates the schema at $.c: {len(c)} exponents for {len(maps)} maps")
     if group is not None:
         _, homs = group_from_json({**group, "maps": maps})
-        instances = [("scenario", homs, tuple(Fraction(str(x)) for x in c))]
+        instances = [("scenario", homs, tuple(_parse_number(x, "$.c", exact=True) for x in c))]
     else:
         instances = catalog.discrete_instances(max_order)
-    ps = [Fraction(str(x)) for x in p_values]
+    ps = [_parse_number(x, "$.p_values", exact=True) for x in p_values]
     worst_cons = 0.0
     worst_margin = math.inf
     for name, maps, c in instances:

@@ -317,8 +317,16 @@ def test_empty_p_values_is_a_schema_error(scenario, engine, monkeypatch, tmp_pat
         ({"task": "gowers", "seed": 1, "tol": "abc"}, "$.tol"),
         ({"task": "gaussian-bl", "seed": 0, "cases": [{"datum": "young", "expected": "1/0"}]}, "$.cases[0].expected"),
         ({"task": "tomography", "seed": 1, "n_functions": 1, "p_values": ["x"]}, "$.p_values"),
+        ({"task": "discrete", "seed": 1, "max_order": 8, "p_values": ["x"]}, "$.p_values"),
+        (
+            {
+                "task": "discrete", "seed": 1, "group": {"factors": [2, 4]}, "c": [1, "1/0"],
+                "maps": [{"matrix": [[1, 0]], "target_factors": [2]}, {"matrix": [[0, 1]], "target_factors": [4]}],
+            },
+            "$.c",
+        ),
     ],
-    ids=["top-level", "case", "p_values"],
+    ids=["top-level", "case", "p_values", "discrete-p_values", "discrete-c"],
 )
 def test_a_number_string_that_is_not_a_number_is_a_schema_error(scenario, path, tmp_path, capsys):
     """No traceback and no failed report: exit 2 naming the key."""

@@ -179,9 +179,12 @@ def test_restricted_constant_great_circle_vanishes():
 
 
 def _reference_restricted_mean(mu, a, d, n_mc, seed):
-    """The restricted constant's Monte Carlo mean, drawn the long way."""
+    """The restricted constant's Monte Carlo mean, drawn the long way: a draw
+    that repeats a direction has wedge exactly 0."""
     idx = np.random.default_rng(seed).choice(len(mu), size=(n_mc, d), p=mu.weights)
-    return float((np.abs(np.linalg.det(mu.vectors[idx])) ** a).mean())
+    wedge = tomography._wedge_modulus(mu.vectors[idx])
+    wedge[[len(set(row)) < d for row in idx.tolist()]] = 0.0
+    return float((wedge**a).mean())
 
 
 def test_rank_deficient_restricted_constant_is_exactly_zero_without_draws(monkeypatch):
@@ -214,6 +217,23 @@ def test_full_rank_restricted_constant_keeps_its_monte_carlo():
     est = restricted_xray_constant(mu, p, q, 3, 5000, seed=3)
     assert est.mean == _reference_restricted_mean(mu, a, 3, 5000, seed=3) > 0.0
     assert est.value == est.mean ** (1.0 / (3 * q))
+
+
+def test_restricted_draws_that_repeat_a_direction_have_wedge_exactly_zero():
+    p = 0.5
+    q = scaling_exponent_q(p, 3)
+    a = 3 * q * (1.0 / p - 1.0) / 2
+    rng = np.random.default_rng(8)
+    v = rng.standard_normal((3, 3))
+    mu = DirectionSet.from_vectors(v / np.linalg.norm(v, axis=1, keepdims=True))
+    # only the 6 orders of three distinct directions have a wedge, and their
+    # moduli agree to rounding; the other 21 of 27 draws are exact zeros, not
+    # rounding noise raised to the power a ~ 1e-10
+    idx = np.random.default_rng(5).choice(3, size=(3000, 3), p=mu.weights)
+    distinct = np.mean([len(set(row)) == 3 for row in idx.tolist()])
+    wedge = abs(np.linalg.det(mu.vectors))
+    est = restricted_xray_constant(mu, p, q, 3, 3000, seed=5)
+    assert est.mean == pytest.approx(distinct * wedge**a, rel=1e-14)
 
 
 def test_restricted_constant_uniform_matches_sin_moment():
@@ -265,7 +285,7 @@ def test_gauss_wedge_integral_matches_closed_form():
 def test_blocked_wedge_draws_are_the_whole_array_draw(d, seed):
     n_mc = 3 * 2**15 + 5  # the last block is partial
     x = np.random.default_rng(seed).standard_normal((n_mc, d, d)) / math.sqrt(2.0 * math.pi)
-    vals = np.abs(np.linalg.det(x)) ** 0.5
+    vals = tomography._wedge_modulus(x) ** 0.5
     est = gauss_wedge_integral_mc(d, 0.5, n_mc, seed)
     assert est.mean == est.value == float(vals.mean())
     assert est.mean_stderr == est.stderr == float(vals.std(ddof=1) / math.sqrt(n_mc))
@@ -277,6 +297,39 @@ def test_wedge_mc_rejects_a_sample_count_that_is_no_positive_integer(n_mc):
         gauss_wedge_integral_mc(2, 0.5, n_mc, seed=1)
     with pytest.raises(InputError, match="n_mc"):
         xx_constant_via_mc(2, 2.0, 0.5, n_mc, seed=1)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_wedge_modulus_is_the_determinant_within_hadamards_bound(d):
+    x = np.random.default_rng(20 + d).standard_normal((10_000, d, d)) * np.exp(np.arange(d))
+    bound = 8 * np.finfo(float).eps * np.prod(np.linalg.norm(x, axis=2), axis=1)
+    assert np.all(np.abs(tomography._wedge_modulus(x) - np.abs(np.linalg.det(x))) <= bound)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_wedge_modulus_of_a_zero_column_is_exactly_zero(d):
+    x = np.random.default_rng(d).standard_normal((2000, d, d))
+    for k in range(d):
+        y = x.copy()
+        y[:, :, k] = 0.0  # a great-circle stack of d = 3 has a zero last column
+        assert not np.any(tomography._wedge_modulus(y))
+
+
+def test_wedge_modulus_of_repeated_rows_is_exactly_zero():
+    """Both rows at d = 2, and rows 1 and 2 at d = 3, whose first-row cofactors
+    vanish; a repeat of row 0 at d = 3 leaves rounding noise, which
+    ``restricted_xray_constant`` zeroes by draw index."""
+    x = np.random.default_rng(6).standard_normal((2000, 3, 3))
+    x[:, 2] = x[:, 1]
+    y = x[:, :2, :2].copy()
+    y[:, 1] = y[:, 0]
+    assert not np.any(tomography._wedge_modulus(x)) and not np.any(tomography._wedge_modulus(y))
+
+
+@pytest.mark.parametrize("d", [1, 4, 5])
+def test_wedge_modulus_falls_back_to_lu_bit_for_bit(d):
+    x = np.random.default_rng(d).standard_normal((500, d, d))
+    assert np.array_equal(tomography._wedge_modulus(x), np.abs(np.linalg.det(x)))
 
 
 def test_wedge_mc_memory_peak():
