@@ -54,7 +54,6 @@ from .discrete import (
 )
 from .tomography import (
     DirectionSet,
-    TomogramSamples,
     kplane_entropy_sequence,
     kplane_transform,
     restricted_xray_constant,

@@ -78,10 +78,11 @@ def named_datum(name) -> BLDatum:
         raise KeyError(f"unknown datum preset {name!r}; options: {sorted(NAMED_DATA)}")
 
 
-def _well_conditioned(rng, n, lo=0.7, hi=1.4):
+def _well_conditioned(rng, n):
+    """A seeded n x n matrix with singular values uniform in [0.7, 1.4)."""
     g = rng.standard_normal((n, n))
     u, _, vt = np.linalg.svd(g)
-    s = rng.uniform(lo, hi, size=n)
+    s = rng.uniform(0.7, 1.4, size=n)
     return u @ np.diag(s) @ vt
 
 

@@ -60,7 +60,6 @@ from .tomography import (
     xx_gamma_constant,
 )
 
-_XRAY_CHUNK = 8  # functions per sampled x-ray batch of the lower-bound suite; one chunk's tomograms are alive
 _RANDOM_RESOLUTION = {2: 64, 3: 24, 4: 10}  # cells per axis of adjoint-verify's random functions on [-1, 1]^d
 
 
@@ -388,13 +387,12 @@ def _tomography_suite(
     p_values = [_parse_number(x, "$.p_values") for x in p_values]
     worst_l1, min_gap = 0.0, math.inf
     seeds = [int(rng.integers(0, 2**31)) for _ in range(n_functions)]
-    for c in range(0, n_functions, _XRAY_CHUNK):
-        fs = [random_grid_function(box, (resolution,) * 2, seed=s, smooth=1) for s in seeds[c : c + _XRAY_CHUNK]]
-        for f, (tom, tom_half) in zip(fs, _with_half(fs, dirs)):
-            worst_l1 = max(worst_l1, abs(tom.l1() / f.mass - 1.0))
-            for p in p_values:
-                m = lower_bound_margin_from_tomograms(tom, tom_half, f, p, scaling_exponent_q(p, 2))
-                min_gap = min(min_gap, m.margin + m.quadrature_estimate)
+    fs = (random_grid_function(box, (resolution,) * 2, seed=s, smooth=1) for s in seeds)
+    for f, tom, tom_half in _with_half(fs, dirs):
+        worst_l1 = max(worst_l1, abs(tom.l1() / f.mass - 1.0))
+        for p in p_values:
+            m = lower_bound_margin_from_tomograms(tom, tom_half, f, p, scaling_exponent_q(p, 2))
+            min_gap = min(min_gap, m.margin + m.quadrature_estimate)
     results = {"l1_worst_dev": worst_l1, "min_margin_plus_estimate": min_gap}
     checks.at_most("||Xf||_1/||f||_1 = 1 (dev)", worst_l1, l1_tol)
     checks.at_least("lower-bound margins", min_gap, 0.0)
@@ -533,7 +531,7 @@ def _task_perturbation(
     coeffs = []
     for n in resolutions:
         spec = GridSpec(box=((-8.0, 8.0),) * d, resolution=(int(n),) * d)
-        coeffs.append(perturbation_gap(datum, params, eps=1e-3, grid=spec))
+        coeffs.append(perturbation_gap(datum, params, grid=spec))
     stability = abs(coeffs[0].coefficient - coeffs[-1].coefficient) / abs(coeffs[-1].coefficient)
     results = {
         "coefficients": [c.coefficient for c in coeffs],

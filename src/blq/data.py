@@ -118,12 +118,23 @@ class AdjointParams:
 
     Forward mode: 0 < p <= 1 and every theta_i > 0.
     Reverse mode: p >= 1 (math.inf allowed) and exactly one theta_i > 0.
+    A record checks its own fields: p and each p_i are positive (inf
+    allowed), there is one p_i per theta_i, and ``mode`` is ``_mode(theta, p)``.
     """
 
     theta: tuple
     p: float
     p_i: tuple
     mode: str
+
+    def __post_init__(self):
+        exponent(self.p, "p", inf=True)
+        for i, q in enumerate(self.p_i):
+            exponent(q, f"p_{i}", inf=True)
+        if len(self.p_i) != len(self.theta):
+            raise ParameterDomainError(f"need one p_i per theta_i, got {len(self.p_i)} for {len(self.theta)}")
+        if self.mode != _mode(self.theta, self.p):
+            raise ParameterDomainError(f"mode {self.mode!r} does not match theta and p")
 
     def residuals(self, exponents):
         """Defect of c_i(1 - 1/p) - theta_i(1 - 1/p_i) for each i."""
@@ -201,6 +212,19 @@ def validate_datum(datum: BLDatum) -> FeasibilityReport:
     return FeasibilityReport(bool(scaling_ok), tuple(checks), verdict)
 
 
+def _mode(theta, p):
+    """The mode the signs of theta and the value of p give (see AdjointParams); any other pattern raises."""
+    if any(t == 0 for t in theta):
+        raise ParameterDomainError("theta entries must be nonzero")
+    n_pos = sum(1 for t in theta if t > 0)
+    if n_pos == len(theta) and 0 < p <= 1:
+        return "forward"
+    if n_pos == 1 and p >= 1:
+        return "reverse"
+    raise ParameterDomainError("sign pattern/exponent mismatch: forward needs all theta_i>0 and 0<p<=1, "
+                               "reverse needs exactly one theta_i>0 and p>=1")
+
+
 def derive_adjoint_exponents(exponents: Sequence, theta: Sequence, p) -> AdjointParams:
     """Solve c_i(1 - 1/p) = theta_i(1 - 1/p_i) for the p_i.
 
@@ -213,18 +237,7 @@ def derive_adjoint_exponents(exponents: Sequence, theta: Sequence, p) -> Adjoint
     if abs(sum(theta) - 1.0) > 1e3 * THETA_SUM_TOL * max(1.0, max(abs(t) for t in theta)):
         raise ParameterDomainError(f"theta must sum to 1, got {sum(theta)!r}")
     p = exponent(p, "p", inf=True)
-    n_pos = sum(1 for t in theta if t > 0)
-    if any(t == 0 for t in theta):
-        raise ParameterDomainError("theta entries must be nonzero")
-    if n_pos == len(theta) and 0 < p <= 1:
-        mode = "forward"
-    elif n_pos == 1 and p >= 1:
-        mode = "reverse"
-    else:
-        raise ParameterDomainError(
-            "sign pattern/exponent mismatch: forward needs all theta_i>0 and 0<p<=1, "
-            "reverse needs exactly one theta_i>0 and p>=1"
-        )
+    mode = _mode(theta, p)
     p_i = []
     for i, (c, t) in enumerate(zip(exponents, theta)):
         denom = 1.0 + (c / t) * (1.0 / p - 1.0)

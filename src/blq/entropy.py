@@ -118,11 +118,11 @@ def _phi(q: Fraction) -> Fraction:
     return q * q / ((1 + q) * (1 + q))
 
 
-def power_curvature_fd(q, h=Fraction(1, 2048)) -> float:
+def power_curvature_fd(q) -> float:
     """Second derivative of q -> q^2/(1+q)^2 by exact-rational central
-    differences with one Richardson step (truncation O(h^4), no roundoff)."""
+    differences with one Richardson step (h = 1/2048, truncation O(h^4), no roundoff)."""
     q = Fraction(q)
-    h = Fraction(h)
+    h = Fraction(1, 2048)
 
     def second(hh):
         return (_phi(q + hh) - 2 * _phi(q) + _phi(q - hh)) / (hh * hh)

@@ -30,7 +30,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from .data import AdjointParams, BLDatum, adjoint_gaussian_prefactor
 from .entropy import log_lambda
 from .errors import ConditioningError, InputError, ParameterDomainError, ResolutionError, ScalingConditionError
-from .errors import exponent, finite
+from .errors import finite
 from .grid import GridFunction, GridSpec, mesh_points, row_blocks
 
 OVERFLOW_GUARD = 1e100
@@ -44,6 +44,7 @@ ASCENT_MAX_ITER = 20_000
 _ARMIJO = 1e-4
 # largest quadrature self-estimate of perturbation_gap, relative to its coefficient
 MAX_SELF_ESTIMATE = 0.1
+_DIRECT_EPS = 1e-3  # step of perturbation_gap's direct check
 
 
 def _cho_factor(a):
@@ -100,9 +101,6 @@ class SpdMatrix:
     def inv(self):
         return _cho_solve(self.chol, np.eye(self.dim))
 
-    def solve(self, b):
-        return _cho_solve(self.chol, b)
-
 
 @dataclass(frozen=True)
 class GaussianOptResult:
@@ -129,7 +127,7 @@ def gaussian_pushforward(A: SpdMatrix, B):
     amplitude * e^{-pi <A_B y, y>} and integrates to det(A)^{-1/2}.
     """
     B = finite(B, "B")
-    M = B @ A.solve(B.T)
+    M = B @ _cho_solve(A.chol, B.T)
     M = 0.5 * (M + M.T)
     w = np.linalg.eigvalsh(M)
     if w[0] <= 1e-12 * max(w[-1], 1e-300):
@@ -290,13 +288,11 @@ def quotient_supremum(datum: BLDatum) -> GaussianOptResult:
 
 @dataclass(frozen=True)
 class AiIdentityResult:
-    """Both sides of the log-det duality identity with their optimizers."""
+    """Both sides of the log-det duality identity, in logs."""
 
     residual: float
     left_log: float
     right_log: float
-    left: GaussianOptResult
-    right: GaussianOptResult
 
 
 def identity_ai_residual(datum: BLDatum) -> AiIdentityResult:
@@ -317,13 +313,7 @@ def identity_ai_residual(datum: BLDatum) -> AiIdentityResult:
         warnings.warn("identity check: one side did not converge", RuntimeWarning)
     left_log = 2.0 * math.log(left.value)
     right_log = math.log(right.value)
-    return AiIdentityResult(
-        residual=abs(left_log - right_log),
-        left_log=left_log,
-        right_log=right_log,
-        left=left,
-        right=right,
-    )
+    return AiIdentityResult(abs(left_log - right_log), left_log, right_log)
 
 
 def abl_gaussian_constant(datum: BLDatum, params: AdjointParams) -> GaussianOptResult:
@@ -374,7 +364,6 @@ class PerturbationGapResult:
     quadrature_estimate: float
     j_index: int
     radius: float
-    eps: float
     direct_ratio_delta: float
 
 
@@ -406,7 +395,7 @@ def _gap_integrand_sum(datum, params, j, kappa, radius, grid):
     return float(np.sum(total[:n]) * grid.cell_volume)
 
 
-def perturbation_gap(datum: BLDatum, params: AdjointParams, grid: GridSpec, eps: float = 1e-3):
+def perturbation_gap(datum: BLDatum, params: AdjointParams, grid: GridSpec):
     """First-order coefficient of the gaussian perturbation that beats ABLg.
 
     Takes the standard gaussian f, the index j with the largest c_j/theta_j
@@ -416,11 +405,10 @@ def perturbation_gap(datum: BLDatum, params: AdjointParams, grid: GridSpec, eps:
     h = -f restricted to the cone outside radius R then has a positive
     first-order effect on the adjoint quotient.  Evaluated by grid
     quadrature on ``grid`` with a dyadic-coarsening self-estimate, and
-    directly: ``direct_ratio_delta`` is the functional's relative change at f + eps h.
+    directly: ``direct_ratio_delta`` is the functional's relative change at f + 1e-3 h.
     """
     if params.mode != "forward" or params.p >= 1.0:
         raise ParameterDomainError("perturbation gap needs forward mode with p < 1")
-    eps = exponent(eps, "eps")
     ratios = [c / t for c, t in zip(datum.exponents, params.theta)]
     j = int(np.argmax(ratios))
     if ratios[j] <= 1.0 + 1e-12:
@@ -447,12 +435,11 @@ def perturbation_gap(datum: BLDatum, params: AdjointParams, grid: GridSpec, eps:
         quadrature_estimate=estimate,
         j_index=j,
         radius=radius,
-        eps=float(eps),
-        direct_ratio_delta=_direct_ratio_delta(datum, params, j, kappa, radius, grid, eps),
+        direct_ratio_delta=_direct_ratio_delta(datum, params, j, kappa, radius, grid),
     )
 
 
-def _direct_ratio_delta(datum, params, j, kappa, radius, grid, eps):
+def _direct_ratio_delta(datum, params, j, kappa, radius, grid):
     """One array holds f's values, then g's; each grid lives for one log_lambda
     call, so its cached masses are gone before the values change."""
     vals = np.empty(math.prod(grid.resolution))
@@ -462,6 +449,6 @@ def _direct_ratio_delta(datum, params, j, kappa, radius, grid, eps):
         mask[cells] = cone
     # with bl = 1 the bl factor drops out of the ratio
     log_f = log_lambda(GridFunction._over(grid, vals.reshape(grid.resolution)), datum, params, 1.0)
-    vals[mask] -= eps * vals[mask]  # g = f + eps * h with h = -f on the cone
+    vals[mask] -= _DIRECT_EPS * vals[mask]  # g = f + _DIRECT_EPS * h with h = -f on the cone
     log_g = log_lambda(GridFunction._over(grid, vals.reshape(grid.resolution)), datum, params, 1.0)
     return math.exp(log_g - log_f) - 1.0

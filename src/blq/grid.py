@@ -104,6 +104,11 @@ class GridSpec:
         return grid_centers(self.box, self.resolution)
 
 
+def _cell_masses(f):
+    """f * cell_volume per cell, flat in C order: the one rule for a grid's cell masses."""
+    return f.values.ravel() * f.cell_volume
+
+
 @dataclass(frozen=True)
 class GridFunction(GridSpec):
     """Non-negative cell-center samples on a uniform box grid."""
@@ -135,10 +140,7 @@ class GridFunction(GridSpec):
     def mass(self):
         return float(self.values.sum() * self.cell_volume)
 
-    @functools.cached_property
-    def masses(self):
-        """f * cell_volume per cell, flat in C order; formed once per grid."""
-        return self.values.ravel() * self.cell_volume
+    masses = functools.cached_property(_cell_masses)  # formed once per grid
 
     def refine(self):
         """Split every cell into 2^d subcells with the same value (exact)."""

@@ -9,29 +9,28 @@ total integral, which anchors all the lower-bound checks.
 
 Line integrals use equispaced sampling with trapezoid weights at step half
 the grid cell (multilinear interpolation of the cell-center samples).  Only
-the samples inside the zero-padded grid are evaluated, with arithmetic
-bit-exact to scipy's order-1 ``map_coordinates``; the others add exactly 0.
-``xray_transform_batch`` samples several functions on one grid: the geometry
-of each block of samples (coordinates, in-grid mask, corner indices and
-weights) is built once and serves every function, and each tomogram is bit
-for bit the one-function ``xray_transform``, which is the batch of one.
-The plane averages of R^3 (``kplane_transform``, k = 2 only; lines go
-through the x-ray transform) use exact mass-deposit binning instead, since a
-full quadrature grid over 2-planes is an order of magnitude more work for no
-accuracy gain.  Each kind of tomogram has one builder: ``_deposit_tomogram``
-for the plane averages and the x-ray ``method="deposit"``, and ``_with_half``
-for a margin's sampled tomograms and their quadrature checks, the same
-transform on every other direction at half the offset resolution.  The checks
-go through ``xray_transform``, which perfbench times as the sampled kernel
-until the batch has a span (ROADMAP item 1).  Directions are deterministic
-quadratures (uniform angles in the plane, Fibonacci points on the sphere);
-Haar frames come from QR factors of seeded gaussian matrices.  An empty
-direction or plane set raises :class:`InputError`.  The wedge Monte Carlos
-take 2 x 2 and 3 x 3 determinants in closed form, not by one LU per matrix.
+the samples inside the zero-padded grid are evaluated, bit-exact to scipy's
+order-1 ``map_coordinates``; the others add exactly 0.
+``xray_transform_batch`` samples several functions on one grid, each tomogram
+bit for bit the one-function ``xray_transform``, the batch of one.  The plane
+averages of R^3 (``kplane_transform``, k = 2 only) use exact mass-deposit
+binning instead, since a full quadrature grid over 2-planes is an order of
+magnitude more work for no accuracy gain.  Each kind of tomogram has one
+builder: ``_deposit_tomogram`` for the plane averages and the x-ray
+``method="deposit"``, and ``_with_half`` for a margin's sampled tomograms, in
+batches of ``_XRAY_BATCH`` functions, and their quadrature checks, the same
+transform on every other direction at half the offset resolution, one
+``xray_transform`` each, which perfbench times as the sampled kernel.
+Directions are deterministic quadratures (uniform angles in the plane,
+Fibonacci points on the sphere); Haar frames come from QR factors of seeded
+gaussian matrices.  An empty direction or plane set raises
+:class:`InputError`.  The wedge Monte Carlos take 2 x 2 and 3 x 3
+determinants in closed form, not by one LU per matrix.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -41,10 +40,11 @@ from scipy.special import gammaln
 
 from .entropy import _neg_log_term, shannon_entropy
 from .errors import InputError, ParameterDomainError, count, exponent, finite, nonnegative
-from .grid import GridFunction, InequalityMargin, grid_centers, lp_norm, mesh_points
+from .grid import GridFunction, InequalityMargin, _cell_masses, grid_centers, lp_norm, mesh_points
 
 _MC_BLOCK = 1 << 15  # matrices per block of the gaussian wedge Monte Carlo
 _LINE_BLOCK = 1 << 15  # line samples per interpolation block of the sampled x-ray transform
+_XRAY_BATCH = 8  # functions per sampled x-ray batch of ``_with_half``; each holds a line-sample buffer
 FRAME_TOL = 1e-9  # max |F^T F - I| of an explicit plane frame
 
 
@@ -179,11 +179,10 @@ class _LinearInterp:
 
 @dataclass(frozen=True)
 class TomogramSamples:
-    """Transform values on a product grid of directions/frames and offsets."""
+    """Transform values on a product grid of directions (or plane normals) and offsets."""
 
     directions: np.ndarray
     weights: np.ndarray
-    frames: np.ndarray
     offsets_axes: tuple
     values: np.ndarray
     offset_cell_volume: float
@@ -244,7 +243,7 @@ def _deposit_tomogram(f: GridFunction, directions, weights, frames, t_resolution
     m = frames.shape[2]
     radius, cell, offsets_axes = _offset_grid(f, n_v, m)
     pts = mesh_points(f.centers())
-    masses = f.values.ravel() * f.cell_volume
+    masses = _cell_masses(f)  # uncached: the array lives only as long as this deposit
     strides = [n_v ** (m - 1 - a) for a in range(m)]  # row-major offset grid
     corners = [[(c >> a) & 1 for a in range(m)] for c in range(1 << m)]
     values = np.zeros((len(frames),) + (n_v,) * m)
@@ -264,7 +263,7 @@ def _deposit_tomogram(f: GridFunction, directions, weights, frames, t_resolution
                 w = w * weight[a][bits[a]]
             acc += np.bincount(flat, weights=w, minlength=n_v**m)
         acc /= cell**m
-    return TomogramSamples(directions, weights, frames, offsets_axes, values, cell**m)
+    return TomogramSamples(directions, weights, offsets_axes, values, cell**m)
 
 
 def _line_setup(f: GridFunction, dirs):
@@ -370,19 +369,20 @@ def xray_transform_batch(
             for buf, acc in zip(bufs, values):
                 acc[i, s : s + chunk] = buf[: len(blk)] @ t_w
     grid, volume = (len(dirs),) + (n_v,) * (d - 1), cell ** (d - 1)
-    return [TomogramSamples(dirs.vectors, dirs.weights, frames, offsets_axes, v.reshape(grid), volume) for v in values]
+    return [TomogramSamples(dirs.vectors, dirs.weights, offsets_axes, v.reshape(grid), volume) for v in values]
 
 
 def _with_half(fs, dirs=None, n_v=None):
-    """Yield, per f of the list ``fs``, its sampled line transform with ``n_v``
-    offsets per axis (the default when None), all from one batch, and its check
-    on every other direction with max(2, n_v // 2), one ``xray_transform`` at a
-    time (see the module docstring)."""
-    toms = xray_transform_batch(fs, dirs, n_v)
-    n_v = len(toms[0].offsets_axes[0])
-    half = DirectionSet.from_vectors(toms[0].directions[::2])
-    for f, tom in zip(fs, toms):
-        yield tom, xray_transform(f, half, t_resolution=max(2, n_v // 2))
+    """Yield ``(f, tomogram, check)`` per f of the iterable ``fs``: its sampled
+    line transform with ``n_v`` offsets per axis (the default when None) and
+    its check on every other direction with max(2, n_v // 2) offsets."""
+    fs = iter(fs)
+    while batch := list(itertools.islice(fs, _XRAY_BATCH)):
+        toms = xray_transform_batch(batch, dirs, n_v)
+        half = DirectionSet.from_vectors(toms[0].directions[::2])
+        for f, tom in zip(batch, toms):
+            yield f, tom, xray_transform(f, half, t_resolution=max(2, len(tom.offsets_axes[0]) // 2))
+        del toms  # one batch's tomograms are alive, not two
 
 
 def haar_planes(d, k, n, seed):
@@ -480,7 +480,7 @@ def tomography_lower_bound_margin(
     d = f.dim
     _check_scaling_line(p, q, d, k)
     if k == 1:
-        ((tom, tom_half),) = _with_half([f], dirs)
+        ((_, tom, tom_half),) = _with_half([f], dirs)
     else:  # k = 2, so d = 3
         frames = haar_planes(d, k, 64 if dirs is None else count(dirs, f"dirs, the plane count of k = {k},"), seed)
         n_v = max(f.resolution)
@@ -617,7 +617,7 @@ def xx_inequality_margin(f: GridFunction, p, q, dirs: Optional[DirectionSet] = N
 
     if dirs is None:
         dirs = DirectionSet.uniform_circle(180)
-    ((tom, tom_half),) = _with_half([f], dirs, 2 * max(f.resolution))
+    ((_, tom, tom_half),) = _with_half([f], dirs, 2 * max(f.resolution))
     lhs, rhs = both(tom)
     lhs2, rhs2 = both(tom_half)
     return InequalityMargin.from_sides(lhs, rhs, "forward", abs((rhs - lhs) - (rhs2 - lhs2)))

@@ -155,6 +155,7 @@ REFERENCE_SHA256 = {
     "08_gamma_constant": "437719b701d4dd2a6b0cbfe797046bc48d2fd3825c3d473a8f7bf63cd3e5e2b6",
     "09_gowers_logconvexity": "9adfe836032f3b1625ebcd0f057c1942b0b0eea2d3de520b8d7f2df89c559284",
     "10_entropy_margins": "ce8c7324e9db44bd9d77880a379d036aec1221c5a737977ca5b4c4b970ce60a4",
+    "11_determinism_probe": "58920480af340efd57a8e94e6089dca91ce79e4849c945bde014ce71d2640737",
 }
 
 
@@ -170,7 +171,7 @@ SLOW_REFERENCE_SHA256 = {
     "name, sha256", [pytest.param(name, digest, id=name) for name, digest in REFERENCE_SHA256.items()]
 )
 def test_fast_scenario_reruns_are_byte_identical(name, sha256):
-    # criterion 11 covers scenario 11; 03 and 07 take minutes
+    # 03 and 07 take minutes; their criterion tests pin them
     path = SCENARIOS / f"{name}.json"
     first = emit_report(run_scenario(path))
     assert first == emit_report(run_scenario(path))

@@ -341,37 +341,43 @@ def test_a_number_string_that_is_not_a_number_is_a_schema_error(scenario, path, 
 
 
 def test_lower_bound_suite_transforms_every_function_once_in_chunks(monkeypatch):
-    """The chunked suite: each seeded function once, in order, in batches of
-    _XRAY_CHUNK; its results are bitwise those of one function at a time."""
+    """The suite's functions go through _with_half: each seeded function once,
+    in order, in batches of tomography._XRAY_BATCH; its results are bitwise
+    those of one function at a time."""
     import numpy as np
 
-    import blq.cli
     import blq.tomography
     from blq.grid import random_grid_function
     from blq.tomography import (
         DirectionSet,
-        _with_half,
         lower_bound_margin_from_tomograms,
         scaling_exponent_q,
         xray_transform,
+        xray_transform_batch,
     )
 
     batches, halves = [], []
 
-    def with_half(fs, *args, **kwargs):
-        batches.append([f.values.tobytes() for f in fs])
-        return _with_half(fs, *args, **kwargs)
+    def batch(fs, dirs, *args, **kwargs):
+        # the suite's batches run on all 8 directions; each check's xray_transform
+        # is a batch of one on the 4 directions of the halved set
+        if len(dirs) == 8:
+            batches.append([f.values.tobytes() for f in fs])
+        else:
+            assert len(dirs) == 4 and len(fs) == 1
+        return xray_transform_batch(fs, dirs, *args, **kwargs)
 
     def single(f, *args, **kwargs):
         halves.append(f.values.tobytes())
         return xray_transform(f, *args, **kwargs)
 
-    monkeypatch.setattr(blq.cli, "_with_half", with_half)
+    monkeypatch.setattr(blq.tomography, "xray_transform_batch", batch)
     monkeypatch.setattr(blq.tomography, "xray_transform", single)
     scenario = {"task": "tomography", "seed": 4, "n_functions": 19, "n_dirs": 8, "resolution": 12, "n_samples_3d": 0}
     report = run_scenario({**scenario, "n_mc": 10})
     assert report.passed
-    assert [len(b) for b in batches] == [8, 8, 3] and blq.cli._XRAY_CHUNK == 8
+    assert [len(b) for b in batches] == [8, 8, 3] and blq.tomography._XRAY_BATCH == 8
+    monkeypatch.undo()  # the reference below must not record
 
     box = ((-4.0, 4.0), (-4.0, 4.0))
     dirs = DirectionSet.uniform_circle(8)

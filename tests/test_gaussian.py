@@ -342,10 +342,10 @@ def test_perturbation_positive_and_stable():
     datum = loomis_whitney(2)
     params = derive_adjoint_exponents(datum.exponents, (0.9, 0.1), 0.5)
     res_lo = perturbation_gap(
-        datum, params, eps=1e-3, grid=GridSpec(box=((-8, 8), (-8, 8)), resolution=(256, 256))
+        datum, params, grid=GridSpec(box=((-8, 8), (-8, 8)), resolution=(256, 256))
     )
     res_hi = perturbation_gap(
-        datum, params, eps=1e-3, grid=GridSpec(box=((-8, 8), (-8, 8)), resolution=(512, 512))
+        datum, params, grid=GridSpec(box=((-8, 8), (-8, 8)), resolution=(512, 512))
     )
     assert res_lo.coefficient > 0
     assert res_hi.coefficient == pytest.approx(res_lo.coefficient, rel=0.05)
@@ -404,7 +404,7 @@ def _check_gap_against_reference(res):
     datum = loomis_whitney(2)
     params = derive_adjoint_exponents(datum.exponents, (0.9, 0.1), 0.5)
     box = ((-8.0, 8.0), (-8.0, 8.0))
-    gap = perturbation_gap(datum, params, eps=1e-3, grid=GridSpec(box=box, resolution=res))
+    gap = perturbation_gap(datum, params, grid=GridSpec(box=box, resolution=res))
     j = gap.j_index
     kappa = (1.0 - 0.5 * (params.p + params.p_i[j])) / (1.0 - params.p_i[j])
     fine = _reference_gap_sum(datum, params, j, kappa, gap.radius, box, res)
@@ -438,7 +438,7 @@ def test_perturbation_gap_memory_peak_on_the_scenario_grid():
     grid._OPERATORS.clear()
     tracemalloc.start()
     try:
-        perturbation_gap(datum, params, eps=1e-3, grid=spec)
+        perturbation_gap(datum, params, grid=spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

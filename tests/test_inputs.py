@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import blq
 from blq.catalog import loomis_whitney
-from blq.data import BLDatum, adjoint_gaussian_prefactor, derive_adjoint_exponents
+from blq.data import AdjointParams, BLDatum, adjoint_gaussian_prefactor, derive_adjoint_exponents
 from blq.discrete import (
     FiniteAbelianGroup,
     GroupHom,
@@ -35,7 +35,7 @@ from blq.discrete import (
 )
 from blq.entropy import entropic_bl_margin, p_entropy_probe, renyi_entropy, shannon_entropy
 from blq.errors import BLQError
-from blq.gaussian import SpdMatrix, gaussian_pushforward, perturbation_gap
+from blq.gaussian import SpdMatrix, gaussian_pushforward
 from blq.gowers import gowers_logconvexity_margin, gowers_norm, gowers_profile
 from blq.grid import (
     GridFunction,
@@ -105,7 +105,6 @@ F2 = random_grid_function(BOX2, (8, 8), seed=1)
 F3 = random_grid_function(BOX3, (6, 6, 6), seed=2)
 LW2 = loomis_whitney(2)
 PARAMS = derive_adjoint_exponents(LW2.exponents, (0.5, 0.5), 0.5)
-GAP_PARAMS = derive_adjoint_exponents(LW2.exponents, (0.9, 0.1), 0.5)
 Z22 = FiniteAbelianGroup((2, 2))
 Z2 = FiniteAbelianGroup((2,))
 PAIR = (GroupHom(((1, 0),), Z22, Z2), GroupHom(((0, 1),), Z22, Z2))
@@ -144,6 +143,14 @@ ROWS = (
     # data
     Row("BLDatum", "maps", not_finite((1, 2)), lambda b: BLDatum((b, np.array([[0.0, 1.0]])), (1, 1))),
     Row("BLDatum", "exponents", bad_exponent(), lambda c: BLDatum((np.eye(2),), (c,))),
+    Row("AdjointParams", "p", bad_exponent(inf=True), lambda p: AdjointParams((0.5, 0.5), p, (0.5, 0.5), "forward")),
+    Row("AdjointParams", "p_i", st.one_of(bad_exponent(inf=True).map(lambda q: (q, 0.5)),
+                                          bad_exponent(inf=True).map(lambda q: (0.5, q))),
+        lambda p_i: AdjointParams((0.5, 0.5), 0.5, p_i, "forward")),
+    Row("AdjointParams", "theta", st.sampled_from([(1.0,), (0.4, 0.3, 0.3), ()]),
+        lambda theta: AdjointParams(theta, 0.5, (0.5, 0.5), "forward")),
+    Row("AdjointParams", "mode", st.text().filter(lambda m: m != "forward"),
+        lambda mode: AdjointParams((0.5, 0.5), 0.5, (0.5, 0.5), mode)),
     Row("derive_adjoint_exponents", "p", bad_exponent(inf=True),
         lambda p: derive_adjoint_exponents(LW2.exponents, (0.5, 0.5), p)),
     Row("adjoint_gaussian_prefactor", "d", bad_count(), lambda d: adjoint_gaussian_prefactor(PARAMS, (1, 1), d)),
@@ -151,8 +158,6 @@ ROWS = (
     Row("SpdMatrix.from_matrix", "m", not_finite((2, 2)), lambda m: SpdMatrix.from_matrix(m)),
     Row("gaussian_pushforward", "B", not_finite((1, 2)),
         lambda b: gaussian_pushforward(SpdMatrix.from_matrix(np.eye(2)), b)),
-    Row("perturbation_gap", "eps", bad_exponent(),
-        lambda eps: perturbation_gap(LW2, GAP_PARAMS, GridSpec(((-8.0, 8.0),) * 2, (256, 256)), eps=eps)),
     # discrete
     Row("FiniteAbelianGroup", "factors", bad_count(), lambda n: FiniteAbelianGroup((2, n))),
     Row("GroupHom", "matrix", bad_count(None), lambda v: GroupHom(((1, v),), Z22, Z2)),
@@ -202,10 +207,11 @@ ROWS = (
 )
 
 # records the library fills in and returns; a caller reads them
-RECORDS = {"AdjointParams", "FeasibilityReport", "GaussianOptResult", "GowersProfile"}
-# callables whose only inputs are a BLDatum and AdjointParams, checked where those are built
+RECORDS = {"FeasibilityReport", "GaussianOptResult", "GowersProfile"}
+# callables whose only inputs are a BLDatum, AdjointParams and a GridSpec, checked where those are built
 DATUM_ONLY = {
-    "abl_gaussian_constant", "bl_gaussian_constant", "identity_ai_residual", "quotient_supremum", "validate_datum"
+    "abl_gaussian_constant", "bl_gaussian_constant", "identity_ai_residual", "perturbation_gap", "quotient_supremum",
+    "validate_datum",
 }
 
 
@@ -238,9 +244,10 @@ def test_the_table_covers_every_exported_callable():
 
 
 def _resolve(name):
-    """The callable a row names: an export of ``blq`` (or ``blq.grid``), or a method of one."""
+    """The callable a row names: an export of ``blq`` (or of ``blq.grid`` or
+    ``blq.tomography``), or a method of one."""
     head, *rest = name.split(".")
-    obj = getattr(blq, head) if hasattr(blq, head) else getattr(blq.grid, head)
+    obj = next(getattr(m, head) for m in (blq, blq.grid, blq.tomography) if hasattr(m, head))
     for part in rest:
         obj = getattr(obj, part)
     return obj

@@ -27,6 +27,14 @@ Affine maps of Z_N: for a unit u and any a, x -> u x + a is a bijection of
 Z_N that carries each (d+1)-tuple (x, h_1, ..., h_d) to (u x + a, u h_1, ...,
 u h_d), so g(x) = f(u x + a) has the same box sums and Gowers norms as f; the
 shift tables only reorder the products, so the norms agree to rounding.
+
+Aligned binning: the coordinate projections of Loomis-Whitney on a square grid
+(one extent and one cell count on every axis) have as default target the
+source grid less one axis, so every cell centre lands in the middle of a
+target cell and each pushforward is the exact marginal of the piecewise-
+constant f.  A refinement splits the marginal's cells the same way, so no
+marginal norm moves: the margin's drift is 0, and f and its refinements have
+one margin, up to rounding.
 """
 
 import math
@@ -37,12 +45,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blq.catalog import NAMED_DATA, discrete_instances, named_datum, random_adjoint_draws
+from blq.catalog import NAMED_DATA, discrete_instances, loomis_whitney, named_datum, random_adjoint_draws
 from blq.data import BLDatum, derive_adjoint_exponents
 from blq.discrete import GroupHom, abls_constant, bls_constant
 from blq.gaussian import abl_gaussian_constant, bl_gaussian_constant
 from blq.gowers import U_CAPS, gowers_norm
-from blq.grid import GridFunction, lp_norm, random_grid_function
+from blq.grid import GridFunction, adjoint_margin, lp_norm, random_grid_function
 from blq.tomography import DirectionSet, kplane_transform, scaling_exponent_q, xray_transform
 
 REL = 1e-9
@@ -187,3 +195,30 @@ def test_gowers_norms_are_invariant_under_affine_maps_of_z_n(n, data):
     g = f[(u * np.arange(n) + a) % n]
     for d in [d for d in range(1, 5) if n <= U_CAPS[d]]:
         assert gowers_norm(g, d) == pytest.approx(gowers_norm(f, d), rel=1e-12, abs=0.0)
+
+
+ALIGNED_ULPS = 16  # rounding allowance of the aligned-grid law, in ulps of the margin's scale (at most 5 seen)
+# mode -> (theta in dimension d, p)
+ALIGNED_PARAMS = {
+    "forward": (lambda d: (1.0 / d,) * d, 0.5),
+    "reverse": (lambda d: (2.0,) + (-1.0 / (d - 1),) * (d - 1), 2.0),
+}
+
+
+@pytest.mark.parametrize("d, n", [(2, 16), (2, 24), (3, 8), (3, 12)])
+@pytest.mark.parametrize("box", [(-1.0, 1.0), (-0.5, 2.5)], ids=["centred", "shifted"])
+@pytest.mark.parametrize("mode", sorted(ALIGNED_PARAMS))
+@settings(max_examples=3, deadline=None)
+@given(seed=SEEDS)
+def test_aligned_coordinate_projections_bin_without_drift(d, n, box, mode, seed):
+    datum = loomis_whitney(d)
+    theta, p = ALIGNED_PARAMS[mode]
+    params = derive_adjoint_exponents(datum.exponents, theta(d), p)
+    assert params.mode == mode
+    f = random_grid_function((box,) * d, (n,) * d, seed=seed, zero_fraction=0.2)
+    margins = [adjoint_margin(g, datum, params, 1.0) for g in (f, f.refine(), f.refine().refine())]
+    ulp = np.finfo(float).eps * max(1.0, abs(margins[0].lhs), abs(margins[0].rhs))
+    for m in margins:
+        scale = max(1.0, abs(m.lhs), abs(m.rhs))
+        assert abs(m.quadrature_estimate - 1e-12 * scale) <= ALIGNED_ULPS * ulp  # the drift, less the 1e-12 floor
+        assert abs(m.margin - margins[0].margin) <= ALIGNED_ULPS * ulp
