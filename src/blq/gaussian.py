@@ -67,6 +67,20 @@ def _cho_solve(c, b):
     return x
 
 
+def _sym(m):
+    return 0.5 * (m + m.T)
+
+
+def _logdet(chol):
+    """log det A from the lower Cholesky factor of A."""
+    return 2.0 * float(np.sum(np.log(np.diag(chol))))
+
+
+def _marginal(chol, b):
+    """B A^{-1} B^T, symmetrised, from the lower Cholesky factor of A."""
+    return _sym(b @ _cho_solve(chol, b.T))
+
+
 @dataclass(frozen=True)
 class SpdMatrix:
     """Symmetric positive-definite matrix with its cached Cholesky factor."""
@@ -82,7 +96,7 @@ class SpdMatrix:
         scale = max(1.0, float(np.abs(m).max()))
         if np.abs(m - m.T).max() > 1e-12 * scale:
             raise InputError("matrix is not symmetric to tolerance")
-        m = 0.5 * (m + m.T)
+        m = _sym(m)
         try:
             chol = _cho_factor(m)
         except np.linalg.LinAlgError as exc:
@@ -91,15 +105,11 @@ class SpdMatrix:
         chol.flags.writeable = False
         return cls(matrix=m, chol=chol)
 
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
-
     def logdet(self):
-        return 2.0 * float(np.sum(np.log(np.diag(self.chol))))
+        return _logdet(self.chol)
 
     def inv(self):
-        return _cho_solve(self.chol, np.eye(self.dim))
+        return _cho_solve(self.chol, np.eye(len(self.chol)))
 
 
 @dataclass(frozen=True)
@@ -115,10 +125,6 @@ class GaussianOptResult:
     cross_check: Optional[float] = None
 
 
-def _logdet_pd(m):
-    return 2.0 * float(np.sum(np.log(np.diag(_cho_factor(m)))))
-
-
 def gaussian_pushforward(A: SpdMatrix, B):
     """Marginalize e^{-pi <Ax,x>} along a surjective map B.
 
@@ -127,14 +133,11 @@ def gaussian_pushforward(A: SpdMatrix, B):
     amplitude * e^{-pi <A_B y, y>} and integrates to det(A)^{-1/2}.
     """
     B = finite(B, "B")
-    M = B @ _cho_solve(A.chol, B.T)
-    M = 0.5 * (M + M.T)
+    M = _marginal(A.chol, B)
     w = np.linalg.eigvalsh(M)
     if w[0] <= 1e-12 * max(w[-1], 1e-300):
         raise ConditioningError("B A^{-1} B^T is numerically singular")
-    A_b = np.linalg.inv(M)
-    A_b = 0.5 * (A_b + A_b.T)
-    result = SpdMatrix.from_matrix(A_b)
+    result = SpdMatrix.from_matrix(_sym(np.linalg.inv(M)))
     amplitude = math.exp(0.5 * (result.logdet() - A.logdet()))
     return amplitude, result
 
@@ -143,26 +146,19 @@ def _tuple_log_value(datum, A_list):
     """log of prod det(A_i)^{c_i/2} / det(M)^{1/2} and M, for the
     fixed-point map M = sum c_i B_i^T A_i B_i."""
     M = _fixed_point_map(datum, A_list)
-    lv = 0.5 * sum(c * _logdet_pd(a) for c, a in zip(datum.exponents, A_list))
-    lv -= 0.5 * _logdet_pd(M)
+    lv = 0.5 * sum(c * _logdet(_cho_factor(a)) for c, a in zip(datum.exponents, A_list))
+    lv -= 0.5 * _logdet(_cho_factor(M))
     return lv, M
 
 
 def _derived_tuple(datum, A):
     """A_i = (B_i A^{-1} B_i^T)^{-1} for the current ambient matrix A."""
     cho = _cho_factor(A)
-    out = []
-    for b in datum.maps:
-        m = b @ _cho_solve(cho, b.T)
-        m = 0.5 * (m + m.T)
-        inv = np.linalg.inv(m)
-        out.append(0.5 * (inv + inv.T))
-    return out
+    return [_sym(np.linalg.inv(_marginal(cho, b))) for b in datum.maps]
 
 
 def _fixed_point_map(datum, A_list):
-    M = sum(c * (b.T @ a @ b) for c, b, a in zip(datum.exponents, datum.maps, A_list))
-    return 0.5 * (M + M.T)
+    return _sym(sum(c * (b.T @ a @ b) for c, b, a in zip(datum.exponents, datum.maps, A_list)))
 
 
 def bl_gaussian_constant(datum: BLDatum) -> GaussianOptResult:
@@ -175,8 +171,7 @@ def bl_gaussian_constant(datum: BLDatum) -> GaussianOptResult:
     rather than raised, since they indicate an infinite constant.
     """
     d = datum.ambient_dim
-    A_list = [np.eye(di) for di in datum.dims]
-    _, A = _tuple_log_value(datum, A_list)
+    A = _fixed_point_map(datum, [np.eye(di) for di in datum.dims])
     A *= d / np.trace(A)
     last_lv = -math.inf
     residual = math.inf
@@ -216,42 +211,41 @@ def bl_gaussian_constant(datum: BLDatum) -> GaussianOptResult:
     )
 
 
-def quotient_log_objective(datum: BLDatum, S) -> float:
-    """log det(S) - sum c_i log det(B_i S B_i^T), the quotient-side objective."""
-    S = np.asarray(S, dtype=float)
-    val = _logdet_pd(S)
+def quotient_log_objective(datum: BLDatum, S, chol) -> float:
+    """log det(S) - sum c_i log det(B_i S B_i^T), the quotient-side objective;
+    log det(S) is read from ``chol``, the lower Cholesky factor ``_cho_factor(S)``."""
+    val = _logdet(chol)
     for c, b in zip(datum.exponents, datum.maps):
-        val -= c * _logdet_pd(b @ S @ b.T)
+        val -= c * _logdet(_cho_factor(b @ S @ b.T))
     return val
 
 
-def quotient_log_gradient(datum: BLDatum, S):
-    """Analytic gradient S^{-1} - sum c_i B_i^T (B_i S B_i^T)^{-1} B_i."""
-    S = np.asarray(S, dtype=float)
-    cho = _cho_factor(S)
-    g = _cho_solve(cho, np.eye(S.shape[0]))
+def quotient_log_gradient(datum: BLDatum, S, chol):
+    """Analytic gradient S^{-1} - sum c_i B_i^T (B_i S B_i^T)^{-1} B_i;
+    S^{-1} is solved from ``chol``, the lower Cholesky factor ``_cho_factor(S)``."""
+    g = _cho_solve(chol, np.eye(len(S)))
     for c, b in zip(datum.exponents, datum.maps):
-        m = b @ S @ b.T
-        g -= c * (b.T @ _cho_solve(_cho_factor(0.5 * (m + m.T)), b))
-    return 0.5 * (g + g.T)
+        g -= c * (b.T @ _cho_solve(_cho_factor(_sym(b @ S @ b.T)), b))
+    return _sym(g)
 
 
 def quotient_supremum(datum: BLDatum) -> GaussianOptResult:
     """sup over SPD S of det(S) / prod det(B_i S B_i^T)^{c_i} via ascent.
 
     Preconditioned gradient ascent from S = I: direction S G S, Armijo
-    backtracking line search; a trial iterate whose objective has no
-    Cholesky factor is not positive definite and halves the step, and the
-    gradient is taken only at accepted iterates.  The ascent stops early
+    backtracking line search.  Each trial iterate is factored once: a trial
+    with no Cholesky factor is not positive definite and halves the step, and
+    an accepted trial's factor serves its objective, its gradient (taken only
+    at accepted iterates) and the next step's metric.  The ascent stops early
     when no step is accepted or 20 accepted steps in a row gain nothing.
     """
     S = np.eye(datum.ambient_dim)
-    val, grad = quotient_log_objective(datum, S), quotient_log_gradient(datum, S)
+    L = _cho_factor(S)
+    val, grad = quotient_log_objective(datum, S, L), quotient_log_gradient(datum, S, L)
     step = 1.0
     stalled = 0
     converged = False
     for it in range(1, ASCENT_MAX_ITER + 1):
-        L = _cho_factor(S)
         m = L.T @ grad @ L
         gnorm_sq = float(np.sum(m * m))
         direction = S @ grad @ S
@@ -264,14 +258,15 @@ def quotient_supremum(datum: BLDatum) -> GaussianOptResult:
         while t > 1e-16:
             trial = S + t * direction
             try:
-                new_val = quotient_log_objective(datum, trial)
+                L_trial = _cho_factor(trial)
+                new_val = quotient_log_objective(datum, trial, L_trial)
                 if new_val >= val + _ARMIJO * t * gnorm_sq:
-                    grad, accepted = quotient_log_gradient(datum, trial), True
+                    grad, accepted = quotient_log_gradient(datum, trial, L_trial), True
             except (np.linalg.LinAlgError, ValueError):
                 pass
             if accepted:
                 stalled = stalled + 1 if new_val - val < 1e-14 * (1.0 + abs(new_val)) else 0
-                S, val, step = trial, new_val, t
+                S, L, val, step = trial, L_trial, new_val, t
                 break
             t *= 0.5
         if not accepted or stalled >= 20:
@@ -332,20 +327,19 @@ def abl_gaussian_constant(datum: BLDatum, params: AdjointParams) -> GaussianOptR
             value=1.0, argmax=None, iterations=0, converged=True, residual=0.0, cross_check=1.0
         )
     quot = quotient_supremum(datum)
-    return _abl_from_solves(pref, params, quot, bl_gaussian_constant(datum))
+    argmax = SpdMatrix.from_matrix(quot.argmax.inv())
+    return _abl_from_solves(pref, params, quot, bl_gaussian_constant(datum), argmax)
 
 
-def _abl_from_solves(pref, params, quot, bl) -> GaussianOptResult:
+def _abl_from_solves(pref, params, quot, bl, argmax=None) -> GaussianOptResult:
     """ABLg and its cross-check from the quotient and tuple-side solves.
 
     Neither solve depends on (theta, p), so callers with several exponent
-    draws for one datum solve once and call this per draw.
+    draws for one datum solve once and call this per draw; the argmax, the
+    inverse of the quotient's, is left to ``abl_gaussian_constant``.
     """
     value = pref * math.exp(0.5 * (1.0 / params.p - 1.0) * math.log(quot.value))
     cross = pref * bl.value ** (1.0 / params.p - 1.0)
-    argmax = None
-    if quot.argmax is not None:
-        argmax = SpdMatrix.from_matrix(quot.argmax.inv())
     return GaussianOptResult(
         value=value,
         argmax=argmax,

@@ -377,7 +377,7 @@ def adjoint_margin(f: GridFunction, datum, params, bl_value: float) -> Inequalit
 def rank_one_distance(f: GridFunction) -> float:
     """Relative Frobenius distance of a 2-D grid to its best product (rank-1) fit."""
     if f.dim != 2:
-        raise ValueError("rank-one distance is defined for 2-D grids")
+        raise InputError("rank-one distance is defined for 2-D grids")
     sv = np.linalg.svd(f.values, compute_uv=False)
     total = float(np.sum(sv**2))
     if total == 0:

@@ -131,13 +131,14 @@ def test_quotient_gradient_matches_finite_differences():
     datum = conjugate_datum(young(), seed=4)
     h = 1e-6
     for _ in range(10):
-        S = random_spd(rng, 2).matrix
-        G = quotient_log_gradient(datum, S)
+        spd = random_spd(rng, 2)
+        G = quotient_log_gradient(datum, spd.matrix, spd.chol)
         E = rng.standard_normal((2, 2))
         E = 0.5 * (E + E.T)
+        S_up, S_down = spd.matrix + h * E, spd.matrix - h * E
         fd = (
-            quotient_log_objective(datum, S + h * E)
-            - quotient_log_objective(datum, S - h * E)
+            quotient_log_objective(datum, S_up, _cho_factor(S_up))
+            - quotient_log_objective(datum, S_down, _cho_factor(S_down))
         ) / (2 * h)
         analytic = float(np.sum(G * E))
         assert fd == pytest.approx(analytic, rel=1e-5)
@@ -207,7 +208,8 @@ def test_abl_from_one_solve_pair_is_bitwise_abl_gaussian_constant():
         res = abl_gaussian_constant(datum, params)
         assert (once.value, once.cross_check) == (res.value, res.cross_check)
         assert (once.converged, once.iterations, once.residual) == (res.converged, res.iterations, res.residual)
-        assert np.array_equal(once.argmax.matrix, res.argmax.matrix)
+        assert once.argmax is None
+        assert np.array_equal(res.argmax.matrix, SpdMatrix.from_matrix(quot.argmax.inv()).matrix)
 
 
 def test_divergence_signal_for_infeasible_datum():
@@ -300,7 +302,8 @@ def _reference_ascent_spd_blocks(value_and_grad, blocks, max_iter=20_000, gtol=1
 def test_quotient_supremum_is_bitwise_the_block_ascent(datum):
     def vg(blocks):
         (S,) = blocks
-        return quotient_log_objective(datum, S), [quotient_log_gradient(datum, S)]
+        L = _cho_factor(S)
+        return quotient_log_objective(datum, S, L), [quotient_log_gradient(datum, S, L)]
 
     blocks, val, converged, gnorm, it = _reference_ascent_spd_blocks(vg, [np.eye(datum.ambient_dim)])
     res = quotient_supremum(datum)
@@ -314,14 +317,53 @@ def test_ascent_takes_the_gradient_at_accepted_iterates_only(monkeypatch):
 
     calls = []
 
-    def counting(datum, S):
+    def counting(datum, S, chol):
         calls.append(S)
-        return quotient_log_gradient(datum, S)
+        return quotient_log_gradient(datum, S, chol)
 
     monkeypatch.setattr(blq.gaussian, "quotient_log_gradient", counting)
-    res = quotient_supremum(conjugate_datum(loomis_whitney(4), seed=3))  # 84 trials, 34 iterations
+    res = quotient_supremum(conjugate_datum(loomis_whitney(4), seed=3))  # 83 trials, 34 iterations
     # S = I, then at most one accepted step per iteration; no rejected trial
     assert len(calls) <= res.iterations + 1
+
+
+def _factor_shapes(monkeypatch):
+    import blq.gaussian
+
+    shapes = []
+
+    def counting(a):
+        shapes.append(np.shape(a))
+        return _cho_factor(a)
+
+    monkeypatch.setattr(blq.gaussian, "_cho_factor", counting)
+    return shapes
+
+
+def test_quotient_ascent_factors_each_trial_once(monkeypatch):
+    import blq.gaussian
+
+    datum = conjugate_datum(loomis_whitney(4), seed=3)  # S is 4 x 4, every B S B^T 3 x 3
+    objective_calls = []
+
+    def counting(*args):
+        objective_calls.append(args)
+        return quotient_log_objective(*args)
+
+    monkeypatch.setattr(blq.gaussian, "quotient_log_objective", counting)
+    shapes = _factor_shapes(monkeypatch)
+    quotient_supremum(datum)
+    # one factor per objective call serves its gradient and the next metric; one more for the argmax
+    assert shapes.count((4, 4)) == len(objective_calls) + 1 == 85
+
+
+def test_fixed_point_factors_k_plus_two_matrices_an_iteration(monkeypatch):
+    datum = conjugate_datum(loomis_whitney(4), seed=3)
+    shapes = _factor_shapes(monkeypatch)
+    res = bl_gaussian_constant(datum)
+    k = len(datum.maps)
+    # A, the k matrices A_i and M per iteration, then the k argmax matrices; the seed factors none
+    assert len(shapes) == res.iterations * (k + 2) + k == 304
 
 
 def test_perturbation_rejects_theta_equals_c():

@@ -151,6 +151,13 @@ def test_margin_nonproduct_strictly_positive():
         assert m.margin >= 3.0 * m.quadrature_estimate
 
 
+@pytest.mark.parametrize("resolution", [(16,), (4, 4, 4)])
+def test_rank_one_distance_rejects_a_grid_that_is_not_2d(resolution):
+    f = random_grid_function(((-1.0, 1.0),) * len(resolution), resolution, seed=0)
+    with pytest.raises(InputError, match="2-D grids"):
+        rank_one_distance(f)
+
+
 @pytest.mark.parametrize(
     "datum,resolution",
     [
