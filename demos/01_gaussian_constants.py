@@ -40,7 +40,7 @@ for name in ("young", "finner_mixed"):
 print("\n== adjoint constants ==")
 lw = loomis_whitney(2)
 params = derive_adjoint_exponents(lw.exponents, (0.5, 0.5), 0.5)
-pref = adjoint_gaussian_prefactor(params, lw.dims, lw.ambient_dim)
+pref = adjoint_gaussian_prefactor(params, lw)
 res = abl_gaussian_constant(lw, params)
 print(f"coupled exponents p_i = {params.p_i}")
 print(f"prefactor = {pref:.9f}")

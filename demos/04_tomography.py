@@ -27,15 +27,14 @@ print(f"||Xf||_1 / ||f||_1 = {tom.l1()/f.mass:.6f}")
 
 print("\n== lower bounds on the scaling line (constant 1) ==")
 for p in (0.5, 0.7, 0.9):
-    q = scaling_exponent_q(p, 2)
-    m = tomography_lower_bound_margin(f, p, q, dirs=DirectionSet.uniform_circle(120))
+    m = tomography_lower_bound_margin(f, p, dirs=DirectionSet.uniform_circle(120))
+    q = scaling_exponent_q(p, 2)  # the margin derives the same q
     print(f"p = {p}: q = {q:.4f}, ||Xf||_q - ||f||_p = {m.margin:8.4f}, certified = {m.certified}")
 
 print("\n== restricted directions ==")
 p = 0.5
-q3 = scaling_exponent_q(p, 3)
-great = restricted_xray_constant(DirectionSet.great_circle(128), p, q3, 3, 100_000, seed=2)
-full = restricted_xray_constant(DirectionSet.fibonacci_sphere(256), p, q3, 3, 100_000, seed=2)
+great = restricted_xray_constant(DirectionSet.great_circle(128), p, 100_000, seed=2)
+full = restricted_xray_constant(DirectionSet.fibonacci_sphere(256), p, 100_000, seed=2)
 print(f"great-circle support: C(mu) = {great.value:.6f} (degenerate, vanishes)")
 print(f"full sphere         : C(mu) = {full.value:.6f} +- {full.stderr:.6f}")
 

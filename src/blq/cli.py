@@ -230,7 +230,7 @@ def _task_adjoint_gaussian(checks, *, datum, theta, p, rel_tol=1e-4, seed=None):
     results = {
         "value": res.value,
         "cross_check": res.cross_check,
-        "prefactor": adjoint_gaussian_prefactor(params, datum.dims, datum.ambient_dim),
+        "prefactor": adjoint_gaussian_prefactor(params, datum),
         "p_i": list(params.p_i),
     }
     checks.at_most("adjoint constant matches prefactor route", rel, rel_tol)
@@ -263,8 +263,7 @@ def _verify_random(checks, *, seed, datum=None, n_data=20, seed0=2024, n_draws=5
         quot = quotient_supremum(datum)
         worst = 0.0
         for params in draws:
-            pref = adjoint_gaussian_prefactor(params, datum.dims, datum.ambient_dim)
-            res = _abl_from_solves(pref, params, quot, bl)
+            res = _abl_from_solves(datum, params, quot, bl)
             worst = max(worst, abs(res.value - res.cross_check) / abs(res.cross_check))
         worst_rel = max(worst_rel, worst)
         d = datum.ambient_dim
@@ -391,7 +390,7 @@ def _tomography_suite(
     for f, tom, tom_half in _with_half(fs, dirs):
         worst_l1 = max(worst_l1, abs(tom.l1() / f.mass - 1.0))
         for p in p_values:
-            m = lower_bound_margin_from_tomograms(tom, tom_half, f, p, scaling_exponent_q(p, 2))
+            m = lower_bound_margin_from_tomograms(tom, tom_half, f, p)
             min_gap = min(min_gap, m.margin + m.quadrature_estimate)
     results = {"l1_worst_dev": worst_l1, "min_margin_plus_estimate": min_gap}
     checks.at_most("||Xf||_1/||f||_1 = 1 (dev)", worst_l1, l1_tol)
@@ -411,7 +410,7 @@ def _tomography_suite(
     checks.at_least("k-plane norm monotonicity", worst_chain, 0.0)
     gc = DirectionSet.great_circle(128)
     p = 0.5
-    est = restricted_xray_constant(gc, p, scaling_exponent_q(p, 3), 3, n_mc, seed)
+    est = restricted_xray_constant(gc, p, n_mc, seed)
     results["great_circle_constant"] = est.value
     checks.add("great-circle constant < 1e-3", est.value, 1e-3, est.value < 1e-3)
     return {"n_functions": n_functions, "n_dirs": n_dirs, "resolution": resolution}, results
@@ -446,7 +445,7 @@ def _tomography_restricted(checks, *, seed, d=3, p=0.5, n_mc=10**5, mu="great-ci
     else:
         n = n_mu or 256
         directions = DirectionSet.uniform_circle(n) if d == 2 else DirectionSet.fibonacci_sphere(n)
-    est = restricted_xray_constant(directions, p, q, d, n_mc, seed)
+    est = restricted_xray_constant(directions, p, n_mc, seed)
     results = {"value": est.value, "stderr": est.stderr, "n": est.n_samples}
     if expected_below is not None:
         checks.add("constant below bound", est.value, expected_below, est.value < expected_below)

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.linalg import null_space
 
-from .errors import DatumError, ParameterDomainError, count, exponent, finite
+from .errors import DatumError, ParameterDomainError, exponent, finite
 
 RANK_TOL = 1e-10
 THETA_SUM_TOL = 1e-12
@@ -118,14 +118,14 @@ class AdjointParams:
 
     Forward mode: 0 < p <= 1 and every theta_i > 0.
     Reverse mode: p >= 1 (math.inf allowed) and exactly one theta_i > 0.
-    A record checks its own fields: p and each p_i are positive (inf
-    allowed), there is one p_i per theta_i, and ``mode`` is ``_mode(theta, p)``.
+    A record checks its own fields (p and each p_i are positive, inf allowed,
+    and there is one p_i per theta_i) and sets ``mode`` to ``_mode(theta, p)``.
     """
 
     theta: tuple
     p: float
     p_i: tuple
-    mode: str
+    mode: str = field(init=False)
 
     def __post_init__(self):
         exponent(self.p, "p", inf=True)
@@ -133,8 +133,7 @@ class AdjointParams:
             exponent(q, f"p_{i}", inf=True)
         if len(self.p_i) != len(self.theta):
             raise ParameterDomainError(f"need one p_i per theta_i, got {len(self.p_i)} for {len(self.theta)}")
-        if self.mode != _mode(self.theta, self.p):
-            raise ParameterDomainError(f"mode {self.mode!r} does not match theta and p")
+        object.__setattr__(self, "mode", _mode(self.theta, self.p))
 
     def residuals(self, exponents):
         """Defect of c_i(1 - 1/p) - theta_i(1 - 1/p_i) for each i."""
@@ -247,23 +246,28 @@ def derive_adjoint_exponents(exponents: Sequence, theta: Sequence, p) -> Adjoint
         if mode == "forward" and not (0.0 < q <= 1.0 + 1e-12):
             raise ParameterDomainError(f"derived exponent p_{i}={q} outside (0,1] in forward mode")
         p_i.append(min(q, 1.0) if mode == "forward" else q)
-    return AdjointParams(theta=theta, p=p, p_i=tuple(p_i), mode=mode)
+    return AdjointParams(theta=theta, p=p, p_i=tuple(p_i))
 
 
-def adjoint_gaussian_prefactor(params: AdjointParams, dims: Sequence[int], d: int) -> float:
-    """Evaluate p^{-d/2p} * prod p_i^{theta_i d_i / 2 p_i} in log space.
+def _check_map_count(params: AdjointParams, k):
+    """Refuse a params record built for a datum with another number of maps."""
+    if len(params.theta) != k:
+        raise ParameterDomainError(f"params hold {len(params.theta)} weights theta_i for {k} maps")
+
+
+def adjoint_gaussian_prefactor(params: AdjointParams, datum: BLDatum) -> float:
+    """Evaluate p^{-d/2p} * prod p_i^{theta_i d_i / 2 p_i} in log space, with
+    d and the d_i read from ``datum``.
 
     A factor with zero exponent contributes 1 regardless of its base
     (the 0^0 = inf^0 = 1 convention at degenerate edges).
     """
-    if len(dims) != len(params.theta):
-        raise ParameterDomainError("dims length must match theta length")
-    d = count(d, "d")
+    _check_map_count(params, datum.k)
     log_c = 0.0
-    e0 = -d / (2.0 * params.p)  # -0.0 at p = inf
+    e0 = -datum.ambient_dim / (2.0 * params.p)  # -0.0 at p = inf
     if e0 != 0.0:
         log_c += e0 * math.log(params.p)
-    for t, di, q in zip(params.theta, dims, params.p_i):
+    for t, di, q in zip(params.theta, datum.dims, params.p_i):
         e = t * di / (2.0 * q)
         if e != 0.0:
             log_c += e * math.log(q)

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import AdjointParams
+from .data import AdjointParams, _check_map_count
 from .errors import CapExceededError, DatumError, InputError, count, exponent, nonnegative
 from .grid import ROW_BLOCK_CELLS, InequalityMargin
 
@@ -309,6 +309,7 @@ def discrete_adjoint_margins(
     """Exact counting-measure margins of the discrete adjoint inequality,
     one per row of F (one function on the source group per row)."""
     src, _ = _check_maps(maps)
+    _check_map_count(params, len(maps))
     F = nonnegative(F, "F")
     if F.ndim != 2 or F.shape[1] != src.order:
         raise InputError("F must hold one vector indexed by the source group per row")

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .data import AdjointParams, BLDatum, derive_adjoint_exponents
+from .data import AdjointParams, BLDatum, _check_map_count, derive_adjoint_exponents
 from .errors import MassError, exponent, nonnegative
 from .grid import GridFunction, adjoint_log_rhs, grid_pushforward, lp_norm
 
@@ -90,6 +90,7 @@ def entropic_bl_margin(f: GridFunction, datum: BLDatum, bl_value: float) -> floa
 def renyi_bl_margin(f: GridFunction, datum: BLDatum, params: AdjointParams, bl_value: float) -> float:
     """sum c_i H_{p_i}((B_i)_* f) + log(bl) - H_p(f); converges to the
     Shannon margin as p -> 1."""
+    _check_map_count(params, datum.k)
     return _marginal_total(f.normalized(), datum, bl_value, params.p, params.p_i, renyi_entropy)
 
 

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .data import AdjointParams, BLDatum, adjoint_gaussian_prefactor
+from .data import AdjointParams, BLDatum, _check_map_count, adjoint_gaussian_prefactor
 from .entropy import log_lambda
 from .errors import ConditioningError, InputError, ParameterDomainError, ResolutionError, ScalingConditionError
 from .errors import finite
@@ -321,23 +321,24 @@ def abl_gaussian_constant(datum: BLDatum, params: AdjointParams) -> GaussianOptR
     """
     if params.mode != "forward":
         raise ParameterDomainError("adjoint gaussian constant needs forward-mode parameters")
-    pref = adjoint_gaussian_prefactor(params, datum.dims, datum.ambient_dim)
+    _check_map_count(params, datum.k)
     if params.p == 1.0:
         return GaussianOptResult(
             value=1.0, argmax=None, iterations=0, converged=True, residual=0.0, cross_check=1.0
         )
     quot = quotient_supremum(datum)
     argmax = SpdMatrix.from_matrix(quot.argmax.inv())
-    return _abl_from_solves(pref, params, quot, bl_gaussian_constant(datum), argmax)
+    return _abl_from_solves(datum, params, quot, bl_gaussian_constant(datum), argmax)
 
 
-def _abl_from_solves(pref, params, quot, bl, argmax=None) -> GaussianOptResult:
-    """ABLg and its cross-check from the quotient and tuple-side solves.
+def _abl_from_solves(datum, params, quot, bl, argmax=None) -> GaussianOptResult:
+    """ABLg and its cross-check from the datum's prefactor and the quotient and tuple-side solves.
 
     Neither solve depends on (theta, p), so callers with several exponent
     draws for one datum solve once and call this per draw; the argmax, the
     inverse of the quotient's, is left to ``abl_gaussian_constant``.
     """
+    pref = adjoint_gaussian_prefactor(params, datum)
     value = pref * math.exp(0.5 * (1.0 / params.p - 1.0) * math.log(quot.value))
     cross = pref * bl.value ** (1.0 / params.p - 1.0)
     return GaussianOptResult(
@@ -403,6 +404,7 @@ def perturbation_gap(datum: BLDatum, params: AdjointParams, grid: GridSpec):
     """
     if params.mode != "forward" or params.p >= 1.0:
         raise ParameterDomainError("perturbation gap needs forward mode with p < 1")
+    _check_map_count(params, datum.k)
     ratios = [c / t for c, t in zip(datum.exponents, params.theta)]
     j = int(np.argmax(ratios))
     if ratios[j] <= 1.0 + 1e-12:

@@ -47,6 +47,7 @@ from typing import Optional
 
 import numpy as np
 
+from .data import _check_map_count
 from .errors import CoverageError, InputError, MassError, count, exponent, finite, nonnegative
 
 TINY_FLUSH = 1e-300
@@ -353,6 +354,7 @@ class InequalityMargin:
 def adjoint_log_rhs(f: GridFunction, datum, params, bl_value: float) -> float:
     """log of bl^{1/p-1} prod ||(B_i)_* f||_{p_i}^{theta_i}, the right-hand
     side of the adjoint inequality, from the binned marginals of f."""
+    _check_map_count(params, datum.k)
     norms = (lp_norm(grid_pushforward(f, b), q) for b, q in zip(datum.maps, params.p_i))
     return params.log_rhs(norms, bl_value)
 

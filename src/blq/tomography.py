@@ -25,7 +25,9 @@ Directions are deterministic quadratures (uniform angles in the plane,
 Fibonacci points on the sphere); Haar frames come from QR factors of seeded
 gaussian matrices.  An empty direction or plane set raises
 :class:`InputError`.  The wedge Monte Carlos take 2 x 2 and 3 x 3
-determinants in closed form, not by one LU per matrix.
+determinants in closed form, not by one LU per matrix.  The bounds
+||T_k f||_q >= ||f||_p take q on the scaling line from ``scaling_exponent_q``,
+d from the function (or the directions) and k from the tomogram.
 """
 
 from __future__ import annotations
@@ -341,33 +343,31 @@ def xray_transform_batch(
     lows, cells = [lo for lo, _ in f.box], f.cell_sizes
     srcs = [np.pad(g.values, 1).ravel() for g in fs]
     values = [np.zeros((len(dirs), len(offs))) for _ in fs]
-    # trapezoid sums, one gemv per function over chunks of offsets; interpolation
-    # in blocks of whole lines, about _LINE_BLOCK samples, whose arrays stay in cache
-    chunk = max(1, int(4_000_000 // max(1, n_t + 1)))
+    # trapezoid sums, one gemv per function and direction over all offsets;
+    # interpolation in blocks of whole lines, about _LINE_BLOCK samples, whose
+    # arrays stay in cache
     block = max(1, _LINE_BLOCK // (n_t + 1))
-    bufs = [np.empty((min(chunk, len(offs)), n_t + 1)) for _ in fs]
+    bufs = [np.empty((len(offs), n_t + 1)) for _ in fs]
     interp = _LinearInterp(tuple(n + 2 for n in f.resolution), block * (n_t + 1))
     coords = np.empty((d, block, n_t + 1))
     for i, (omega, frame) in enumerate(zip(dirs.vectors, frames)):
         base = offs @ frame.T
         steps = [t_nodes * w for w in omega]
-        for s in range(0, len(offs), chunk):
-            blk = base[s : s + chunk]
-            for r in range(0, len(blk), block):
-                rows = blk[r : r + block]
-                # grid coordinate on each axis of sample (offset, t), an outer sum:
-                # ((row + step) - lo) / cell + 0.5
-                u = coords[:, : len(rows)]
-                for a in range(d):
-                    np.add(rows[:, a, None], steps[a], out=u[a])
-                    u[a] -= lows[a]
-                    u[a] /= cells[a]
-                    u[a] += 0.5
-                interp.locate(u.reshape(d, -1))
-                for src, buf in zip(srcs, bufs):
-                    interp.values(src, buf[r : r + len(rows)].reshape(-1))
-            for buf, acc in zip(bufs, values):
-                acc[i, s : s + chunk] = buf[: len(blk)] @ t_w
+        for r in range(0, len(base), block):
+            rows = base[r : r + block]
+            # grid coordinate on each axis of sample (offset, t), an outer sum:
+            # ((row + step) - lo) / cell + 0.5
+            u = coords[:, : len(rows)]
+            for a in range(d):
+                np.add(rows[:, a, None], steps[a], out=u[a])
+                u[a] -= lows[a]
+                u[a] /= cells[a]
+                u[a] += 0.5
+            interp.locate(u.reshape(d, -1))
+            for src, buf in zip(srcs, bufs):
+                interp.values(src, buf[r : r + len(rows)].reshape(-1))
+        for buf, acc in zip(bufs, values):
+            acc[i] = buf @ t_w
     grid, volume = (len(dirs),) + (n_v,) * (d - 1), cell ** (d - 1)
     return [TomogramSamples(dirs.vectors, dirs.weights, offsets_axes, v.reshape(grid), volume) for v in values]
 
@@ -423,54 +423,37 @@ def kplane_transform(
     return _deposit_tomogram(f, normals, weights, normals[:, :, None], t_resolution)
 
 
-def _check_plane_dim(d, k):
-    if k >= d:
-        raise ParameterDomainError(f"k-plane transforms need k < d, got k = {k} in d = {d}")
-
-
 def scaling_exponent_q(p, d, k=1):
-    """Solve (1/d)(1 - 1/q) = (1/(d-k))(1 - 1/p) for q (k < d)."""
-    _check_plane_dim(d, k)
-    denom = 1.0 - (d / (d - k)) * (1.0 - 1.0 / p)
+    """Solve (1/d)(1 - 1/q) = (1/(d-k))(1 - 1/p) for q (0 < k < d); the one
+    place the margins below check p."""
+    if not 0 < k < d:
+        raise ParameterDomainError(f"k-plane transforms need 0 < k < d, got k = {k} in d = {d}")
+    denom = 1.0 - (d / (d - k)) * (1.0 - 1.0 / exponent(p, "p", inf=True))
     if denom <= 0:
         raise ParameterDomainError("no admissible q on the scaling line for this p")
     return 1.0 / denom
 
 
-def _check_scaling_line(p, q, d, k):
-    _check_plane_dim(d, k)
-    lhs = (1.0 / d) * (1.0 - 1.0 / exponent(q, "q", inf=True))
-    rhs = (1.0 / (d - k)) * (1.0 - 1.0 / exponent(p, "p", inf=True))
-    if abs(lhs - rhs) > 1e-12 * max(1.0, abs(lhs), abs(rhs)):
-        raise ParameterDomainError(
-            f"exponents off the scaling line: (1/d)(1-1/q) = {lhs!r} "
-            f"but (1/(d-k))(1-1/p) = {rhs!r}"
-        )
-
-
 def lower_bound_margin_from_tomograms(
-    tom: TomogramSamples, tom_half: TomogramSamples, f: GridFunction, p: float, q: float, k: int = 1
+    tom: TomogramSamples, tom_half: TomogramSamples, f: GridFunction, p: float
 ) -> InequalityMargin:
-    """Margin of ||T_k f||_q >= ||f||_p from precomputed transforms.
+    """Margin of ||T_k f||_q >= ||f||_p from precomputed transforms, with
+    k = f.dim - (the tomogram's offset axes) and q on the scaling line.
 
     ``tom_half`` is the same transform at halved direction count and offset
     resolution; the drift between the two is the quadrature estimate.
     """
-    _check_scaling_line(p, q, f.dim, k)
+    if len(tom_half.offsets_axes) != len(tom.offsets_axes) or tom.directions.shape[1] != f.dim:
+        raise InputError("tom and tom_half must be transforms in f's dimension with one number of offset axes")
+    q = scaling_exponent_q(p, f.dim, f.dim - len(tom.offsets_axes))
     lhs = tom.lq(q)
     lhs_half = tom_half.lq(q)
     return InequalityMargin.from_sides(lhs, lp_norm(f, p), "reverse", abs(lhs - lhs_half))
 
 
-def tomography_lower_bound_margin(
-    f: GridFunction,
-    p: float,
-    q: float,
-    k: int = 1,
-    dirs=None,
-    seed: int = 0,
-) -> InequalityMargin:
-    """Margin of ||T_k f||_q >= ||f||_p on the scaling line (constant 1).
+def tomography_lower_bound_margin(f: GridFunction, p: float, *, k: int = 1, dirs=None, seed: int = 0) -> InequalityMargin:
+    """Margin of ||T_k f||_q >= ||f||_p on the scaling line (constant 1),
+    q = ``scaling_exponent_q(p, f.dim, k)``.
 
     ``dirs`` is a ``DirectionSet`` (or None) for k = 1, and a plane count
     (or None, for 64 planes) for k = 2.  The quadrature estimate keeps every
@@ -478,7 +461,8 @@ def tomography_lower_bound_margin(
     and takes the drift.
     """
     d = f.dim
-    _check_scaling_line(p, q, d, k)
+    k = count(k, "k")
+    scaling_exponent_q(p, d, k)  # refuses p and k before any transform
     if k == 1:
         ((_, tom, tom_half),) = _with_half([f], dirs)
     else:  # k = 2, so d = 3
@@ -486,7 +470,7 @@ def tomography_lower_bound_margin(
         n_v = max(f.resolution)
         tom = kplane_transform(f, frames, t_resolution=n_v)
         tom_half = kplane_transform(f, frames[::2], t_resolution=max(2, n_v // 2))
-    return lower_bound_margin_from_tomograms(tom, tom_half, f, p, q, k)
+    return lower_bound_margin_from_tomograms(tom, tom_half, f, p)
 
 
 @dataclass(frozen=True)
@@ -520,10 +504,9 @@ def _wedge_modulus(x):
     return np.abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] if len(m) == 2 else np.linalg.det(x))
 
 
-def restricted_xray_constant(
-    mu_samples: DirectionSet, p: float, q: float, d: int, n_mc: int, seed: int
-) -> MonteCarloEstimate:
-    """Monte Carlo estimate of the restricted-direction constant.
+def restricted_xray_constant(mu_samples: DirectionSet, p: float, n_mc: int, seed: int) -> MonteCarloEstimate:
+    """Monte Carlo estimate of the restricted-direction constant in R^d,
+    d = ``mu_samples.dim``, with q = ``scaling_exponent_q(p, d)``.
 
     C(mu) = (E |w_1 ^ ... ^ w_d|^{dq(1/p-1)/(d-1)})^{1/(dq)} with the w_j
     drawn independently from mu; the wedge modulus is |det| of the stacked
@@ -531,10 +514,9 @@ def restricted_xray_constant(
     of mu spans less than R^d and the exponent is positive, every wedge is 0, so the
     constant is exactly 0 and nothing is drawn.
     """
-    _check_scaling_line(p, q, d, 1)
+    d = mu_samples.dim
+    q = scaling_exponent_q(p, d)
     n_mc = count(n_mc, "n_mc")
-    if mu_samples.dim != d:
-        raise InputError("direction dimension mismatch")
     a = d * q * (1.0 / p - 1.0) / (d - 1)
     expo = 1.0 / (d * q)
     if a > 0 and np.linalg.matrix_rank(mu_samples.vectors[mu_samples.weights > 0]) < d:

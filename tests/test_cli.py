@@ -351,7 +351,6 @@ def test_lower_bound_suite_transforms_every_function_once_in_chunks(monkeypatch)
     from blq.tomography import (
         DirectionSet,
         lower_bound_margin_from_tomograms,
-        scaling_exponent_q,
         xray_transform,
         xray_transform_batch,
     )
@@ -390,7 +389,7 @@ def test_lower_bound_suite_transforms_every_function_once_in_chunks(monkeypatch)
         tom, tom_half = xray_transform(f, dirs), xray_transform(f, half, t_resolution=12)
         worst_l1 = max(worst_l1, abs(tom.l1() / f.mass - 1.0))
         for p in (0.5, 0.7, 0.9):
-            m = lower_bound_margin_from_tomograms(tom, tom_half, f, p, scaling_exponent_q(p, 2))
+            m = lower_bound_margin_from_tomograms(tom, tom_half, f, p)
             min_gap = min(min_gap, m.margin + m.quadrature_estimate)
     assert sum(batches, []) == seen == halves
     assert report.results["l1_worst_dev"] == worst_l1

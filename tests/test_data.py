@@ -27,7 +27,11 @@ from blq.data import (
     derive_adjoint_exponents,
     validate_datum,
 )
+from blq.discrete import FiniteAbelianGroup, GroupHom, discrete_adjoint_margin
+from blq.entropy import renyi_bl_margin
 from blq.errors import DatumError, ParameterDomainError
+from blq.gaussian import perturbation_gap
+from blq.grid import GridSpec, adjoint_margin, random_grid_function
 from blq.tomography import scaling_exponent_q
 
 
@@ -226,18 +230,18 @@ def test_reverse_sign_pattern_validation():
 def test_prefactor_unit_cases():
     datum = young()
     params = derive_adjoint_exponents(datum.exponents, (0.2, 0.3, 0.5), 1.0)
-    assert adjoint_gaussian_prefactor(params, datum.dims, 2) == pytest.approx(1.0, abs=1e-15)
+    assert adjoint_gaussian_prefactor(params, datum) == pytest.approx(1.0, abs=1e-15)
     hold = holder_identity(2, k=2)
     for p in (0.3, 0.8):
         params = derive_adjoint_exponents(hold.exponents, hold.exponents, p)
-        assert adjoint_gaussian_prefactor(params, hold.dims, 2) == pytest.approx(1.0, abs=1e-14)
+        assert adjoint_gaussian_prefactor(params, hold) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_prefactor_lw_value():
     datum = loomis_whitney(2)
     params = derive_adjoint_exponents(datum.exponents, (0.5, 0.5), 0.5)
     # p^{-d/2p} prod p_i^{theta_i d_i/2p_i} = 4 * (1/3)^{3/2}
-    assert adjoint_gaussian_prefactor(params, datum.dims, 2) == pytest.approx(
+    assert adjoint_gaussian_prefactor(params, datum) == pytest.approx(
         4.0 * (1.0 / 3.0) ** 1.5, rel=1e-14
     )
 
@@ -249,7 +253,7 @@ def test_prefactor_not_one_off_degenerate_cases():
         t = rng.uniform(0.1, 0.9)
         p = rng.uniform(0.2, 0.9)
         params = derive_adjoint_exponents(datum.exponents, (t, 1.0 - t), p)
-        assert abs(adjoint_gaussian_prefactor(params, datum.dims, 2) - 1.0) > 1e-6
+        assert abs(adjoint_gaussian_prefactor(params, datum) - 1.0) > 1e-6
 
 
 def test_rational_exponent_roundtrip():
@@ -380,7 +384,7 @@ def test_one_over_p_is_zero_at_infinity_without_a_branch(p):
         assert (params.p_i, params.mode, params.residuals(datum.exponents)) == _derived_by_hand(
             datum.exponents, theta, p
         )
-        got = adjoint_gaussian_prefactor(params, datum.dims, datum.ambient_dim)
+        got = adjoint_gaussian_prefactor(params, datum)
         assert got == _prefactor_by_hand(params, datum.dims, datum.ambient_dim)
     for d, k in [(2, 1), (3, 1), (3, 2), (4, 1)]:
         assert _outcome(lambda: scaling_exponent_q(p, d, k)) == _scaling_q_by_hand(p, d, k)
@@ -406,3 +410,24 @@ def test_derive_adjoint_exponents_takes_plain_exponents():
     )
     with pytest.raises(ParameterDomainError, match="theta length must match the number of maps"):
         derive_adjoint_exponents((1.0, 1.0, 1.0), (0.5, 0.5), 0.5)
+
+
+Z44 = FiniteAbelianGroup((4, 4))
+Z44_MAPS = [GroupHom((row,), Z44, FiniteAbelianGroup((4,))) for row in ((1, 0), (0, 1), (1, 1))]
+F3 = random_grid_function(((-1.0, 1.0),) * 3, (6, 6, 6), seed=2)
+# each call pairs a three-map datum with the params record it is given
+THREE_MAP_CALLS = {
+    "adjoint_margin": lambda params: adjoint_margin(F3, loomis_whitney(3), params, 1.0),
+    "renyi_bl_margin": lambda params: renyi_bl_margin(F3, loomis_whitney(3), params, 1.0),
+    "discrete_adjoint_margin": lambda params: discrete_adjoint_margin(np.ones(16), Z44_MAPS, params, 1.0),
+    "perturbation_gap": lambda params: perturbation_gap(loomis_whitney(3), params, GridSpec(((-4.0, 4.0),) * 3, (8,) * 3)),
+    "adjoint_gaussian_prefactor": lambda params: adjoint_gaussian_prefactor(params, loomis_whitney(3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(THREE_MAP_CALLS))
+def test_a_params_record_for_another_number_of_maps_is_refused(name):
+    """A record of two weights would zip away the third map."""
+    params = derive_adjoint_exponents((0.5, 0.5), (0.9, 0.1), 0.5)
+    with pytest.raises(ParameterDomainError, match="2 weights theta_i for 3 maps"):
+        THREE_MAP_CALLS[name](params)

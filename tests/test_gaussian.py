@@ -197,14 +197,12 @@ def test_abl_cross_check_on_conjugated_young():
 
 def test_abl_from_one_solve_pair_is_bitwise_abl_gaussian_constant():
     from blq.catalog import random_adjoint_draws
-    from blq.data import adjoint_gaussian_prefactor
     from blq.gaussian import _abl_from_solves
 
     datum = conjugate_datum(young(), seed=31)
     quot, bl = quotient_supremum(datum), bl_gaussian_constant(datum)
     for params in random_adjoint_draws(datum, seed=4, n=5):
-        pref = adjoint_gaussian_prefactor(params, datum.dims, datum.ambient_dim)
-        once = _abl_from_solves(pref, params, quot, bl)
+        once = _abl_from_solves(datum, params, quot, bl)
         res = abl_gaussian_constant(datum, params)
         assert (once.value, once.cross_check) == (res.value, res.cross_check)
         assert (once.converged, once.iterations, once.residual) == (res.converged, res.iterations, res.residual)
@@ -393,6 +391,51 @@ def test_perturbation_positive_and_stable():
     assert res_hi.coefficient == pytest.approx(res_lo.coefficient, rel=0.05)
     # the grid functional moves by eps * coefficient to first order
     assert res_hi.direct_ratio_delta == pytest.approx(1e-3 * res_hi.coefficient, rel=0.05)
+
+
+def _exact_gap_coefficient(datum, params, j, radius):
+    """``perturbation_gap``'s coefficient for a datum of rank-one maps of R^2,
+    by ``quad`` to about 1e-13.  With x = r(cos phi, sin phi) and
+    g_i(phi) = <u_i, (cos phi, sin phi)>^2 for the unit row u_i of B_i, the
+    radial integral from R is exact:
+    int_{g_j >= kappa} -p e^{-pi p R^2}/(2 pi p) + sum_i theta_i p_i^{1/2} e^{-pi a_i R^2}/(2 pi a_i) dphi,
+    a_i = 1 - (1 - p_i) g_i.  The integrand has period pi, so the cone is twice
+    the arc |phi - alpha_j| <= arccos(sqrt(kappa)) around u_j's angle alpha_j."""
+    import scipy.integrate
+
+    p, p_j = params.p, params.p_i[j]
+    kappa = (1.0 - 0.5 * (p + p_j)) / (1.0 - p_j)
+    rows = [b[0] / np.linalg.norm(b[0]) for b in datum.maps]
+
+    def integrand(phi):
+        e = np.array([math.cos(phi), math.sin(phi)])
+        total = -p * math.exp(-math.pi * p * radius**2) / (2.0 * math.pi * p)
+        for t, q, u in zip(params.theta, params.p_i, rows):
+            a = 1.0 - (1.0 - q) * float(u @ e) ** 2
+            total += t * math.sqrt(q) * math.exp(-math.pi * a * radius**2) / (2.0 * math.pi * a)
+        return total
+
+    alpha, beta = math.atan2(rows[j][1], rows[j][0]), math.acos(math.sqrt(kappa))
+    return 2.0 * scipy.integrate.quad(integrand, alpha - beta, alpha + beta, epsabs=1e-15, epsrel=1e-13)[0]
+
+
+def test_perturbation_gap_estimate_covers_the_closed_form():
+    """The coarsening drift against the closed form on loomis_whitney_2 (box
+    [-8, 8]^2, whose truncation is below e^-100).  Scenario 06's configuration,
+    theta = (0.9, 0.1) at p = 1/2, is covered at 512^2 and 1024^2, and 7 of the
+    family's 9 rows are.  The drift is not an error bound: at 512^2 the errors
+    of (0.7, 0.3) and of p = 0.3 are 5.6 and 2.0 times their estimates."""
+    datum = loomis_whitney(2)
+    box = ((-8.0, 8.0), (-8.0, 8.0))
+    covered = {}
+    for theta, p in [((0.9, 0.1), 0.5), ((0.7, 0.3), 0.5), ((0.9, 0.1), 0.3)]:
+        params = derive_adjoint_exponents(datum.exponents, theta, p)
+        for n in (256, 512, 1024):
+            gap = perturbation_gap(datum, params, GridSpec(box, (n, n)))
+            exact = _exact_gap_coefficient(datum, params, gap.j_index, gap.radius)
+            covered[theta, p, n] = abs(gap.coefficient - exact) <= gap.quadrature_estimate
+    assert covered[(0.9, 0.1), 0.5, 512] and covered[(0.9, 0.1), 0.5, 1024]
+    assert sum(covered.values()) >= 7, covered
 
 
 def test_spd_matrix_validation():

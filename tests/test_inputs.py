@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import blq
 from blq.catalog import loomis_whitney
-from blq.data import AdjointParams, BLDatum, adjoint_gaussian_prefactor, derive_adjoint_exponents
+from blq.data import AdjointParams, BLDatum, derive_adjoint_exponents
 from blq.discrete import (
     FiniteAbelianGroup,
     GroupHom,
@@ -52,7 +52,6 @@ from blq.tomography import (
     kplane_entropy_sequence,
     kplane_transform,
     restricted_xray_constant,
-    scaling_exponent_q,
     tomography_lower_bound_margin,
     xray_transform,
     xx_gamma_constant,
@@ -110,7 +109,6 @@ Z2 = FiniteAbelianGroup((2,))
 PAIR = (GroupHom(((1, 0),), Z22, Z2), GroupHom(((0, 1),), Z22, Z2))
 DIRS4 = DirectionSet.uniform_circle(4)
 TOM2 = xray_transform(F2, DIRS4)
-Q_PLANE = scaling_exponent_q(0.7, 3, 2)
 
 
 @dataclass(frozen=True)
@@ -143,17 +141,14 @@ ROWS = (
     # data
     Row("BLDatum", "maps", not_finite((1, 2)), lambda b: BLDatum((b, np.array([[0.0, 1.0]])), (1, 1))),
     Row("BLDatum", "exponents", bad_exponent(), lambda c: BLDatum((np.eye(2),), (c,))),
-    Row("AdjointParams", "p", bad_exponent(inf=True), lambda p: AdjointParams((0.5, 0.5), p, (0.5, 0.5), "forward")),
+    Row("AdjointParams", "p", bad_exponent(inf=True), lambda p: AdjointParams((0.5, 0.5), p, (0.5, 0.5))),
     Row("AdjointParams", "p_i", st.one_of(bad_exponent(inf=True).map(lambda q: (q, 0.5)),
                                           bad_exponent(inf=True).map(lambda q: (0.5, q))),
-        lambda p_i: AdjointParams((0.5, 0.5), 0.5, p_i, "forward")),
+        lambda p_i: AdjointParams((0.5, 0.5), 0.5, p_i)),
     Row("AdjointParams", "theta", st.sampled_from([(1.0,), (0.4, 0.3, 0.3), ()]),
-        lambda theta: AdjointParams(theta, 0.5, (0.5, 0.5), "forward")),
-    Row("AdjointParams", "mode", st.text().filter(lambda m: m != "forward"),
-        lambda mode: AdjointParams((0.5, 0.5), 0.5, (0.5, 0.5), mode)),
+        lambda theta: AdjointParams(theta, 0.5, (0.5, 0.5))),
     Row("derive_adjoint_exponents", "p", bad_exponent(inf=True),
         lambda p: derive_adjoint_exponents(LW2.exponents, (0.5, 0.5), p)),
-    Row("adjoint_gaussian_prefactor", "d", bad_count(), lambda d: adjoint_gaussian_prefactor(PARAMS, (1, 1), d)),
     # gaussian
     Row("SpdMatrix.from_matrix", "m", not_finite((2, 2)), lambda m: SpdMatrix.from_matrix(m)),
     Row("gaussian_pushforward", "B", not_finite((1, 2)),
@@ -185,11 +180,12 @@ ROWS = (
     Row("kplane_transform", "t_resolution", bad_count(), lambda n: kplane_transform(F3, 2, t_resolution=n)),
     Row("kplane_entropy_sequence", "n_planes", bad_count(0), lambda n: kplane_entropy_sequence(F3, n_planes=n)),
     Row("restricted_xray_constant", "n_mc", bad_count(),
-        lambda n: restricted_xray_constant(DIRS4, 0.5, scaling_exponent_q(0.5, 2), 2, n, seed=0)),
-    Row("tomography_lower_bound_margin", "q", bad_exponent(inf=True),
-        lambda q: tomography_lower_bound_margin(F2, 0.7, q, dirs=DIRS4)),
+        lambda n: restricted_xray_constant(DIRS4, 0.5, n, seed=0)),
+    Row("tomography_lower_bound_margin", "p", bad_exponent(inf=True),
+        lambda p: tomography_lower_bound_margin(F2, p, dirs=DIRS4)),
+    Row("tomography_lower_bound_margin", "k", bad_count(), lambda k: tomography_lower_bound_margin(F2, 0.7, k=k)),
     Row("tomography_lower_bound_margin", "dirs", bad_count(),
-        lambda n: tomography_lower_bound_margin(F3, 0.7, Q_PLANE, k=2, dirs=n)),
+        lambda n: tomography_lower_bound_margin(F3, 0.7, k=2, dirs=n)),
     Row("xx_gamma_constant", "d", bad_count(2), lambda d: xx_gamma_constant(d, 2.0, 0.5)),
     # entropy
     Row("shannon_entropy", "f", not_nonnegative((3,)), lambda v: shannon_entropy(v)),
@@ -210,8 +206,8 @@ ROWS = (
 RECORDS = {"FeasibilityReport", "GaussianOptResult", "GowersProfile"}
 # callables whose only inputs are a BLDatum, AdjointParams and a GridSpec, checked where those are built
 DATUM_ONLY = {
-    "abl_gaussian_constant", "bl_gaussian_constant", "identity_ai_residual", "perturbation_gap", "quotient_supremum",
-    "validate_datum",
+    "abl_gaussian_constant", "adjoint_gaussian_prefactor", "bl_gaussian_constant", "identity_ai_residual",
+    "perturbation_gap", "quotient_supremum", "validate_datum",
 }
 
 

@@ -35,6 +35,11 @@ target cell and each pushforward is the exact marginal of the piecewise-
 constant f.  A refinement splits the marginal's cells the same way, so no
 marginal norm moves: the margin's drift is 0, and f and its refinements have
 one margin, up to rounding.
+
+Determinant law: for invertible B, ||B_* f||_q = |det B|^{1/q - 1} ||f||_q.  On
+a square grid a signed permutation times a positive integer diagonal maps
+every cell centre to the middle of its own cell of the default target, so the
+binned pushforward obeys the law up to rounding.
 """
 
 import math
@@ -50,7 +55,7 @@ from blq.data import BLDatum, derive_adjoint_exponents
 from blq.discrete import GroupHom, abls_constant, bls_constant
 from blq.gaussian import abl_gaussian_constant, bl_gaussian_constant
 from blq.gowers import U_CAPS, gowers_norm
-from blq.grid import GridFunction, adjoint_margin, lp_norm, random_grid_function
+from blq.grid import GridFunction, adjoint_margin, grid_pushforward, lp_norm, random_grid_function
 from blq.tomography import DirectionSet, kplane_transform, scaling_exponent_q, xray_transform
 
 REL = 1e-9
@@ -222,3 +227,33 @@ def test_aligned_coordinate_projections_bin_without_drift(d, n, box, mode, seed)
         scale = max(1.0, abs(m.lhs), abs(m.rhs))
         assert abs(m.quadrature_estimate - 1e-12 * scale) <= ALIGNED_ULPS * ulp  # the drift, less the 1e-12 floor
         assert abs(m.margin - margins[0].margin) <= ALIGNED_ULPS * ulp
+
+
+# a signed permutation times a positive integer diagonal, by dimension
+LATTICE_MAPS = {
+    "diag(2,3)": [[2, 0], [0, 3]],
+    "swap": [[0, 1], [1, 0]],
+    "diag(-1,2)": [[-1, 0], [0, 2]],
+    "antidiag(-2,3)": [[0, -2], [3, 0]],
+    "diag(1,2,3)": [[1, 0, 0], [0, 2, 0], [0, 0, 3]],
+    "signed-perm3": [[0, 0, -1], [2, 0, 0], [0, -1, 0]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_MAPS))
+@pytest.mark.parametrize("n", [16, 24])
+@pytest.mark.parametrize("box", [(-1.0, 1.0), (-0.5, 2.5)], ids=["centred", "shifted"])
+@settings(max_examples=3, deadline=None)
+@given(seed=SEEDS)
+def test_lattice_preserving_maps_obey_the_determinant_law(name, n, box, seed):
+    """||B_* f||_q = |det B|^{1/q - 1} ||f||_q within ALIGNED_ULPS of the
+    right side, for q in {0.3, 0.5, 2, inf}.  Generic invertible maps stay
+    out: their centres beat against the target cells in a pattern of 0, 1 or
+    2 per bin that refinement does not remove (ROADMAP item 7)."""
+    B = np.array(LATTICE_MAPS[name], dtype=float)
+    f = random_grid_function((box,) * len(B), (n,) * len(B), seed=seed, zero_fraction=0.2)
+    g = grid_pushforward(f, B)
+    det = abs(np.linalg.det(B))
+    for q in (0.3, 0.5, 2.0, math.inf):
+        want = round(det) ** (1.0 / q - 1.0) * lp_norm(f, q)
+        assert abs(lp_norm(g, q) - want) <= ALIGNED_ULPS * np.finfo(float).eps * want

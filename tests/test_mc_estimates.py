@@ -39,5 +39,5 @@ def _exact_restricted_constant(vectors, p, q, d):
 @pytest.mark.parametrize("p", [0.5, 0.7, 0.9])
 def test_restricted_constant_stderr_covers_the_exact_mean(d, dirs, p):
     q = 1.0 / (1.0 - d * (1.0 - 1.0 / p) / (d - 1))  # on the scaling line
-    estimates = [restricted_xray_constant(dirs, p, q, d, 4000, seed) for seed in SEEDS]
+    estimates = [restricted_xray_constant(dirs, p, 4000, seed) for seed in SEEDS]
     _assert_covered(estimates, _exact_restricted_constant(dirs.vectors, p, q, d))

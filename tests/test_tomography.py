@@ -143,38 +143,50 @@ def test_scaling_line_solver():
     q = scaling_exponent_q(0.5, 2)
     assert q == pytest.approx(1.0 / 3.0, rel=1e-14)
     assert scaling_exponent_q(1.0, 3, k=2) == pytest.approx(1.0)
+    for p in (math.nan, 0, True):  # p is checked here, for every margin that derives q
+        with pytest.raises(InputError, match="p must be"):
+            scaling_exponent_q(p, 2)
+
+
+def test_the_margin_reads_k_from_the_tomogram():
+    """A 3-D line tomogram is checked on the line exponent and a plane
+    tomogram on the plane exponent; a check of the other kind, or a tomogram
+    of a function of another dimension, is refused."""
+    f = random_grid_function(((-1.0, 1.0),) * 3, (8, 8, 8), seed=2)
+    lines = xray_transform(f, DirectionSet.fibonacci_sphere(16), method="deposit")
+    planes = kplane_transform(f, 16, seed=3)
+    for tom, k in ((lines, 1), (planes, 2)):
+        assert lower_bound_margin_from_tomograms(tom, tom, f, 0.7).lhs == tom.lq(scaling_exponent_q(0.7, 3, k))
+    with pytest.raises(InputError, match="offset axes"):
+        lower_bound_margin_from_tomograms(lines, planes, f, 0.7)
+    flat = xray_transform(random_grid_function(((-1.0, 1.0),) * 2, (8, 8), seed=1), DirectionSet.uniform_circle(8))
+    with pytest.raises(InputError, match="f's dimension"):  # a 2-D line tomogram would read k = 2 for f
+        lower_bound_margin_from_tomograms(flat, flat, f, 0.7)
 
 
 def test_lower_bound_margin_p_equals_one():
     f = random_grid_function(BOX, (64, 64), seed=11)
-    m = tomography_lower_bound_margin(f, 1.0, 1.0, dirs=DirectionSet.uniform_circle(60))
+    m = tomography_lower_bound_margin(f, 1.0, dirs=DirectionSet.uniform_circle(60))
     assert abs(m.margin) <= m.quadrature_estimate
 
 
 def test_lower_bound_margin_square_indicator():
     f = GridFunction.indicator_box(((0, 1), (0, 1)), BOX, (128, 128))
-    q = scaling_exponent_q(0.5, 2)
-    m = tomography_lower_bound_margin(f, 0.5, q, dirs=DirectionSet.uniform_circle(360))
+    m = tomography_lower_bound_margin(f, 0.5, dirs=DirectionSet.uniform_circle(360))
     assert m.certified
     assert m.margin > 0
 
 
-def test_off_line_exponents_rejected():
-    f = random_grid_function(BOX, (16, 16), seed=1)
-    with pytest.raises(ParameterDomainError, match="scaling line"):
-        tomography_lower_bound_margin(f, 0.5, 0.9)
-
-
 def test_restricted_constant_p_one():
     mu = DirectionSet.fibonacci_sphere(32)
-    est = restricted_xray_constant(mu, 1.0, 1.0, 3, 1000, seed=0)
+    est = restricted_xray_constant(mu, 1.0, 1000, seed=0)
     assert est.value == 1.0 and est.stderr == 0.0
 
 
 def test_restricted_constant_great_circle_vanishes():
     mu = DirectionSet.great_circle(64)
     p = 0.5
-    est = restricted_xray_constant(mu, p, scaling_exponent_q(p, 3), 3, 20000, seed=1)
+    est = restricted_xray_constant(mu, p, 20000, seed=1)
     assert est.value < 1e-3
 
 
@@ -202,11 +214,11 @@ def test_rank_deficient_restricted_constant_is_exactly_zero_without_draws(monkey
 
     monkeypatch.setattr(np.random, "default_rng", no_draws)
     for mu in (circle, weightless_pole):
-        est = restricted_xray_constant(mu, p, q, 3, 100_000, seed=3)
+        est = restricted_xray_constant(mu, p, 100_000, seed=3)
         assert (est.value, est.stderr, est.mean, est.mean_stderr, est.n_samples) == (0.0, 0.0, 0.0, 0.0, 100_000)
     monkeypatch.undo()
     # with exponent a = 0 the constant stays 1
-    assert restricted_xray_constant(circle, 1.0, 1.0, 3, 1000, seed=0).value == 1.0
+    assert restricted_xray_constant(circle, 1.0, 1000, seed=0).value == 1.0
 
 
 def test_full_rank_restricted_constant_keeps_its_monte_carlo():
@@ -214,7 +226,7 @@ def test_full_rank_restricted_constant_keeps_its_monte_carlo():
     q = scaling_exponent_q(p, 3)
     a = 3 * q * (1.0 / p - 1.0) / 2
     mu = DirectionSet.fibonacci_sphere(32)
-    est = restricted_xray_constant(mu, p, q, 3, 5000, seed=3)
+    est = restricted_xray_constant(mu, p, 5000, seed=3)
     assert est.mean == _reference_restricted_mean(mu, a, 3, 5000, seed=3) > 0.0
     assert est.value == est.mean ** (1.0 / (3 * q))
 
@@ -232,7 +244,7 @@ def test_restricted_draws_that_repeat_a_direction_have_wedge_exactly_zero():
     idx = np.random.default_rng(5).choice(3, size=(3000, 3), p=mu.weights)
     distinct = np.mean([len(set(row)) == 3 for row in idx.tolist()])
     wedge = abs(np.linalg.det(mu.vectors))
-    est = restricted_xray_constant(mu, p, q, 3, 3000, seed=5)
+    est = restricted_xray_constant(mu, p, 3000, seed=5)
     assert est.mean == pytest.approx(distinct * wedge**a, rel=1e-14)
 
 
@@ -243,7 +255,7 @@ def test_restricted_constant_uniform_matches_sin_moment():
     a = d * q * (1.0 / p - 1.0) / (d - 1)
     oracle = scipy.integrate.quad(lambda t: math.sin(t) ** a / math.pi, 0.0, math.pi)[0]
     mu = DirectionSet.uniform_circle(512)
-    est = restricted_xray_constant(mu, p, q, d, 200_000, seed=5)
+    est = restricted_xray_constant(mu, p, 200_000, seed=5)
     assert est.mean == pytest.approx(oracle, abs=4.0 * est.mean_stderr + 1e-4)
 
 
@@ -774,7 +786,7 @@ def test_plane_count_must_not_be_a_bool(planes):
 def test_plane_margin_takes_a_plane_count(dirs):
     f = random_grid_function(((-1.0, 1.0),) * 3, (8, 8, 8), seed=2)
     with pytest.raises(ValueError, match="plane"):
-        tomography_lower_bound_margin(f, 0.7, scaling_exponent_q(0.7, 3, 2), k=2, dirs=dirs)
+        tomography_lower_bound_margin(f, 0.7, k=2, dirs=dirs)
 
 
 @pytest.mark.parametrize("p", [0.5, 0.7, 0.9])
@@ -785,39 +797,35 @@ def test_plane_lower_bound_margins_on_a_16_cube(p):
         gaussian_grid(np.diag([1.0, 0.7, 1.4]), box, (16,) * 3),
         random_grid_function(box, (16,) * 3, seed=7, smooth=1),
     ]
-    q = scaling_exponent_q(p, 3, 2)
     for f in functions:
-        m = tomography_lower_bound_margin(f, p, q, k=2, dirs=32, seed=3)
+        m = tomography_lower_bound_margin(f, p, k=2, dirs=32, seed=3)
         assert m.margin > 0
-        assert tomography_lower_bound_margin(f, p, q, k=2, dirs=np.int64(32), seed=3) == m
-    default = tomography_lower_bound_margin(functions[0], p, q, k=2)
-    assert default == tomography_lower_bound_margin(functions[0], p, q, k=2, dirs=64)
+        assert tomography_lower_bound_margin(f, p, k=2, dirs=np.int64(32), seed=3) == m
+    default = tomography_lower_bound_margin(functions[0], p, k=2)
+    assert default == tomography_lower_bound_margin(functions[0], p, k=2, dirs=64)
 
 
 def test_plane_margin_halves_the_same_draw():
     """The halved check keeps every other plane of the one Haar draw, as the
     line margin keeps every other direction, with half the offsets."""
     f = GridFunction.indicator_box(((-1.0, 0.5), (-0.5, 1.0), (-1.25, 1.25)), ((-2.0, 2.0),) * 3, (16,) * 3)
-    q = scaling_exponent_q(0.5, 3, 2)
     frames = haar_planes(3, 2, 32, 3)
     tom = kplane_transform(f, frames, t_resolution=16)
     half = kplane_transform(f, frames[::2], t_resolution=8)
-    expected = lower_bound_margin_from_tomograms(tom, half, f, 0.5, q, 2)
-    assert tomography_lower_bound_margin(f, 0.5, q, k=2, dirs=32, seed=3) == expected
+    expected = lower_bound_margin_from_tomograms(tom, half, f, 0.5)
+    assert tomography_lower_bound_margin(f, 0.5, k=2, dirs=32, seed=3) == expected
 
 
 @pytest.mark.parametrize("d, k", [(2, 2), (3, 3), (2, 5)])
 def test_plane_dimension_not_below_the_space_is_a_scope_error(d, k):
     with pytest.raises(ParameterDomainError, match="k < d"):
         scaling_exponent_q(0.7, d, k)
-    with pytest.raises(ParameterDomainError, match="k < d"):
-        tomography._check_scaling_line(0.7, 0.5, d, k)
 
 
 def test_plane_margin_on_a_plane_is_a_scope_error():
     f = random_grid_function(BOX, (8, 8), seed=0)
     with pytest.raises(ParameterDomainError, match="k = 2 in d = 2"):
-        tomography_lower_bound_margin(f, 0.7, 0.5, k=2)
+        tomography_lower_bound_margin(f, 0.7, k=2)
 
 
 E3 = np.eye(3)
