@@ -420,7 +420,9 @@ THREE_MAP_CALLS = {
     "adjoint_margin": lambda params: adjoint_margin(F3, loomis_whitney(3), params, 1.0),
     "renyi_bl_margin": lambda params: renyi_bl_margin(F3, loomis_whitney(3), params, 1.0),
     "discrete_adjoint_margin": lambda params: discrete_adjoint_margin(np.ones(16), Z44_MAPS, params, 1.0),
-    "perturbation_gap": lambda params: perturbation_gap(loomis_whitney(3), params, GridSpec(((-4.0, 4.0),) * 3, (8,) * 3)),
+    "perturbation_gap": lambda params: perturbation_gap(
+        loomis_whitney(3), params, GridSpec(((-4.0, 4.0),) * 3, (8,) * 3)
+    ),
     "adjoint_gaussian_prefactor": lambda params: adjoint_gaussian_prefactor(params, loomis_whitney(3)),
 }
 
